@@ -10,6 +10,7 @@ from .errors import (
     GenerationError,
     InternalConsistencyError,
     LocalizerLabError,
+    ModelArgumentError,
     NegativityError,
     NotInvertibleError,
     ParityError,

@@ -40,7 +40,8 @@ from .oracles import (
 from .verification import parallel_map, run_suite
 
 # Input and configuration problems exit 2; anything else is a real bug and
-# propagates as a traceback.
+# propagates as a traceback.  Bare ValueError stays out: numpy's LinAlgError
+# is one, and a failed eigensolve is not a usage error.
 _USAGE_ERRORS = (
     ConfigError,
     AdmissibilityError,
@@ -53,7 +54,6 @@ _USAGE_ERRORS = (
     ResolutionError,
     SpectralCutError,
     TruncationTooSmallError,
-    ValueError,
 )
 
 CHERN_GRID = 48
@@ -66,6 +66,8 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} is empty")
+    if min(values) <= 0:
+        raise ConfigError(f"{flag} values must be strictly positive, got {text!r}")
     return values
 
 
@@ -89,7 +91,6 @@ def _resolve_config(args, kappa: float | None = None,
         "margin": args.margin,
         "seed": args.seed,
         "out": args.out,
-        "format": args.format,
     }
     return build_config(file_values, overrides)
 
@@ -330,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="base seed for seeded suites and reports")
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=["json", "csv"], default=None,
-                       help="report format where a choice exists")
 
     p_compute = sub.add_parser("compute", help="index triangle for one model")
     add_common(p_compute)
@@ -361,11 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.kappa is not None:
-        args.kappa = _float_list(args.kappa, "--kappa")
-    if args.rho is not None:
-        args.rho = _float_list(args.rho, "--rho")
     try:
+        if args.kappa is not None:
+            args.kappa = _float_list(args.kappa, "--kappa")
+        if args.rho is not None:
+            args.rho = _float_list(args.rho, "--rho")
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

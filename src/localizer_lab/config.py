@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .grading import EPS_EIG
 from .ktheory import TAU_SIG
 from .localizing import (
     DEFAULT_P_MAX,
@@ -41,10 +40,8 @@ class RunConfig:
     p_max: float = DEFAULT_P_MAX
     tau_sig: float = TAU_SIG
     tau_rank: float = TAU_RANK_REL
-    eps_eig: float = EPS_EIG
     seed: int = 0
     out: str | None = None
-    format: str = "json"
 
     def localizer_choice(self) -> tuple[str, float | None, float | None]:
         """('auto', None, None) or ('manual', kappa, rho); anything else fails."""
@@ -78,16 +75,14 @@ KEYS = {
     "quad.p_max": "p_max",
     "tol.tau_sig": "tau_sig",
     "tol.tau_rank": "tau_rank",
-    "tol.eps_eig": "eps_eig",
     "seed": "seed",
     "out": "out",
-    "format": "format",
 }
 
 _FLOAT_FIELDS = {"kappa", "rho", "margin", "smoothing_width", "x_step",
-                 "p_step", "p_max", "tau_sig", "tau_rank", "eps_eig"}
-_POSITIVE_FIELDS = {"margin", "smoothing_width", "x_step", "p_step", "p_max",
-                    "tau_sig", "tau_rank", "eps_eig"}
+                 "p_step", "p_max", "tau_sig", "tau_rank"}
+_POSITIVE_FIELDS = {"smoothing_width", "x_step", "p_step", "p_max",
+                    "tau_sig", "tau_rank"}
 
 
 def load_config_file(path) -> dict:
@@ -145,7 +140,7 @@ def build_config(file_values: dict | None = None,
         elif name == "seed":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"seed must be an integer, got {value!r}")
-        elif name in ("model", "out", "format"):
+        elif name in ("model", "out"):
             if not isinstance(value, str):
                 raise ConfigError(f"config field {name!r} must be a string, "
                                   f"got {value!r}")
@@ -159,8 +154,8 @@ def build_config(file_values: dict | None = None,
         raise ConfigError("localizer.kappa must be strictly positive")
     if config.rho is not None and config.rho <= 0:
         raise ConfigError("localizer.rho must be strictly positive")
+    if config.margin <= 1.0:
+        raise ConfigError("localizer.margin must exceed 1")
     if not 0.0 < config.smoothing_width <= 0.25:
         raise ConfigError("phi.smoothing_width must lie in (0, 1/4]")
-    if config.format not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {config.format!r}")
     return config

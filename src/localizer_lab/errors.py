@@ -68,3 +68,11 @@ class ResolutionError(LocalizerLabError):
 
 class ConfigError(LocalizerLabError):
     """Run configuration is malformed or inconsistent."""
+
+
+class ModelArgumentError(ConfigError, ValueError):
+    """A model address or generator argument is malformed or out of range.
+
+    A ConfigError, so the CLI exits 2 on it; also a ValueError, so library
+    callers that catch bad arguments as ValueError keep working.
+    """

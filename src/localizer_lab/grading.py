@@ -108,12 +108,38 @@ def _snap_parity(m: np.ndarray, space: GradedSpace, expected: str, tol: float):
 
 @dataclass
 class SpectralDecomposition:
-    """Validated eigendecomposition T = U diag(w) U^H of a hermitian operator."""
+    """Validated eigendecomposition T = U diag(w) U^H of a hermitian operator.
+
+    Eigenvalues are sorted.  An even operator is decomposed sector by sector:
+    ``sectors`` holds the (w, U) pair of each diagonal block, ``order`` sorts
+    their concatenated eigenvalues, and the block-diagonal U is only
+    assembled when ``vectors`` is read.
+    """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    frame: np.ndarray | None
     residual: float
     orth_defect: float
+    sectors: tuple | None = None
+    order: np.ndarray | None = None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self.frame is None:
+            (w_plus, u_plus), (_, u_minus) = self.sectors
+            k = len(w_plus)
+            u = np.zeros((len(self.eigenvalues),) * 2, dtype=complex)
+            u[:k, :k] = u_plus
+            u[k:, k:] = u_minus
+            self.frame = u[:, self.order]
+        return self.frame
+
+
+def _frame_defects(m: np.ndarray, w: np.ndarray, u: np.ndarray):
+    """Frobenius norms of T U - U diag(w) and U^H U - 1."""
+    residual = np.linalg.norm(m @ u - u * w)
+    orth = np.linalg.norm(u.conj().T @ u - np.eye(len(w)))
+    return residual, orth
 
 
 class GradedOperator:
@@ -202,41 +228,87 @@ class GradedOperator:
     # -- spectral data -----------------------------------------------------
 
     def eig(self, eps_eig: float = EPS_EIG) -> SpectralDecomposition:
-        """Eigendecomposition with residual validation, cached after first use."""
+        """Eigendecomposition with residual validation, cached after first use.
+
+        Even operators take one eigh per sector instead of one of full size.
+        """
         if not self.hermitian:
             raise DomainError("eigendecomposition requires a hermitian operator")
         if self._eig is None:
-            w, u = np.linalg.eigh(self.matrix)
-            self._attach_eig(w, u, eps_eig)
+            if self.parity == "even":
+                self._sector_eig(eps_eig)
+            else:
+                w, u = np.linalg.eigh(self.matrix)
+                self._attach_eig(w, u, eps_eig)
         return self._eig
 
     def _attach_eig(self, w, u, eps_eig: float = EPS_EIG):
         """Install an externally computed eigendecomposition after validating it."""
         w = np.asarray(w, dtype=float)
         u = np.asarray(u, dtype=complex)
+        residual, orth = _frame_defects(self.matrix, w, u)
+        self._check_frame(residual, orth, eps_eig)
+        self._eig = SpectralDecomposition(w, u, residual, orth)
+        return self._eig
+
+    def _sector_eig(self, eps_eig: float):
+        """Per-sector eigendecomposition of an even operator.
+
+        U is block diagonal, so T U - U diag(w) and U^H U - 1 vanish off the
+        diagonal blocks and their Frobenius norms are the root sum of squares
+        of the per-block norms: the combined values face the same bounds as a
+        full-size decomposition.
+        """
+        sectors, residuals, orths = [], [], []
+        for s in "+-":
+            block = self.block(s, s)
+            w, u = np.linalg.eigh(block)
+            residual, orth = _frame_defects(block, w, u)
+            sectors.append((w, u))
+            residuals.append(residual)
+            orths.append(orth)
+        residual, orth = float(np.hypot(*residuals)), float(np.hypot(*orths))
+        self._check_frame(residual, orth, eps_eig)
+        w_all = np.concatenate([w for w, _ in sectors])
+        order = np.argsort(w_all, kind="stable")
+        self._eig = SpectralDecomposition(w_all[order], None, residual, orth,
+                                          sectors=tuple(sectors), order=order)
+        return self._eig
+
+    def _check_frame(self, residual: float, orth: float, eps_eig: float) -> None:
         scale = np.linalg.norm(self.matrix)
-        residual = np.linalg.norm(self.matrix @ u - u * w)
-        orth = np.linalg.norm(u.conj().T @ u - np.eye(len(w)))
         if residual > eps_eig * max(scale, 1e-300):
             raise InternalConsistencyError(
                 f"eigendecomposition residual {residual:.3e} exceeds "
                 f"{eps_eig:.1e} * ||T|| = {eps_eig * scale:.3e}"
             )
-        if orth > eps_eig * max(1.0, np.sqrt(len(w))):
+        if orth > eps_eig * max(1.0, np.sqrt(self.space.n)):
             raise InternalConsistencyError(
                 f"eigenvector frame orthonormality defect {orth:.3e} too large"
             )
-        self._eig = SpectralDecomposition(w, u, residual, orth)
-        return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        """Sorted spectrum; cheaper than eig() when vectors are not needed."""
+        """Sorted spectrum; cheaper than eig() when vectors are not needed.
+
+        Even operators take one eigvalsh per sector.  An odd hermitian
+        [[0, B^H], [B, 0]] has spectrum +-sigma(B) plus |n_+ - n_-| zeros,
+        read off one SVD of its odd block B.
+        """
         if self._eig is not None:
             return self._eig.eigenvalues
         if self._eigvals_cache is None:
             if not self.hermitian:
                 raise DomainError("eigenvalues require a hermitian operator")
-            self._eigvals_cache = np.linalg.eigvalsh(self.matrix)
+            if self.parity == "even":
+                w = np.concatenate([np.linalg.eigvalsh(self.block(s, s))
+                                    for s in "+-"])
+            elif self.parity == "odd":
+                sv = np.linalg.svd(self.odd_block, compute_uv=False)
+                zeros = np.zeros(abs(self.space.n_plus - self.space.n_minus))
+                w = np.concatenate([-sv, zeros, sv])
+            else:
+                w = np.linalg.eigvalsh(self.matrix)
+            self._eigvals_cache = np.sort(w)
         return self._eigvals_cache
 
     # -- arithmetic helpers (plain ndarray out, bookkeeping by callers) -----
@@ -257,7 +329,12 @@ def _mul_parity(a: str, b: str) -> str:
 
 
 def operator_norm(op) -> float:
-    """Largest singular value, exploiting hermiticity and block sparsity."""
+    """Largest singular value, exploiting hermiticity and block sparsity.
+
+    An odd operator whose upper block is exactly +-(lower block)^H, such as
+    the commutator of two hermitian operators, has the singular values of its
+    lower block alone; that exact O(n^2) check saves the second block SVD.
+    """
     if not isinstance(op, GradedOperator):
         m = np.asarray(op)
         if m.size == 0:
@@ -267,7 +344,12 @@ def operator_norm(op) -> float:
         w = op.eigenvalues()
         return float(np.abs(w).max(initial=0.0))
     if op.parity == "odd":
-        blocks = (op.block("-", "+"), op.block("+", "-"))
+        lower, upper = op.block("-", "+"), op.block("+", "-")
+        adjoint = lower.conj().T
+        if np.array_equal(upper, -adjoint) or np.array_equal(upper, adjoint):
+            blocks = (lower,)
+        else:
+            blocks = (lower, upper)
     elif op.parity == "even":
         blocks = (op.block("+", "+"), op.block("-", "-"))
     else:
@@ -277,6 +359,25 @@ def operator_norm(op) -> float:
         if b.size:
             best = max(best, float(np.linalg.svd(b, compute_uv=False)[0]))
     return best
+
+
+def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,
+                   vals: np.ndarray, expected: str) -> GradedOperator:
+    """U diag(vals) U^H over the eigenframe of op, with parity ``expected``.
+
+    A per-sector decomposition belongs to an even operator, whose function
+    values are even: each diagonal block is rebuilt from its own frame.
+    """
+    if dec.sectors is None:
+        out = _hermitize((dec.vectors * vals) @ dec.vectors.conj().T)
+        return GradedOperator.snapped(out, op.space, expected, hermitian=True)
+    by_sector = np.empty_like(vals)
+    by_sector[dec.order] = vals
+    k = op.space.n_plus
+    (_, u_plus), (_, u_minus) = dec.sectors
+    top = (u_plus * by_sector[:k]) @ u_plus.conj().T
+    bottom = (u_minus * by_sector[k:]) @ u_minus.conj().T
+    return GradedOperator.even_from_blocks(op.space, top, bottom, hermitian=True)
 
 
 def func_calc(f: Callable, op: GradedOperator, eps_eig: float = EPS_EIG) -> GradedOperator:
@@ -305,9 +406,6 @@ def func_calc(f: Callable, op: GradedOperator, eps_eig: float = EPS_EIG) -> Grad
         bad = int(np.argmin(np.isfinite(vals)))
         raise DomainError(f"f({w[bad]!r}) = {vals[bad]!r} is not finite")
 
-    out = (dec.vectors * vals) @ dec.vectors.conj().T
-    out = _hermitize(out)
-
     expected = "none"
     if op.parity == "even":
         expected = "even"
@@ -319,15 +417,37 @@ def func_calc(f: Callable, op: GradedOperator, eps_eig: float = EPS_EIG) -> Grad
             expected = "even"
         elif odd_f:
             expected = "odd"
-    return GradedOperator.snapped(out, op.space, expected, hermitian=True)
+    return _from_spectrum(op, dec, vals, expected)
 
 
 def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOperator:
-    """Commutator [D, T] = D T - T D, the discrete derivative of T along D."""
+    """Commutator [D, T] = D T - T D, the discrete derivative of T along D.
+
+    For parity-labelled D and T only the blocks the product parity allows
+    are formed, each from the one nonzero block of D and of T it involves.
+    When both are hermitian the commutator is anti-hermitian, so an odd one
+    takes its upper block as -(lower block)^H.
+    """
     if d_op.space != op.space:
         raise ValueError("operators live on different graded spaces")
-    m = d_op.matrix @ op.matrix - op.matrix @ d_op.matrix
     parity = _mul_parity(d_op.parity, op.parity)
+    if parity == "none":
+        m = d_op.matrix @ op.matrix - op.matrix @ d_op.matrix
+        return GradedOperator(m, op.space, parity=parity, hermitian=False)
+
+    k = op.space.n_plus
+    rows = {"+": slice(0, k), "-": slice(k, op.space.n)}
+    other = {"+": "-", "-": "+"}
+    m = np.zeros((op.space.n, op.space.n), dtype=complex)
+    cells = [("+", "+"), ("-", "-")] if parity == "even" else [("-", "+"), ("+", "-")]
+    for r, c in cells:
+        if (r, c) == ("+", "-") and d_op.hermitian and op.hermitian:
+            m[rows[r], rows[c]] = -m[rows[c], rows[r]].conj().T
+            continue
+        via_d = r if d_op.parity == "even" else other[r]
+        via_t = r if op.parity == "even" else other[r]
+        m[rows[r], rows[c]] = (d_op.block(r, via_d) @ op.block(via_d, c)
+                               - op.block(r, via_t) @ d_op.block(via_t, c))
     return GradedOperator(m, op.space, parity=parity, hermitian=False)
 
 
@@ -352,10 +472,8 @@ def sqrt_positive(op: GradedOperator, eps_psd: float = EPS_PSD) -> GradedOperato
             f"below tolerance {-eps_psd * scale:.3e}"
         )
     vals = np.sqrt(np.maximum(w, 0.0))
-    out = (dec.vectors * vals) @ dec.vectors.conj().T
-    out = _hermitize(out)
     expected = "even" if op.parity == "even" else "none"
-    return GradedOperator.snapped(out, op.space, expected, hermitian=True)
+    return _from_spectrum(op, dec, vals, expected)
 
 
 def gap(op: GradedOperator, eps_inv: float = EPS_INV) -> float:

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import ResolutionError
@@ -56,19 +57,19 @@ def _bump_cdf_table():
 def _bump_derivative_l1(order: int) -> float:
     """L1 norm of the k-th derivative of the normalized bump.
 
-    Differentiated symbolically once and integrated numerically; the values
-    feed the integration-by-parts tail bounds.
+    With s = 1 - t^2 the derivatives of b = exp(-1/s) are
+    b^(k) = b P_k(t) / s^(2k), where P_0 = 1 and
+    P_(k+1) = P_k' s^2 - 2 t P_k + 4 k t s P_k; the values feed the
+    integration-by-parts tail bounds.
     """
-    import sympy as sp
-
-    ts = sp.symbols("t")
-    expr = sp.exp(-1 / (1 - ts**2))
-    for _ in range(order):
-        expr = sp.diff(expr, ts)
-    fn = sp.lambdify(ts, expr, "numpy")
+    t_poly = Polynomial([0.0, 1.0])
+    s_poly = 1.0 - t_poly**2
+    p_k = Polynomial([1.0])
+    for k in range(order):
+        p_k = p_k.deriv() * s_poly**2 - 2.0 * t_poly * p_k + 4.0 * k * t_poly * s_poly * p_k
     t = np.linspace(-0.9995, 0.9995, 400_001)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.abs(np.nan_to_num(fn(t)))
+    s = 1.0 - t * t
+    vals = np.abs(np.exp(-1.0 / s) * p_k(t) / s ** (2 * order))
     _, _, total = _bump_cdf_table()
     return float(_simpson_uniform(vals, t[1] - t[0]) / total)
 
@@ -246,7 +247,6 @@ def _default_evaluator(w: float):
     return ev
 
 
-@lru_cache(maxsize=32)
 def default_localizer(w: float = 0.25, x_step: float = DEFAULT_X_STEP,
                       p_step: float = DEFAULT_P_STEP,
                       p_max: float = DEFAULT_P_MAX) -> LocalizingFunction:
@@ -255,8 +255,17 @@ def default_localizer(w: float = 0.25, x_step: float = DEFAULT_X_STEP,
     The function equals 1 on [-(3/4 - w), 3/4 - w] and vanishes outside
     [-(3/4 + w), 3/4 + w], both exactly; the transition is the integrated
     bump exp(-1/(1-t^2)).  Any w in (0, 1/4] keeps the plateau covering
-    [-1/2, 1/2] and the support inside [-1, 1].
+    [-1/2, 1/2] and the support inside [-1, 1].  Results are cached by
+    value, however the arguments are passed.
     """
+    # lru_cache keys on how arguments are passed: a positional and a keyword
+    # call for the same phi would each build it.
+    return _default_localizer(w, x_step, p_step, p_max)
+
+
+@lru_cache(maxsize=32)
+def _default_localizer(w: float, x_step: float, p_step: float,
+                       p_max: float) -> LocalizingFunction:
     if not (0.0 < w <= 0.25):
         raise ValueError(f"smoothing width must lie in (0, 1/4], got {w}")
     ev = _default_evaluator(w)
@@ -285,6 +294,9 @@ def default_localizer(w: float = 0.25, x_step: float = DEFAULT_X_STEP,
             "refinement_change": res.refinement_change,
         },
     )
+
+
+default_localizer.cache_info = _default_localizer.cache_info
 
 
 def validate_localizing(phi, grid_step: float = 1e-3,

@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GaplessError, GenerationError, InternalConsistencyError
+from .errors import (
+    GaplessError,
+    GenerationError,
+    InternalConsistencyError,
+    ModelArgumentError,
+)
 from .grading import GradedOperator, GradedSpace, lipschitz_derivative, operator_norm
 
 BOUNDARY_WEIGHT_TOL = 1e-6
@@ -79,7 +84,7 @@ def oscillator_dirac(n: int) -> ModelDescriptor:
     parameter pair admissible.
     """
     if n < 2:
-        raise ValueError("ladder needs n >= 2")
+        raise ModelArgumentError("ladder needs n >= 2")
     space = GradedSpace(n, n - 1)
     lower = np.zeros((n - 1, n), dtype=complex)
     ks = np.arange(1, n)
@@ -151,7 +156,7 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     hides.
     """
     if L < 8:
-        raise ValueError("lattice extent must be at least 8")
+        raise ModelArgumentError("lattice extent must be at least 8")
     bloch_gap = _qwz_gap(m)
     if bloch_gap <= 1e-6 * max(1.0, abs(m) + 2.0):
         raise GaplessError(
@@ -266,13 +271,13 @@ def mk_block_example(k: int, seed: int, blocks: int = 3,
     survives forgetting the matrix subdivision.
     """
     if k < 1 or blocks < 1:
-        raise ValueError("need k >= 1 and blocks >= 1")
+        raise ModelArgumentError("need k >= 1 and blocks >= 1")
     dim = k * blocks
     rng = np.random.default_rng(seed)
     if rank is None:
         rank = int(rng.integers(0, dim + 1))
     if not (0 <= rank <= dim):
-        raise ValueError(f"rank must lie in [0, {dim}]")
+        raise ModelArgumentError(f"rank must lie in [0, {dim}]")
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
     p = q[:, :rank] @ q[:, :rank].conj().T
@@ -399,22 +404,27 @@ def parse_model(spec_str: str) -> ModelDescriptor:
         for chunk in arg_str.split(","):
             key, _, val = chunk.partition("=")
             if not _:
-                raise ValueError(f"malformed model argument {chunk!r}")
+                raise ModelArgumentError(f"malformed model argument {chunk!r}")
             args[key.strip()] = val.strip()
 
+    def get(key, kind, default):
+        if key not in args:
+            if default is None:
+                raise ModelArgumentError(
+                    f"model {name!r} needs {kind.__name__} argument {key!r}")
+            return default
+        text = args.pop(key)
+        try:
+            return kind(text)
+        except ValueError:
+            raise ModelArgumentError(
+                f"model argument {key}={text!r} is not a {kind.__name__}") from None
+
     def geti(key, default=None):
-        if key in args:
-            return int(args.pop(key))
-        if default is None:
-            raise ValueError(f"model {name!r} needs integer argument {key!r}")
-        return default
+        return get(key, int, default)
 
     def getf(key, default=None):
-        if key in args:
-            return float(args.pop(key))
-        if default is None:
-            raise ValueError(f"model {name!r} needs float argument {key!r}")
-        return default
+        return get(key, float, default)
 
     if name == "oscillator":
         desc = oscillator_dirac(geti("n"))
@@ -437,7 +447,7 @@ def parse_model(spec_str: str) -> ModelDescriptor:
             extras={"dh_norm": res.dh_norm, "block_width": res.block_width},
         )
     else:
-        raise ValueError(f"unknown model {name!r}")
+        raise ModelArgumentError(f"unknown model {name!r}")
     if args:
-        raise ValueError(f"unused model arguments: {sorted(args)}")
+        raise ModelArgumentError(f"unused model arguments: {sorted(args)}")
     return desc

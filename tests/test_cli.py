@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import localizer_lab.cli as cli
 from localizer_lab.cli import main
 
 
@@ -58,6 +60,34 @@ def test_compute_rejects_auto_plus_manual(capsys):
 def test_compute_unknown_model(capsys):
     code, out, err = run(capsys, "compute", "--model", "nosuch:n=2", "--auto")
     assert code == 2
+
+
+@pytest.mark.parametrize("model", ["oscillator:n=1", "oscillator:n=ten",
+                                   "qwz:L=12"])
+def test_compute_bad_model_arguments_exit_two(capsys, model):
+    code, out, err = run(capsys, "compute", "--model", model, "--auto")
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--model", "oscillator:n=20", "--auto", "--margin", "0.5"),
+    ("sweep", "--model", "oscillator:n=20", "--kappa", "0,1", "--rho", "2"),
+    ("sweep", "--model", "oscillator:n=20", "--kappa", "x", "--rho", "2"),
+])
+def test_bad_arguments_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+
+
+def test_linalg_failure_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigensolver did not converge")
+
+    monkeypatch.setattr(cli, "choose_params", broken)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["compute", "--model", "oscillator:n=20", "--auto"])
 
 
 def test_compute_config_file(capsys, tmp_path):

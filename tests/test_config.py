@@ -12,7 +12,6 @@ def test_defaults():
     assert cfg.margin == 1.1
     assert cfg.smoothing_width == 0.25
     assert cfg.seed == 0
-    assert cfg.format == "json"
 
 
 def test_file_then_override_precedence(tmp_path):
@@ -90,6 +89,17 @@ def test_validation_errors():
         build_config({"localizer.auto": "yes"})
     with pytest.raises(ConfigError):
         build_config({"localizer.kappa": "much"})
+
+
+@pytest.mark.parametrize("key,value", [("format", "json"), ("tol.eps_eig", 1e-10)])
+def test_removed_keys_fail_as_unknown(key, value):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        build_config({key: value})
+
+
+def test_margin_must_exceed_one():
+    with pytest.raises(ConfigError, match="margin must exceed 1"):
+        build_config({"localizer.margin": 0.9})
 
 
 def test_phi_respects_width():

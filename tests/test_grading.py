@@ -10,7 +10,10 @@ from localizer_lab import (
     func_calc,
     gap,
     lipschitz_derivative,
+    mk_block_example,
     operator_norm,
+    oscillator_dirac,
+    positive_projection,
     sqrt_positive,
 )
 from localizer_lab.errors import NegativityError, NotInvertibleError, ParityError
@@ -239,3 +242,101 @@ def test_gamma_conjugation_flips_odd_sign(seed):
     d = random_odd(space, rng)
     g = space.gamma_matrix()
     assert np.allclose(g @ d.matrix @ g, -d.matrix)
+
+
+# -- parity-aware kernels against the full-matrix route ----------------------
+
+SECTOR_SHAPES = [(4, 4), (5, 3), (1, 1), (1, 4), (6, 0)]
+
+
+def dense_func(f, m):
+    w, u = np.linalg.eigh(m)
+    return (u * f(w)) @ u.conj().T
+
+
+@pytest.mark.parametrize("n_plus,n_minus", SECTOR_SHAPES)
+def test_even_sector_route_matches_full(n_plus, n_minus):
+    rng = np.random.default_rng(100 + n_plus * 10 + n_minus)
+    space = GradedSpace(n_plus, n_minus)
+    h = random_even(space, rng)
+    full = np.linalg.eigvalsh(h.matrix)
+    assert np.allclose(h.eigenvalues(), full, atol=1e-12)
+    dec = h.eig()
+    assert dec.sectors is not None
+    assert np.all(np.diff(dec.eigenvalues) >= 0)
+    assert np.allclose(dec.eigenvalues, full, atol=1e-12)
+    # the per-block defects combine to the full-matrix ones
+    u = dec.vectors
+    assert dec.residual == pytest.approx(
+        np.linalg.norm(h.matrix @ u - u * dec.eigenvalues), rel=1e-6, abs=1e-14)
+    assert dec.orth_defect == pytest.approx(
+        np.linalg.norm(u.conj().T @ u - np.eye(space.n)), rel=1e-6, abs=1e-14)
+
+    for f in (np.tanh, lambda x: (x > 0).astype(float), lambda x: x**2 + 1.0):
+        out = func_calc(f, h)
+        assert out.parity == "even"
+        assert np.allclose(out.matrix, dense_func(f, h.matrix), atol=1e-12)
+    sq = func_calc(lambda x: x**2, h)
+    root = sqrt_positive(sq)
+    assert root.parity == "even"
+    assert np.allclose(root.matrix, dense_func(np.abs, h.matrix), atol=1e-10)
+
+
+@pytest.mark.parametrize("n_plus,n_minus", SECTOR_SHAPES)
+def test_odd_spectrum_from_one_block_svd(n_plus, n_minus):
+    rng = np.random.default_rng(200 + n_plus * 10 + n_minus)
+    space = GradedSpace(n_plus, n_minus)
+    d = random_odd(space, rng)
+    w = d.eigenvalues()
+    assert np.all(np.diff(w) >= 0)
+    assert np.allclose(w, np.linalg.eigvalsh(d.matrix), atol=1e-12)
+    assert operator_norm(d) == pytest.approx(np.linalg.norm(d.matrix, 2), abs=1e-12)
+
+
+def test_rectangular_ladder_block_and_empty_sector():
+    osc = oscillator_dirac(12)  # sectors 12 and 11
+    fresh = GradedOperator.odd_from_block(osc.space, osc.D.odd_block)
+    assert np.allclose(fresh.eigenvalues(), osc.D.eigenvalues(), atol=1e-12)
+    assert np.sum(np.abs(fresh.eigenvalues()) < 1e-12) == 1
+
+    mk = mk_block_example(2, seed=3)  # GradedSpace(6, 0): empty negative sector
+    proj = positive_projection(mk.H)
+    assert np.allclose(proj.matrix, mk.extras["projection"], atol=1e-12)
+
+
+@pytest.mark.parametrize("d_parity,t_parity", [("odd", "even"), ("odd", "odd"),
+                                               ("even", "even"), ("even", "odd")])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_block_commutator_matches_dense(d_parity, t_parity, hermitian):
+    rng = np.random.default_rng(300)
+    space = GradedSpace(5, 3)
+
+    def make(parity, herm):
+        if parity == "even":
+            return random_even(space, rng, hermitian=herm)
+        if herm:
+            return random_odd(space, rng)
+        upper = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        return GradedOperator.odd_from_block(space, random_odd(space, rng).odd_block,
+                                             upper=upper)
+
+    d = make(d_parity, True)
+    t = make(t_parity, hermitian)
+    der = lipschitz_derivative(d, t)
+    dense = d.matrix @ t.matrix - t.matrix @ d.matrix
+    assert der.parity == ("even" if d_parity == t_parity else "odd")
+    assert np.allclose(der.matrix, dense, atol=1e-12)
+    assert operator_norm(der) == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
+
+def test_one_block_commutator_norm_equals_two_block_norm():
+    rng = np.random.default_rng(301)
+    space = GradedSpace(7, 5)
+    d = random_odd(space, rng)
+    h = random_even(space, rng)
+    der = lipschitz_derivative(d, h)
+    lower, upper = der.block("-", "+"), der.block("+", "-")
+    assert np.array_equal(upper, -lower.conj().T)
+    two_block = max(np.linalg.svd(lower, compute_uv=False)[0],
+                    np.linalg.svd(upper, compute_uv=False)[0])
+    assert operator_norm(der) == pytest.approx(two_block, rel=1e-13)

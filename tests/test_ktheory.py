@@ -23,9 +23,10 @@ from localizer_lab import (
     signature,
     space_sum,
 )
-from localizer_lab.ktheory import inertia_ldl
+from localizer_lab.ktheory import check_defect, inertia_ldl
 from localizer_lab.errors import (
     ClassInconsistencyError,
+    InternalConsistencyError,
     NotInvertibleError,
     ParityError,
 )
@@ -225,3 +226,20 @@ def test_dirac_path_rejects_even_perturbation():
     osc = oscillator_dirac(20)
     with pytest.raises(ParityError):
         dirac_path(osc.D, osc.H, 3)
+
+
+def test_defect_gate_passes_on_frobenius_bound():
+    check_defect(np.full((3, 3), 1e-12), 1e-10, "defect")
+
+
+def test_defect_gate_falls_back_to_exact_norm():
+    # ||R||_F = 1.8e-10 exceeds the limit but ||R||_2 = 0.9e-10 does not
+    passing = np.diag([0.9e-10] * 4)
+    assert np.linalg.norm(passing) > 1e-10
+    check_defect(passing, 1e-10, "defect")
+    space = GradedSpace(2, 2)
+    check_defect(GradedOperator(passing, space, parity="even"), 1e-10, "defect")
+
+    failing = np.diag([3e-10, 1e-11, 0.0, 0.0])
+    with pytest.raises(InternalConsistencyError, match=r"defect 3\.000e-10 exceeds"):
+        check_defect(failing, 1e-10, "defect")

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localizer_lab import default_localizer, validate_localizing
-from localizer_lab.localizing import export_samples_csv
+from localizer_lab import RunConfig, default_localizer, validate_localizing
+from localizer_lab.localizing import _bump_derivative_l1, export_samples_csv
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
 
@@ -128,3 +128,12 @@ def test_export_samples_roundtrip(tmp_path):
     xs = np.array(xs)
     vals = np.array(vals)
     assert np.array_equal(vals, phi(xs))
+
+
+def test_cli_phi_shares_the_default_cache_entry():
+    assert default_localizer() is RunConfig().phi()
+
+
+def test_bump_derivative_norms_pinned():
+    assert _bump_derivative_l1(2) == pytest.approx(7.193161009992163, rel=1e-12)
+    assert _bump_derivative_l1(3) == pytest.approx(80.28764954765701, rel=1e-12)
