@@ -45,6 +45,7 @@ from .localizer import (
     constant_C,
     lower_bound_residual,
     make_params,
+    select_scale,
     sharp_localizer,
     square_identity_residual,
     support_residual,
@@ -53,9 +54,6 @@ from .ktheory import (
     HomotopyReport,
     Inertia,
     LocalizerIndexReport,
-    RelativeClass,
-    class_of,
-    common_params,
     dirac_path,
     dirac_path_stability,
     direct_sum,
@@ -95,7 +93,6 @@ from .verification import (
     suite_bounds,
     suite_homotopy,
     suite_identities,
-    thread_count,
 )
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ from .localizer import (
     assemble_localizer,
     choose_params,
     make_params,
+    select_scale,
     support_residual,
 )
 from .localizing import LocalizingFunction
@@ -85,9 +86,9 @@ def inertia_ldl(matrix, tau_sig: float | None = None) -> Inertia:
     Independent of the eigensolver route; congruence preserves inertia, so the
     block-diagonal middle factor carries the same counts.
     """
-    m = np.asarray(matrix, dtype=complex)
     if isinstance(matrix, GradedOperator):
-        m = matrix.matrix
+        matrix = matrix.matrix
+    m = np.asarray(matrix, dtype=complex)
     _, d, _ = scipy.linalg.ldl(m, hermitian=True)
     scale = float(np.abs(d).max(initial=0.0))
     tau = TAU_SIG * scale if tau_sig is None else tau_sig
@@ -121,20 +122,6 @@ def inertia_ldl(matrix, tau_sig: float | None = None) -> Inertia:
 # ----------------------------------------------------------------------------
 
 
-@dataclass
-class RelativeClass:
-    """An ordered pair of invertible operators representing a difference class.
-
-    coefficient records the algebra the entries live over: "C" for plain
-    complex matrices, or ("M_k", k) when the space is secretly k copies and
-    the class value counts rank over the subdivided algebra times k.
-    """
-
-    h_ref: GradedOperator
-    h_var: GradedOperator
-    coefficient: object = "C"
-
-
 def half_signature_class(h_ref, h_var, tau_sig: float | None = None) -> int:
     """One half of sign(h_var) - sign(h_ref); both must be invertible."""
     s_ref = signature(h_ref, tau_sig)
@@ -156,10 +143,6 @@ def half_signature_class(h_ref, h_var, tau_sig: float | None = None) -> int:
             "difference class"
         )
     return diff // 2
-
-
-def class_of(rel: RelativeClass, tau_sig: float | None = None) -> int:
-    return half_signature_class(rel.h_ref, rel.h_var, tau_sig)
 
 
 def positive_projection(H: GradedOperator, tau_sig: float | None = None) -> GradedOperator:
@@ -377,86 +360,50 @@ class HomotopyReport:
         return self.values[0]
 
 
-def common_params(path: list[GradedOperator], D: GradedOperator,
-                  phi: LocalizingFunction, margin: float = 1.1) -> LocalizerParams:
-    """One admissible (kappa, rho) that works for every operator on the path.
-
-    Built from the worst constants along the path: smallest gap, largest
-    derivative norm, largest operator norm.
-    """
-    gaps = [gap(h) for h in path]
-    dhs = [operator_norm(lipschitz_derivative(D, h)) for h in path]
-    norms = [operator_norm(h) for h in path]
-    g_min = min(gaps)
-    dh_max = max(dhs)
-    h_max = max(norms)
-    d_eigs = D.eigenvalues()
-
-    if dh_max <= 1e-14 * max(1.0, h_max) * max(1.0, float(np.abs(d_eigs).max(initial=0.0))):
-        kappa = 1.0
-        rho = max(1.0, float(np.abs(d_eigs).max(initial=0.0))) / 2.0
-        min_abs_d = float(np.abs(d_eigs).min())
-        if min_abs_d >= phi.support_radius * rho:
-            rho = min_abs_d / phi.plateau_radius
-        return make_params(kappa, rho, g_min, 0.0, phi.c_phi, h_max)
-
-    kappa = g_min**2 / (2.0 * dh_max)
-    # The final admissibility check pairs the worst constants even when they
-    # come from different steps, so rho must cover that combination too, not
-    # just each step's own triple.
-    rho = phi.c_phi * h_max * dh_max / (g_min**2 - kappa * dh_max)
-    for g_t, dh_t, n_t in zip(gaps, dhs, norms):
-        denom = g_t**2 - kappa * dh_t
-        if denom <= 0:
-            raise AdmissibilityError(
-                "no common scale: kappa from the worst gap already saturates "
-                f"a step with gap^2 = {g_t**2:.4g}, dH = {dh_t:.4g}"
-            )
-        rho = max(rho, 2.0 * g_t / kappa, phi.c_phi * n_t * dh_t / denom)
-    rho *= margin
-    params = make_params(kappa, rho, g_min, dh_max, phi.c_phi, h_max)
-    if not params.admissible:
-        raise AdmissibilityError(
-            "worst-case constants over the path admit no common scale: "
-            + (params.violated_inequality() or "")
-        )
-    return params
-
-
 def homotopy_stability(path: list[GradedOperator], D: GradedOperator,
                        phi: LocalizingFunction, margin: float = 1.1,
                        tau_sig: float | None = None,
                        params: LocalizerParams | None = None) -> HomotopyReport:
     """Track the localizer class along a path at one common admissible scale.
 
-    Each consecutive pair is certified by a no-crossing argument: when the
+    Without given params the scale comes from the worst constants along the
+    path: smallest gap, largest derivative norm, largest operator norm.  Each
+    consecutive pair is certified by a no-crossing argument: when the
     operator-norm step is smaller than both endpoint gaps no eigenvalue can
     reach zero in between, so the signature cannot jump unseen.  A failure
     pinpoints the first step where the class moves or the certificate breaks.
     """
+    gaps = [gap(h) for h in path]
+    dhs = [operator_norm(lipschitz_derivative(D, h)) for h in path]
+    norms = [operator_norm(h) for h in path]
     if params is None:
-        params = common_params(path, D, phi, margin=margin)
+        d_abs = np.abs(D.eigenvalues())
+        params = select_scale(min(gaps), max(dhs), max(norms), float(d_abs.min()),
+                              float(d_abs.max(initial=0.0)), phi, margin=margin)
+    steps = [make_params(params.kappa, params.rho, g_t, dh_t, phi.c_phi, n_t)
+             for g_t, dh_t, n_t in zip(gaps, dhs, norms)]
+    return _certified_report(params, steps, [(h_t, D) for h_t in path], phi,
+                             tau_sig, "a path step")
+
+
+def _certified_report(params: LocalizerParams, step_params: list[LocalizerParams],
+                      pairs: list[tuple[GradedOperator, GradedOperator]],
+                      phi: LocalizingFunction, tau_sig: float | None,
+                      where: str) -> HomotopyReport:
+    """Localizers of the (H_t, D_t) path at their step parameters, certified
+    pairwise by Weyl no-crossing."""
     reports = []
     bundles = []
-    for h_t in path:
-        pt = make_params(params.kappa, params.rho, gap(h_t),
-                         operator_norm(lipschitz_derivative(D, h_t)),
-                         phi.c_phi, operator_norm(h_t))
+    for pt, (h_t, d_t) in zip(step_params, pairs):
         if not pt.admissible:
             raise AdmissibilityError(
-                "common scale is not admissible at a path step: "
+                f"common scale is not admissible at {where}: "
                 + (pt.violated_inequality() or "")
             )
-        bundle = assemble_localizer(h_t, D, phi, pt)
-        reports.append(index_from_bundle(bundle, D, tau_sig=tau_sig,
+        bundle = assemble_localizer(h_t, d_t, phi, pt)
+        reports.append(index_from_bundle(bundle, d_t, tau_sig=tau_sig,
                                          check_support=False))
         bundles.append(bundle)
-    return _certified_report(params, reports, bundles)
-
-
-def _certified_report(params: LocalizerParams, reports: list[LocalizerIndexReport],
-                      bundles: list[LocalizerBundle]) -> HomotopyReport:
-    """Weyl no-crossing certification of a list of localizers along a path."""
     steps = []
     values = [r.value for r in reports]
     failing = None
@@ -496,53 +443,23 @@ def dirac_path_stability(H: GradedOperator, path: list[GradedOperator],
     """Track the localizer class while the Dirac operator moves along a path.
 
     The dual of homotopy_stability: H is fixed, D varies.  One common
-    admissible scale is built from the worst derivative norm along the path
-    and each consecutive localizer pair is certified by the same no-crossing
-    argument.
+    admissible scale is built from the worst derivative norm and the range of
+    |eig(D_t)| along the path, and each consecutive localizer pair is
+    certified by the same no-crossing argument.
     """
+    g = gap(H)
+    h_norm = operator_norm(H)
+    dhs = [operator_norm(lipschitz_derivative(d_t, H)) for d_t in path]
     if params is None:
-        g = gap(H)
-        h_norm = operator_norm(H)
-        dhs = [operator_norm(lipschitz_derivative(d_t, H)) for d_t in path]
-        dh_max = max(dhs)
-        d_norm_max = max(operator_norm(d_t) for d_t in path)
-        if dh_max <= 1e-14 * max(1.0, h_norm) * max(1.0, d_norm_max):
-            params = make_params(1.0, max(1.0, d_norm_max) / 2.0, g, 0.0,
-                                 phi.c_phi, h_norm)
-        else:
-            kappa = g**2 / (2.0 * dh_max)
-            rho = 0.0
-            for dh_t in dhs:
-                denom = g**2 - kappa * dh_t
-                if denom <= 0:
-                    raise AdmissibilityError(
-                        "no common scale along the Dirac path: a step has "
-                        f"kappa * dH = {kappa * dh_t:.4g} at gap^2 = {g**2:.4g}"
-                    )
-                rho = max(rho, 2.0 * g / kappa, phi.c_phi * h_norm * dh_t / denom)
-            rho *= margin
-            params = make_params(kappa, rho, g, dh_max, phi.c_phi, h_norm)
-            if not params.admissible:
-                raise AdmissibilityError(
-                    "worst-case constants along the Dirac path admit no "
-                    "common scale: " + (params.violated_inequality() or "")
-                )
-    reports = []
-    bundles = []
-    for d_t in path:
-        pt = make_params(params.kappa, params.rho, params.gap,
-                         operator_norm(lipschitz_derivative(d_t, H)),
-                         phi.c_phi, params.h_norm)
-        if not pt.admissible:
-            raise AdmissibilityError(
-                "common scale is not admissible at a Dirac-path step: "
-                + (pt.violated_inequality() or "")
-            )
-        bundle = assemble_localizer(H, d_t, phi, pt)
-        reports.append(index_from_bundle(bundle, d_t, tau_sig=tau_sig,
-                                         check_support=False))
-        bundles.append(bundle)
-    return _certified_report(params, reports, bundles)
+        d_abs = [np.abs(d_t.eigenvalues()) for d_t in path]
+        params = select_scale(g, max(dhs), h_norm,
+                              min(float(a.min()) for a in d_abs),
+                              max(float(a.max(initial=0.0)) for a in d_abs),
+                              phi, margin=margin)
+    steps = [make_params(params.kappa, params.rho, g, dh_t, phi.c_phi, h_norm)
+             for dh_t in dhs]
+    return _certified_report(params, steps, [(H, d_t) for d_t in path], phi,
+                             tau_sig, "a Dirac-path step")
 
 
 # ----------------------------------------------------------------------------

@@ -110,58 +110,70 @@ def constant_C(kappa: float, rho: float, H: GradedOperator, D: GradedOperator,
     return make_params(kappa, rho, gap_h, dh_norm, phi.c_phi, h_norm)
 
 
-def choose_params(H: GradedOperator, D: GradedOperator, phi: LocalizingFunction,
-                  margin: float = 1.1, rho_max: float | None = None) -> LocalizerParams:
-    """Automatic admissible parameter selection.
+def select_scale(gap_min: float, dh_max: float, h_max: float, d_abs_min: float,
+                 d_abs_max: float, phi: LocalizingFunction, margin: float = 1.1,
+                 rho_max: float | None = None) -> LocalizerParams:
+    """Admissible (kappa, rho) from worst-case constants.
 
-    For commuting data ([D, H] = 0) any scale works and kappa = 1 with
-    rho = max(1, ||D||) / 2 is used, nudged so the truncation window actually
-    meets the spectrum of D.  Otherwise kappa is set to gap^2 / (2 ||[D,H]||)
-    and rho to margin times the smallest value satisfying both admissibility
-    constraints.  A rho_max cap, when given, turns an out-of-range requirement
-    into TruncationTooSmallError carrying the minimal usable rho.
+    The constants are the smallest gap of H, the largest ||[D, H]||, the
+    largest ||H|| and the range of |eig(D)|, each taken over every pair the
+    scale must serve (one pair, or all steps of a path).  For commuting data
+    ([D, H] = 0) any scale works and kappa = 1 with rho = max(1, ||D||) / 2 is
+    used, nudged so the truncation window actually meets the spectrum of D.
+    Otherwise kappa = gap^2 / (2 ||[D,H]||) and rho is margin times the
+    smallest value satisfying both admissibility constraints.  Every
+    denominator gap_t^2 - kappa dH_t is then at least gap^2 / 2, and every
+    step's own requirement is at most the worst-case one.  A rho_max cap,
+    when given, turns an out-of-range requirement into
+    TruncationTooSmallError carrying the minimal usable rho.
     """
     if margin <= 1.0:
         raise ValueError("margin must exceed 1")
-    gap_h = gap(H)
-    dh = operator_norm(lipschitz_derivative(D, H))
-    h_norm = operator_norm(H)
-    d_eigs = D.eigenvalues()
-    min_abs_d = float(np.abs(d_eigs).min())
-
-    if dh <= 1e-14 * max(1.0, h_norm) * max(1.0, operator_norm(D)):
+    if dh_max <= 1e-14 * max(1.0, h_max) * max(1.0, d_abs_max):
         kappa = 1.0
-        rho = max(1.0, float(np.abs(d_eigs).max(initial=0.0))) / 2.0
+        rho = max(1.0, d_abs_max) / 2.0
         if rho_max is not None:
             rho = min(rho, rho_max)
         # ensure the window sees some spectrum: phi(min|eig D| / rho) > 0
-        if min_abs_d >= phi.support_radius * rho:
-            rho = min_abs_d / phi.plateau_radius
+        if d_abs_min >= phi.support_radius * rho:
+            rho = d_abs_min / phi.plateau_radius
         if rho_max is not None and rho > rho_max:
             raise TruncationTooSmallError(
-                f"spectrum of D starts at {min_abs_d:.4g}, beyond the resolvable "
+                f"spectrum of D starts at {d_abs_min:.4g}, beyond the resolvable "
                 f"window rho_max = {rho_max:.4g}",
                 rho_required=rho, rho_max=rho_max,
             )
-        return make_params(kappa, rho, gap_h, 0.0, phi.c_phi, h_norm)
-
-    kappa = gap_h**2 / (2.0 * dh)
-    denom = gap_h**2 - kappa * dh
-    rho_floor = max(2.0 * gap_h / kappa, phi.c_phi * h_norm * dh / denom)
-    rho = margin * rho_floor
-    if rho_max is not None and rho > rho_max:
-        raise TruncationTooSmallError(
-            f"admissibility needs rho >= {rho_floor:.4g} (with margin: {rho:.4g}) "
-            f"but the truncation only resolves rho_max = {rho_max:.4g}",
-            rho_required=rho_floor, rho_max=rho_max,
-        )
-    params = make_params(kappa, rho, gap_h, dh, phi.c_phi, h_norm)
+        dh_max = 0.0  # [D, H] vanishes to rounding: certify with C = 0
+    else:
+        kappa = gap_min**2 / (2.0 * dh_max)
+        denom = gap_min**2 - kappa * dh_max
+        rho_floor = max(2.0 * gap_min / kappa, phi.c_phi * h_max * dh_max / denom)
+        rho = margin * rho_floor
+        if rho_max is not None and rho > rho_max:
+            raise TruncationTooSmallError(
+                f"admissibility needs rho >= {rho_floor:.4g} (with margin: {rho:.4g}) "
+                f"but the truncation only resolves rho_max = {rho_max:.4g}",
+                rho_required=rho_floor, rho_max=rho_max,
+            )
+    params = make_params(kappa, rho, gap_min, dh_max, phi.c_phi, h_max)
     if not params.admissible:
         raise InternalConsistencyError(
             "automatic parameter selection produced a non-admissible pair; "
             f"C = {params.C_kr:.4g} vs threshold {params.threshold():.4g}"
         )
     return params
+
+
+def choose_params(H: GradedOperator, D: GradedOperator, phi: LocalizingFunction,
+                  margin: float = 1.1, rho_max: float | None = None) -> LocalizerParams:
+    """Automatic admissible parameter selection for one pair (see select_scale)."""
+    gap_h = gap(H)
+    dh = operator_norm(lipschitz_derivative(D, H))
+    h_norm = operator_norm(H)
+    d_abs = np.abs(D.eigenvalues())
+    return select_scale(gap_h, dh, h_norm, float(d_abs.min()),
+                        float(d_abs.max(initial=0.0)), phi, margin=margin,
+                        rho_max=rho_max)
 
 
 @dataclass

@@ -99,9 +99,8 @@ class FourierWeightResult:
     weight: float
     c_phi: float
     tail_bound: float
-    im_max: float
-    weight_refined: float | None = None
-    refinement_change: float | None = None
+    weight_refined: float
+    refinement_change: float
 
 
 @dataclass
@@ -150,8 +149,6 @@ class ValidationReport:
     monotone: bool
     even: bool
     range_ok: bool
-    fourier_growth: float | None = None
-    smooth: bool | None = None
 
     @property
     def passed(self) -> bool:
@@ -159,74 +156,63 @@ class ValidationReport:
 
 
 def _transform(evaluator, support_radius, p_max, x_step, p_step):
-    """p grid, phihat on it, and the largest imaginary part seen."""
+    """p grid and phihat on it, as a cosine transform.
+
+    phi is even, so phihat(p) = (2 pi)^(-1/2) * integral phi(x) cos(px) dx.
+    The symmetric Simpson grid on [-R, R] is folded onto its nodes x >= 0,
+    doubling every weight but the one at x = 0: the quadrature rule is the
+    same and the transform becomes a real matmul.
+    """
     R = support_radius
     nx = int(np.ceil(2.0 * R / x_step))
     nx += nx % 2
-    x = np.linspace(-R, R, nx + 1)
-    fx = np.asarray(evaluator(x), dtype=float)
-    wx = _simpson_weights(nx + 1, x[1] - x[0]) * fx
+    half = nx // 2
+    x = np.linspace(0.0, R, half + 1)
+    wx = _simpson_weights(nx + 1, R / half)[half:]
+    wx[1:] *= 2.0
+    fw = wx * np.asarray(evaluator(x), dtype=float)
 
     np_pts = int(np.ceil(p_max / p_step))
     np_pts += np_pts % 2
     p = np.linspace(0.0, p_max, np_pts + 1)
     ph = np.empty_like(p)
-    im_max = 0.0
     chunk = 2048
     for i in range(0, len(p), chunk):
-        ker = np.exp(np.outer(p[i:i + chunk], x) * (-1j))
-        vals = ker @ wx / SQRT_2PI
-        im_max = max(im_max, float(np.abs(vals.imag).max(initial=0.0)))
-        ph[i:i + chunk] = vals.real
-    return p, ph, im_max
+        ph[i:i + chunk] = np.cos(np.outer(p[i:i + chunk], x)) @ fw / SQRT_2PI
+    return p, ph
 
 
 def _weight_once(evaluator, support_radius, p_max, x_step, p_step):
-    p, ph, im_max = _transform(evaluator, support_radius, p_max, x_step, p_step)
+    p, ph = _transform(evaluator, support_radius, p_max, x_step, p_step)
     h = p[1] - p[0]
-    weight = 2.0 * _simpson_uniform(np.abs(p * ph), h)
-    return weight, im_max
+    return 2.0 * _simpson_uniform(np.abs(p * ph), h)
 
 
 def fourier_weight(evaluator, support_radius=1.0, p_max=DEFAULT_P_MAX,
-                   x_step=DEFAULT_X_STEP, p_step=DEFAULT_P_STEP,
-                   deriv3_l1=None, deriv4_l1=None,
-                   check_convergence=True) -> FourierWeightResult:
+                   x_step=DEFAULT_X_STEP, p_step=DEFAULT_P_STEP, *,
+                   deriv3_l1: float, deriv4_l1: float) -> FourierWeightResult:
     """||p * phihat(p)||_1 over [-p_max, p_max] with a certified tail bound.
 
     The tail bound comes from |phihat(p)| <= ||phi^(k)||_1 / (sqrt(2 pi) |p|^k)
-    for k in {3, 4}; derivative L1 norms are estimated by third differences on
-    the sample grid unless analytic values are supplied.  If halving both
-    quadrature steps moves the result by more than 1 percent the quadrature is
-    declared unresolved.
+    for k in {3, 4}, with the derivative L1 norms supplied by the caller.  If
+    halving both quadrature steps moves the result by more than 1 percent the
+    quadrature is declared unresolved.
     """
-    weight, im_max = _weight_once(evaluator, support_radius, p_max, x_step, p_step)
-
-    refined = rel = None
-    if check_convergence:
-        refined, _ = _weight_once(evaluator, support_radius, p_max, x_step / 2.0, p_step / 2.0)
-        rel = abs(refined - weight) / max(abs(weight), 1e-300)
-        if rel > 0.01:
-            raise ResolutionError(
-                f"fourier weight moved by {rel:.2%} when quadrature steps were "
-                f"halved ({weight:.6g} -> {refined:.6g}); refine x_step/p_step "
-                f"or smooth the cutoff"
-            )
-
-    if deriv3_l1 is None:
-        x = np.arange(-support_radius, support_radius + x_step, x_step)
-        fx = np.asarray(evaluator(x), dtype=float)
-        d3 = np.diff(fx, 3) / x_step**3
-        deriv3_l1 = float(np.abs(d3).sum() * x_step)
-    tails = [2.0 / SQRT_2PI * deriv3_l1 / p_max]
-    if deriv4_l1 is not None:
-        tails.append(2.0 / SQRT_2PI * deriv4_l1 / (2.0 * p_max**2))
-    tail = float(min(tails))
+    weight = _weight_once(evaluator, support_radius, p_max, x_step, p_step)
+    refined = _weight_once(evaluator, support_radius, p_max, x_step / 2.0, p_step / 2.0)
+    rel = abs(refined - weight) / max(abs(weight), 1e-300)
+    if rel > 0.01:
+        raise ResolutionError(
+            f"fourier weight moved by {rel:.2%} when quadrature steps were "
+            f"halved ({weight:.6g} -> {refined:.6g}); refine x_step/p_step "
+            f"or smooth the cutoff"
+        )
+    tail = min(2.0 / SQRT_2PI * deriv3_l1 / p_max,
+               2.0 / SQRT_2PI * deriv4_l1 / (2.0 * p_max**2))
     return FourierWeightResult(
         weight=float(weight),
         c_phi=float(2.0 * weight / SQRT_2PI),
-        tail_bound=tail,
-        im_max=float(im_max),
+        tail_bound=float(tail),
         weight_refined=refined,
         refinement_change=rel,
     )
@@ -289,7 +275,6 @@ def _default_localizer(w: float, x_step: float, p_step: float,
         smoothing_width=w,
         quad={
             "x_step": x_step, "p_step": p_step, "p_max": p_max,
-            "im_max": res.im_max,
             "weight_refined": res.weight_refined,
             "refinement_change": res.refinement_change,
         },
@@ -299,15 +284,11 @@ def _default_localizer(w: float, x_step: float, p_step: float,
 default_localizer.cache_info = _default_localizer.cache_info
 
 
-def validate_localizing(phi, grid_step: float = 1e-3,
-                        smoothness_diagnostic: bool = False) -> ValidationReport:
+def validate_localizing(phi, grid_step: float = 1e-3) -> ValidationReport:
     """Check the defining properties of a localizing function on a grid.
 
     Plateau, support, and range are compared exactly; the definition states
     them as equalities and the default family satisfies them bit-exactly.
-    With smoothness_diagnostic the discrete Fourier weight is computed on two
-    p-windows; pronounced growth flags a non-smooth cutoff whose weighted
-    Fourier mass diverges.
     """
     ev = phi.evaluator if isinstance(phi, LocalizingFunction) else phi
     x = np.arange(0.0, 2.0 + grid_step, grid_step)
@@ -320,17 +301,9 @@ def validate_localizing(phi, grid_step: float = 1e-3,
     even = bool(np.all(fx == fneg))
     range_ok = bool(np.all((fx >= 0.0) & (fx <= 1.0)))
 
-    growth = smooth = None
-    if smoothness_diagnostic:
-        w1, _ = _weight_once(ev, 1.0, DEFAULT_P_MAX, grid_step, DEFAULT_P_STEP)
-        w2, _ = _weight_once(ev, 1.0, 2.0 * DEFAULT_P_MAX, grid_step, DEFAULT_P_STEP)
-        growth = float(abs(w2 - w1) / max(abs(w1), 1e-300))
-        smooth = growth <= 0.01
-
     return ValidationReport(
         plateau=plateau, support=support, monotone=monotone,
         even=even, range_ok=range_ok,
-        fourier_growth=growth, smooth=smooth,
     )
 
 

@@ -40,7 +40,6 @@ class ModelDescriptor:
     bloch: object = None
     n_occupied: int | None = None
     expected_class: int | None = None
-    coefficient: object = "C"
     extras: dict = field(default_factory=dict)
 
     @property
@@ -291,7 +290,7 @@ def mk_block_example(k: int, seed: int, blocks: int = 3,
     return ModelDescriptor(
         name="mk", parameters={"k": k, "blocks": blocks, "seed": seed},
         space=space, D=D, H=H, rho_max=float("inf"), truncation_fraction=0.0,
-        gap_bound=1.0, expected_class=rank, coefficient=("M_k", k),
+        gap_bound=1.0, expected_class=rank,
         extras={"projection": p},
     )
 

@@ -7,8 +7,6 @@ seeded corpus; failing instances are listed by label.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +16,6 @@ from .grading import (
     GradedOperator,
     GradedSpace,
     func_calc,
-    gap,
     lipschitz_derivative,
     operator_norm,
 )
@@ -55,29 +52,13 @@ COVARIANCE_TOL = 1e-9
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
-def thread_count(override: int | None = None) -> int:
-    """Worker-pool size; LOCALIZER_LAB_THREADS caps it when set."""
-    if override is not None:
-        return max(1, int(override))
-    env = os.environ.get("LOCALIZER_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"LOCALIZER_LAB_THREADS = {env!r} is not an integer"
-            ) from None
-    return os.cpu_count() or 1
+def parallel_map(fn, items) -> list:
+    """[fn(x) for x in items], in order; BLAS threads are the only parallelism.
 
-
-def parallel_map(fn, items, threads: int | None = None) -> list:
-    """Map preserving order; fans out over a thread pool when allowed."""
-    items = list(items)
-    n = thread_count(threads)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+    The sweep and the suites map their cells through this one name, so a
+    layer trace that wraps it by name reports the mapped work as one span.
+    """
+    return [fn(x) for x in items]
 
 
 @dataclass
@@ -197,7 +178,7 @@ def _random_identity_instance(phi: LocalizingFunction, base_seed: int, s: int):
 
 
 def suite_bounds(phi: LocalizingFunction | None = None, instances: int = 200,
-                 base_seed: int = 0, threads: int | None = None) -> list[CheckResult]:
+                 base_seed: int = 0) -> list[CheckResult]:
     """Fourier-side inequalities: commutator scaling and perturbation bound.
 
     Both contracts use the measured transform weight plus the analytic tail
@@ -239,7 +220,7 @@ def suite_bounds(phi: LocalizingFunction | None = None, instances: int = 200,
     results = []
     for name, worker in (("commutator_bound", one_commutator),
                          ("perturbation_bound", one_perturbation)):
-        rows = parallel_map(worker, range(instances), threads)
+        rows = parallel_map(worker, range(instances))
         worst = max(ratio for _, ratio in rows)
         failing = [label for label, ratio in rows if ratio > 1.0]
         results.append(CheckResult(
@@ -256,8 +237,7 @@ def suite_bounds(phi: LocalizingFunction | None = None, instances: int = 200,
 
 
 def suite_identities(phi: LocalizingFunction | None = None, instances: int = 100,
-                     base_seed: int = 0,
-                     threads: int | None = None) -> list[CheckResult]:
+                     base_seed: int = 0) -> list[CheckResult]:
     """Exact localizer identities over random instances plus the model zoo.
 
     Checks the square expansion, the spectral lower bound, the invertibility
@@ -303,7 +283,7 @@ def suite_identities(phi: LocalizingFunction | None = None, instances: int = 100
         return out
 
     collected: dict[str, list[tuple[str, float]]] = {}
-    for rows_list in parallel_map(one_random, range(instances), threads):
+    for rows_list in parallel_map(one_random, range(instances)):
         for rows in rows_list:
             for key, row in rows.items():
                 collected.setdefault(key, []).append(row)
@@ -340,8 +320,7 @@ def suite_identities(phi: LocalizingFunction | None = None, instances: int = 100
 
 
 def suite_homotopy(phi: LocalizingFunction | None = None, base_seed: int = 0,
-                   steps: int = 11,
-                   threads: int | None = None) -> list[CheckResult]:
+                   steps: int = 11) -> list[CheckResult]:
     """Constancy of the class along phase and Dirac-perturbation paths.
 
     Every path must keep the integer fixed and every consecutive step must
@@ -376,7 +355,7 @@ def suite_homotopy(phi: LocalizingFunction | None = None, base_seed: int = 0,
 
     results = []
     for name, worker in (("phase_path", one_phase), ("dirac_path", one_dirac)):
-        rows = parallel_map(worker, list(enumerate(cases)), threads)
+        rows = parallel_map(worker, enumerate(cases))
         worst = 0.0
         failing = []
         for label, report in rows:
@@ -405,17 +384,16 @@ SUITES = {
 
 
 def run_suite(name: str, phi: LocalizingFunction | None = None,
-              base_seed: int = 0,
-              threads: int | None = None) -> list[CheckResult]:
+              base_seed: int = 0) -> list[CheckResult]:
     """Run one named suite, or all of them in order."""
     if name == "all":
         out = []
         for key in ("bounds", "identities", "homotopy"):
-            out.extend(SUITES[key](phi, base_seed=base_seed, threads=threads))
+            out.extend(SUITES[key](phi, base_seed=base_seed))
         return out
     if name not in SUITES:
         raise ConfigError(
             f"unknown suite {name!r}; choose from bounds, identities, "
             "homotopy, all"
         )
-    return SUITES[name](phi, base_seed=base_seed, threads=threads)
+    return SUITES[name](phi, base_seed=base_seed)

@@ -1,10 +1,16 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import localizer_lab.cli as cli
 from localizer_lab.cli import main
+from localizer_lab.models import parse_model
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def run(capsys, *argv):
@@ -156,3 +162,23 @@ def test_verify_unknown_suite_exits_twoish(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+def _readme_commands() -> list[list[str]]:
+    blocks = re.findall(r"^```\n(.*?)^```", README, flags=re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("localizer-lab ")]
+
+
+def test_readme_examples_parse():
+    """Every CLI line and model address in the README parses; nothing runs."""
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    addresses = re.findall(r"`((?:oscillator|qwz|mk|random):[^`]*)`", README)
+    assert len(addresses) >= 4
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        if args.model:
+            addresses.append(args.model)
+    for address in addresses:
+        parse_model(address)

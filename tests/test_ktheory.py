@@ -4,10 +4,9 @@ import pytest
 from localizer_lab import (
     GradedOperator,
     GradedSpace,
-    RelativeClass,
     bounded_transform,
-    class_of,
-    common_params,
+    choose_params,
+    constant_C,
     default_localizer,
     dirac_path,
     dirac_path_stability,
@@ -16,8 +15,10 @@ from localizer_lab import (
     homotopy_stability,
     index_class_projection,
     localizer_index,
+    mk_block_example,
     operator_norm,
     oscillator_dirac,
+    parse_model,
     phase_path,
     positive_projection,
     signature,
@@ -77,6 +78,13 @@ def test_inertia_ldl_matches_eigen_signature():
         assert (a.n_pos, a.n_neg, a.n_zero) == (b.n_pos, b.n_neg, b.n_zero)
 
 
+def test_inertia_ldl_accepts_graded_operator():
+    for h in (mk_block_example(3, seed=1).H, parse_model("random:n=24,seed=7").H):
+        counts = [(s.n_pos, s.n_neg, s.n_zero)
+                  for s in (inertia_ldl(h), inertia_ldl(h.matrix), signature(h))]
+        assert counts[0] == counts[1] == counts[2]
+
+
 def test_positive_projection_is_spectral():
     h = diag_even([2.0, -1.0, 0.5, -3.0])
     q = positive_projection(h)
@@ -94,7 +102,6 @@ def test_half_signature_class_diagonal_pairs():
     ref = diag_even([-1.0, -1.0, -1.0])
     var = diag_even([1.0, 1.0, -1.0])
     assert half_signature_class(ref, var) == 2
-    assert class_of(RelativeClass(h_ref=ref, h_var=var)) == 2
 
 
 def test_half_signature_class_rejects_odd_difference():
@@ -178,15 +185,17 @@ def test_phase_path_endpoints():
     assert np.allclose(np.abs(w), 1.0, atol=1e-10)
 
 
-def test_common_params_admissible_for_every_step():
+def test_homotopy_scale_admissible_for_every_step():
     osc = oscillator_dirac(30)
-    path = phase_path(osc.H, 4)
-    params = common_params(path, osc.D, PHI)
-    assert params.admissible
-    from localizer_lab import constant_C
-    for h in path:
-        p = constant_C(params.kappa, params.rho, h, osc.D, PHI)
-        assert p.admissible
+    rng = np.random.default_rng(56)
+    space = random_space(rng, max_side=12)
+    cases = [(osc.H, osc.D),
+             (random_even_invertible(rng, space), random_odd(rng, space))]
+    for h0, d in cases:
+        path = phase_path(h0, 4)
+        report = homotopy_stability(path, d, PHI)
+        for h in path:
+            assert constant_C(report.kappa, report.rho, h, d, PHI).admissible
 
 
 def test_homotopy_stability_oscillator_phase():
@@ -220,6 +229,32 @@ def test_dirac_path_stability_small_perturbation():
     report = dirac_path_stability(osc.H, dirac_path(osc.D, T, 5), PHI)
     assert report.constant
     assert set(report.values) == {1}
+
+
+def test_commuting_dirac_path_window_meets_spectrum():
+    # [D_t, H] = 0 and spec D_t = {+-(3 + t)}: the default rho = 2 would put
+    # the whole spectrum outside the window, so the scale is nudged as in
+    # choose_params.
+    space = GradedSpace(2, 2)
+    h = GradedOperator(np.eye(4), space, parity="even", hermitian=True)
+    x = GradedOperator.odd_from_block(space, np.eye(2))
+    d0 = GradedOperator(3.0 * x.matrix, space, parity="odd", hermitian=True)
+    report = dirac_path_stability(h, dirac_path(d0, x, 5), PHI)
+    assert report.rho == choose_params(h, d0, PHI).rho
+    assert report.rho > 3.0 / PHI.support_radius
+    assert report.constant
+
+
+def test_margin_at_most_one_rejected_by_every_scale_choice():
+    osc = oscillator_dirac(10)
+    path = dirac_path(osc.D, osc.D, 3)
+    for margin in (1.0, 0.5):
+        with pytest.raises(ValueError, match="margin"):
+            choose_params(osc.H, osc.D, PHI, margin=margin)
+        with pytest.raises(ValueError, match="margin"):
+            homotopy_stability(phase_path(osc.H, 3), osc.D, PHI, margin=margin)
+        with pytest.raises(ValueError, match="margin"):
+            dirac_path_stability(osc.H, path, PHI, margin=margin)
 
 
 def test_dirac_path_rejects_even_perturbation():

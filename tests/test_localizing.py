@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from localizer_lab import RunConfig, default_localizer, validate_localizing
-from localizer_lab.localizing import _bump_derivative_l1, export_samples_csv
+from localizer_lab.localizing import (
+    SQRT_2PI,
+    _bump_derivative_l1,
+    _simpson_weights,
+    _transform,
+    export_samples_csv,
+)
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
 
@@ -112,6 +118,23 @@ def test_fourier_weight_quadrature_stability():
     fine = default_localizer(x_step=5e-4, p_step=5e-3)
     change = abs(fine.fourier_weight - phi.fourier_weight) / phi.fourier_weight
     assert change < 5e-3
+
+
+@pytest.mark.parametrize("x_step", [1e-2, 1.3e-2])
+def test_cosine_transform_matches_full_grid_quadrature(x_step):
+    # Reference: the complex Simpson rule on the symmetric grid over [-R, R].
+    # Folding it onto x >= 0 changes only the summation order; the second
+    # step gives an odd number of intervals per half grid.
+    phi = default_localizer()
+    R = phi.support_radius
+    p, ph = _transform(phi.evaluator, R, 50.0, x_step, 0.1)
+    nx = int(np.ceil(2.0 * R / x_step))
+    nx += nx % 2
+    x = np.linspace(-R, R, nx + 1)
+    fw = _simpson_weights(nx + 1, x[1] - x[0]) * phi(x)
+    full = np.exp(-1j * np.outer(p, x)) @ fw / SQRT_2PI
+    assert np.abs(full.imag).max() < 1e-12
+    assert np.allclose(ph, full.real, rtol=0.0, atol=1e-12)
 
 
 def test_export_samples_roundtrip(tmp_path):

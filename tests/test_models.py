@@ -64,7 +64,6 @@ def test_mk_block_example_rank_is_class():
     p = desc.extras["projection"]
     assert np.allclose(p @ p, p, atol=1e-12)
     assert desc.expected_class == int(round(np.trace(p).real))
-    assert desc.coefficient == ("M_k", 2)
     assert operator_norm(desc.D) == 0.0
 
 

@@ -1,24 +1,12 @@
 import pytest
 
-from localizer_lab import CheckResult, parallel_map, run_suite, thread_count
+from localizer_lab import CheckResult, parallel_map, run_suite
 from localizer_lab.errors import ConfigError
-
-
-def test_thread_count_override_and_env(monkeypatch):
-    assert thread_count(3) == 3
-    assert thread_count(0) == 1
-    monkeypatch.setenv("LOCALIZER_LAB_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("LOCALIZER_LAB_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        thread_count()
-    monkeypatch.delenv("LOCALIZER_LAB_THREADS")
-    assert thread_count() >= 1
 
 
 def test_parallel_map_preserves_order():
     items = list(range(37))
-    assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
+    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
 
 
 def test_check_result_line_format():
