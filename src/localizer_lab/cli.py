@@ -9,8 +9,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .config import RunConfig, build_config, load_config_file
 from .errors import (
     AdmissibilityError,

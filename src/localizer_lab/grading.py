@@ -8,7 +8,7 @@ block sparsity, not up to rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -142,6 +142,17 @@ def _frame_defects(m: np.ndarray, w: np.ndarray, u: np.ndarray):
     return residual, orth
 
 
+def _pin_phases(cols: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """cols with column j times conj(t_j) / |t_j|, t_j the largest entry of ref[:, j].
+
+    Multiplying before dividing makes t_j conj(t_j) / |t_j| exactly real.
+    """
+    if ref.shape[1] == 0:
+        return cols
+    top = ref[np.argmax(np.abs(ref), axis=0), np.arange(ref.shape[1])]
+    return cols * np.conj(top) / np.abs(top)
+
+
 class GradedOperator:
     """A matrix on a graded space with parity and hermiticity bookkeeping.
 
@@ -230,25 +241,21 @@ class GradedOperator:
     def eig(self, eps_eig: float = EPS_EIG) -> SpectralDecomposition:
         """Eigendecomposition with residual validation, cached after first use.
 
-        Even operators take one eigh per sector instead of one of full size.
+        Even operators take one eigh per sector, odd ones one SVD of the odd
+        block; only parity "none" diagonalizes the full matrix.
         """
         if not self.hermitian:
             raise DomainError("eigendecomposition requires a hermitian operator")
         if self._eig is None:
             if self.parity == "even":
                 self._sector_eig(eps_eig)
+            elif self.parity == "odd":
+                self._odd_eig(eps_eig)
             else:
                 w, u = np.linalg.eigh(self.matrix)
-                self._attach_eig(w, u, eps_eig)
-        return self._eig
-
-    def _attach_eig(self, w, u, eps_eig: float = EPS_EIG):
-        """Install an externally computed eigendecomposition after validating it."""
-        w = np.asarray(w, dtype=float)
-        u = np.asarray(u, dtype=complex)
-        residual, orth = _frame_defects(self.matrix, w, u)
-        self._check_frame(residual, orth, eps_eig)
-        self._eig = SpectralDecomposition(w, u, residual, orth)
+                residual, orth = _frame_defects(self.matrix, w, u)
+                self._check_frame(residual, orth, eps_eig)
+                self._eig = SpectralDecomposition(w, u, residual, orth)
         return self._eig
 
     def _sector_eig(self, eps_eig: float):
@@ -273,6 +280,53 @@ class GradedOperator:
         order = np.argsort(w_all, kind="stable")
         self._eig = SpectralDecomposition(w_all[order], None, residual, orth,
                                           sectors=tuple(sectors), order=order)
+        return self._eig
+
+    def _odd_eig(self, eps_eig: float):
+        """Eigendecomposition of an odd operator [[0, B^H], [B, 0]] from B = W S V^H.
+
+        Each pair +-sigma_i has eigenvectors (v_i; +-w_i) / sqrt(2); the
+        unpaired columns of V (n_+ > n_-) or of W (n_- > n_+) span the kernel.
+        Phases are pinned: the largest-magnitude entry of every column of V,
+        and of every unpaired column of W, is real and positive, and each
+        paired w_i takes the phase of its v_i.  The defects ||B V - W S|| and
+        ||B^H W - V S^T||, and ||V^H V - 1|| and ||W^H W - 1||, combine as a
+        root sum of squares to the full-matrix Frobenius defects.
+        """
+        b = self.odd_block
+        n_minus, n_plus = b.shape
+        w_left, sv, vh = np.linalg.svd(b)
+        r = len(sv)
+        v = vh.conj().T
+        w_left = np.hstack([_pin_phases(w_left[:, :r], v[:, :r]),
+                            _pin_phases(w_left[:, r:], w_left[:, r:])])
+        v = _pin_phases(v, v)
+
+        ws = np.zeros((n_minus, n_plus), dtype=complex)
+        ws[:, :r] = w_left[:, :r] * sv
+        vs = np.zeros((n_plus, n_minus), dtype=complex)
+        vs[:, :r] = v[:, :r] * sv
+        residual = float(np.hypot(np.linalg.norm(b @ v - ws),
+                                  np.linalg.norm(b.conj().T @ w_left - vs)))
+        orth = float(np.hypot(np.linalg.norm(v.conj().T @ v - np.eye(n_plus)),
+                              np.linalg.norm(w_left.conj().T @ w_left
+                                             - np.eye(n_minus))))
+        self._check_frame(residual, orth, eps_eig)
+
+        k, z = n_plus, abs(n_plus - n_minus)
+        s = 1.0 / np.sqrt(2.0)
+        u = np.zeros((self.space.n, self.space.n), dtype=complex)
+        u[:k, :r] = v[:, :r] * s
+        u[k:, :r] = -w_left[:, :r] * s
+        u[:k, r + z:] = v[:, :r] * s
+        u[k:, r + z:] = w_left[:, :r] * s
+        if n_plus > r:
+            u[:k, r:r + z] = v[:, r:]
+        else:
+            u[k:, r:r + z] = w_left[:, r:]
+        w_all = np.concatenate([-sv, np.zeros(z), sv])
+        order = np.argsort(w_all, kind="stable")
+        self._eig = SpectralDecomposition(w_all[order], u[:, order], residual, orth)
         return self._eig
 
     def _check_frame(self, residual: float, orth: float, eps_eig: float) -> None:
@@ -369,7 +423,7 @@ def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,
     values are even: each diagonal block is rebuilt from its own frame.
     """
     if dec.sectors is None:
-        out = _hermitize((dec.vectors * vals) @ dec.vectors.conj().T)
+        out = (dec.vectors * vals) @ dec.vectors.conj().T
         return GradedOperator.snapped(out, op.space, expected, hermitian=True)
     by_sector = np.empty_like(vals)
     by_sector[dec.order] = vals

@@ -28,6 +28,7 @@ from .grading import (
     EPS_INV,
     GradedOperator,
     GradedSpace,
+    func_calc,
     gap,
     lipschitz_derivative,
     operator_norm,
@@ -181,7 +182,7 @@ class LocalizerBundle:
     """Assembled localizer with its truncations and spectral summary.
 
     For scales where both truncations are the identity the Phi factors are not
-    materialized and phi_identity is set; accessors rebuild them on demand.
+    materialized and phi_identity is set.
     """
 
     L: GradedOperator
@@ -197,26 +198,6 @@ class LocalizerBundle:
     @property
     def space(self) -> GradedSpace:
         return self.L.space
-
-    def phi_rho(self) -> GradedOperator:
-        if self.Phi_rho is not None:
-            return self.Phi_rho
-        return _identity_op(self.space)
-
-    def phi_2rho(self) -> GradedOperator:
-        if self.Phi_2rho is not None:
-            return self.Phi_2rho
-        return _identity_op(self.space)
-
-    def signature(self) -> int:
-        pos = int((self.eigenvalues > 0).sum())
-        neg = int((self.eigenvalues < 0).sum())
-        return pos - neg
-
-
-def _identity_op(space: GradedSpace) -> GradedOperator:
-    return GradedOperator(np.eye(space.n, dtype=complex), space,
-                          parity="even", hermitian=True)
 
 
 def assemble_localizer(H: GradedOperator, D: GradedOperator,
@@ -242,29 +223,26 @@ def assemble_localizer(H: GradedOperator, D: GradedOperator,
         phi_identity = True
         Phi_rho = Phi_2rho = None
     else:
-        # All three window operators come from one eigenbasis of D with the
-        # function values applied pointwise.  The tail factor in particular
-        # must not pass through a matrix square root: sqrt is not Lipschitz
-        # at 0, and the plateau of phi(./2rho) puts eigenvalues of 1 - Phi^4
-        # exactly there, so rebuilding the matrix first would turn 1e-16
-        # roundoff into 1e-8 error.
-        dec = D.eig()
-        u = dec.vectors
-        vr = np.asarray(phi.evaluator(dec.eigenvalues / rho), dtype=float)
-        v2 = np.asarray(phi.evaluator(dec.eigenvalues / (2.0 * rho)), dtype=float)
-        tail = np.sqrt(np.clip(1.0 - v2**4, 0.0, None))
-        Phi_rho = GradedOperator.snapped((u * vr) @ u.conj().T, space, "even",
-                                         hermitian=True)
-        Phi_2rho = GradedOperator.snapped((u * v2) @ u.conj().T, space, "even",
-                                          hermitian=True)
+        # All three window operators are functions of D on one eigenbasis.
+        # The tail factor in particular must not pass through a matrix
+        # square root: sqrt is not Lipschitz at 0, and the plateau of
+        # phi(./2rho) puts eigenvalues of 1 - Phi^4 exactly there, so
+        # rebuilding the matrix first would turn 1e-16 roundoff into 1e-8
+        # error.  It is applied pointwise to the spectrum instead.
+        outer = phi.scaled(2.0 * rho)
+
+        def tail(x):
+            return np.sqrt(np.clip(1.0 - np.asarray(outer(x), dtype=float) ** 4,
+                                   0.0, None))
+
+        Phi_rho = func_calc(phi.scaled(rho), D)
+        Phi_2rho = func_calc(outer, D)
         pr = Phi_rho.matrix
         p2 = Phi_2rho.matrix
         gH = gdiag[:, None] * H.matrix
         term_h = pr @ gH @ pr
         term_d = kappa * (p2 @ D.matrix @ p2)
-        w_tail = GradedOperator.snapped((u * tail) @ u.conj().T, space, "even",
-                                        hermitian=True)
-        term_tail = w_tail.matrix * gdiag[None, :]
+        term_tail = func_calc(tail, D).matrix * gdiag[None, :]
         L = GradedOperator(term_h + term_d - term_tail, space,
                            parity="none", hermitian=True)
         phi_identity = False
@@ -365,18 +343,12 @@ def support_residual(bundle: LocalizerBundle, D: GradedOperator) -> float:
     returns ||(L + gamma)(1 - R)|| with R the range projection of Phi_2rho,
     read off from the spectrum of D.
     """
-    space = bundle.space
-    gdiag = space.gamma_diag
-    lg = bundle.L.matrix + np.diag(gdiag).astype(complex)
     if bundle.phi_identity:
         # R is the identity: the complement is zero.
         return 0.0
-    dec = D.eig()
-    sel = np.asarray(
-        bundle.phi.evaluator(dec.eigenvalues / (2.0 * bundle.params.rho))
-    ) > 0.0
-    u = dec.vectors
-    comp = (u * (~sel)) @ u.conj().T
+    outer = bundle.phi.scaled(2.0 * bundle.params.rho)
+    comp = func_calc(lambda x: (np.asarray(outer(x)) <= 0.0).astype(float), D).matrix
+    lg = bundle.L.matrix + np.diag(bundle.space.gamma_diag).astype(complex)
     return float(operator_norm(lg @ comp))
 
 
@@ -424,13 +396,11 @@ def sharp_localizer(H: GradedOperator, D: GradedOperator, rho: float,
             "on an eigenvalue inside the cut"
         )
 
-    u = dec.vectors
-    pmat = (u * sel) @ u.conj().T
-    pop = GradedOperator.snapped(pmat, space, "even", hermitian=True)
+    pop = func_calc(lambda x: (np.abs(x) < rho).astype(float), D)
     pm = pop.matrix
     gdiag = space.gamma_diag
     php = pm @ H.matrix @ pm
-    pdp = (u * (w * sel)) @ u.conj().T
+    pdp = func_calc(lambda x: np.where(np.abs(x) < rho, x, 0.0), D).matrix
     eye = np.eye(space.n, dtype=complex)
     core = php - (eye - pm)
     lm = (gdiag[:, None] * core) + kappa * pdp

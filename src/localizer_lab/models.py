@@ -90,36 +90,17 @@ def oscillator_dirac(n: int) -> ModelDescriptor:
     lower[ks - 1, ks] = np.sqrt(ks)
     D = GradedOperator.odd_from_block(space, lower)
 
-    # analytic eigendecomposition: 0 on e_0, +-sqrt(k) on (e_k, e_{k-1}) pairs
-    dim = space.n
-    eigs = np.zeros(dim)
-    vecs = np.zeros((dim, dim), dtype=complex)
-    vecs[0, 0] = 1.0
-    col = 1
-    s = 1.0 / np.sqrt(2.0)
-    for k in range(1, n):
-        lam = np.sqrt(k)
-        for sign in (+1.0, -1.0):
-            eigs[col] = sign * lam
-            vecs[k, col] = s
-            vecs[n + k - 1, col] = sign * s
-            col += 1
-    order = np.argsort(eigs, kind="stable")
-    D._attach_eig(eigs[order], vecs[:, order])
+    # only the pair at +-sqrt(n-1), on (e_{n-1}, e_{n-2}), touches the last
+    # vector of a sector
+    rho_max, fraction = _rho_max_from_guard(np.sqrt(ks), ks == n - 1)
 
-    boundary = np.zeros(dim)
-    boundary[n - 1] = 1.0      # last vector of the positive sector
-    boundary[dim - 1] = 1.0    # last vector of the negative sector
-    weights = (np.abs(vecs[:, order]) ** 2).T @ boundary
-    rho_max, fraction = _rho_max_from_guard(np.abs(eigs[order]), weights)
-
-    sq = np.sort(eigs[order] ** 2)
+    sq = np.sort(D.eigenvalues() ** 2)
     expected = np.sort(np.concatenate([[0.0], np.repeat(np.arange(1.0, n), 2)]))
     if np.abs(sq - expected).max() > 1e-9 * max(1.0, n):
         raise InternalConsistencyError("ladder spectrum deviates from {0, 1, ..., n-1}")
 
-    H = GradedOperator(np.eye(dim, dtype=complex), space, parity="even", hermitian=True)
-    H._attach_eig(np.ones(dim), np.eye(dim, dtype=complex))
+    H = GradedOperator(np.eye(space.n, dtype=complex), space, parity="even",
+                       hermitian=True)
     return ModelDescriptor(
         name="oscillator", parameters={"n": n}, space=space, D=D, H=H,
         rho_max=rho_max, truncation_fraction=fraction, gap_bound=1.0,
@@ -210,49 +191,18 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     z = np.repeat((xs[:, None] + 1j * xs[None, :]).ravel(), 2)
     D = GradedOperator.odd_from_block(space, np.diag(z))
 
-    # analytic eigendecomposition of D: site-localized pairs
-    dim = space.n
-    eigs = np.empty(dim)
-    vecs = np.zeros((dim, dim), dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
-    col = 0
-    nz = 2 * npb
-    for i in range(nz):
-        zi = z[i]
-        if zi == 0:
-            eigs[col] = 0.0
-            vecs[i, col] = 1.0
-            col += 1
-            eigs[col] = 0.0
-            vecs[nz + i, col] = 1.0
-            col += 1
-        else:
-            phase = zi / abs(zi)
-            for sign in (+1.0, -1.0):
-                eigs[col] = sign * abs(zi)
-                vecs[i, col] = s
-                vecs[nz + i, col] = sign * phase * s
-                col += 1
-    order = np.argsort(eigs, kind="stable")
-    D._attach_eig(eigs[order], vecs[:, order])
-
-    ring = np.zeros(dim)
+    # the pair at +-|z_i| lives on site i alone, in both sectors; np.hypot
+    # matches the scalar abs(z_i) bit for bit, np.abs of a complex array
+    # does not (128 of 512 entries differ at L = 16)
     half = (L - 1) / 2.0
-    for x in range(L):
-        for y in range(L):
-            if max(abs(xs[x]), abs(xs[y])) >= half:
-                i = site(x, y)
-                for orb in (0, 1):
-                    ring[2 * i + orb] = 1.0
-                    ring[nz + 2 * i + orb] = 1.0
-    weights = (np.abs(vecs[:, order]) ** 2).T @ ring
-    rho_max, fraction = _rho_max_from_guard(np.abs(eigs[order]), weights)
+    ring_of_site = (np.maximum(np.abs(xs)[:, None], np.abs(xs)[None, :]) >= half).ravel()
+    rho_max, fraction = _rho_max_from_guard(np.hypot(z.real, z.imag),
+                                            np.repeat(ring_of_site, 2))
 
     return ModelDescriptor(
         name="qwz", parameters={"L": L, "m": m}, space=space, D=D, H=H,
         rho_max=rho_max, truncation_fraction=fraction, gap_bound=bloch_gap,
         bloch=lambda k1, k2, mm=m: qwz_bloch(k1, k2, mm), n_occupied=1,
-        extras={"occupied_frame": occ, "flat_block": hflat},
     )
 
 
@@ -286,7 +236,6 @@ def mk_block_example(k: int, seed: int, blocks: int = 3,
     H = GradedOperator(2.0 * p - np.eye(dim), space, parity="even", hermitian=True)
     D = GradedOperator(np.zeros((dim, dim), dtype=complex), space,
                        parity="odd", hermitian=True)
-    D._attach_eig(np.zeros(dim), np.eye(dim, dtype=complex))
     return ModelDescriptor(
         name="mk", parameters={"k": k, "blocks": blocks, "seed": seed},
         space=space, D=D, H=H, rho_max=float("inf"), truncation_fraction=0.0,

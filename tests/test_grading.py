@@ -17,6 +17,7 @@ from localizer_lab import (
     sqrt_positive,
 )
 from localizer_lab.errors import NegativityError, NotInvertibleError, ParityError
+from localizer_lab.grading import _frame_defects
 
 
 def random_even(space, rng, hermitian=True):
@@ -282,7 +283,30 @@ def test_even_sector_route_matches_full(n_plus, n_minus):
     assert np.allclose(root.matrix, dense_func(np.abs, h.matrix), atol=1e-10)
 
 
-@pytest.mark.parametrize("n_plus,n_minus", SECTOR_SHAPES)
+def assert_odd_frame(d):
+    """eig() of an odd operator: a unitary eigenframe with pinned phases."""
+    w = d.eigenvalues()
+    dec = d.eig()
+    u = dec.vectors
+    assert np.allclose(u.conj().T @ u, np.eye(d.space.n), atol=1e-12)
+    assert np.allclose((u * dec.eigenvalues) @ u.conj().T, d.matrix, atol=1e-12)
+    assert np.allclose(dec.eigenvalues, w, atol=1e-12)
+    residual, orth = _frame_defects(d.matrix, dec.eigenvalues, u)
+    assert dec.residual == pytest.approx(residual, abs=1e-13)
+    assert dec.orth_defect == pytest.approx(orth, abs=1e-13)
+    # The largest entry of each column's positive-sector part v is real and
+    # positive; a kernel vector of the negative sector pins its own part.
+    k = d.space.n_plus
+    for col in u.T:
+        part = col[:k] if np.linalg.norm(col[:k]) > 0.5 else col[k:]
+        top = part[np.argmax(np.abs(part))]
+        assert top.real > 0.0 and abs(top.imag) <= 1e-15
+
+
+ODD_SHAPES = SECTOR_SHAPES + [(3, 5), (0, 6)]
+
+
+@pytest.mark.parametrize("n_plus,n_minus", ODD_SHAPES)
 def test_odd_spectrum_from_one_block_svd(n_plus, n_minus):
     rng = np.random.default_rng(200 + n_plus * 10 + n_minus)
     space = GradedSpace(n_plus, n_minus)
@@ -291,6 +315,41 @@ def test_odd_spectrum_from_one_block_svd(n_plus, n_minus):
     assert np.all(np.diff(w) >= 0)
     assert np.allclose(w, np.linalg.eigvalsh(d.matrix), atol=1e-12)
     assert operator_norm(d) == pytest.approx(np.linalg.norm(d.matrix, 2), abs=1e-12)
+    assert_odd_frame(d)
+
+
+def rank_deficient_odd():
+    """Odd operator on GradedSpace(4, 5) with singular values (2, 2, 0.5, 0)."""
+    rng = np.random.default_rng(7)
+    q1, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    s = np.zeros((5, 4))
+    s[[0, 1, 2], [0, 1, 2]] = [2.0, 2.0, 0.5]
+    return GradedOperator.odd_from_block(GradedSpace(4, 5), q1 @ s @ q2.conj().T)
+
+
+@pytest.mark.parametrize("build", [lambda: oscillator_dirac(12).D, rank_deficient_odd],
+                         ids=["ladder", "rank_deficient"])
+def test_odd_frame_of_structured_blocks(build):
+    assert_odd_frame(build())
+
+
+def test_odd_eig_takes_one_block_svd(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapped(m, *args, **kwargs):
+            calls.append((name, m.shape))
+            return fn(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        counted(name)
+    d = random_odd(GradedSpace(5, 3), np.random.default_rng(9))
+    d.eig()
+    assert calls == [("svd", (3, 5))]
 
 
 def test_rectangular_ladder_block_and_empty_sector():

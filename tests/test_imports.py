@@ -1,0 +1,30 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "localizer_lab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names that never appear as a Name (the root of every Attribute is one)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_scan_sees_attribute_roots():
+    source = "import numpy as np\nfrom dataclasses import dataclass, field\nx = np.pi\n"
+    assert unused_imports(source) == ["dataclass", "field"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

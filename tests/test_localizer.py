@@ -144,8 +144,9 @@ def test_windows_obey_product_identities():
     rho = 0.6 * operator_norm(D)
     p = constant_C(0.9, rho, H, D, PHI)
     bundle = assemble_localizer(H, D, PHI, p)
-    pr = bundle.phi_rho().matrix
-    p2 = bundle.phi_2rho().matrix
+    assert not bundle.phi_identity
+    pr = bundle.Phi_rho.matrix
+    p2 = bundle.Phi_2rho.matrix
     # phi(x/2)^2 phi(x) = phi(x) transfers to the operators exactly
     assert operator_norm(p2 @ p2 @ pr - pr) < 1e-12
 

@@ -12,6 +12,7 @@ from localizer_lab import (
     mk_block_example,
     random_lipschitz,
 )
+from localizer_lab.models import _rho_max_from_guard
 
 
 def test_oscillator_shapes_and_parities():
@@ -122,3 +123,56 @@ def test_parse_model_rejects_malformed():
         parse_model("oscillator:n=10,bogus=1")
     with pytest.raises(ValueError):
         parse_model("qwz:L=8")
+
+
+def test_ladder_frame_is_the_analytic_one():
+    n = 40
+    desc = oscillator_dirac(n)
+    # 0 on e_0 and +-sqrt(k) on (e_k +- e'_{k-1}) / sqrt(2), e' the negative sector
+    eigs = np.zeros(desc.space.n)
+    vecs = np.zeros((desc.space.n,) * 2, dtype=complex)
+    vecs[0, 0] = 1.0
+    s = 1.0 / np.sqrt(2.0)
+    for k in range(1, n):
+        for j, sign in ((2 * k - 1, 1.0), (2 * k, -1.0)):
+            eigs[j] = sign * np.sqrt(k)
+            vecs[k, j] = s
+            vecs[n + k - 1, j] = sign * s
+    order = np.argsort(eigs, kind="stable")
+    dec = desc.D.eig()
+    assert np.abs(dec.eigenvalues - eigs[order]).max() <= 1e-15
+    assert np.abs(dec.vectors - vecs[:, order]).max() <= 1e-15
+
+
+def boundary_ring(desc):
+    """Indicator of the basis vectors a truncation touches, in both sectors."""
+    if desc.name == "oscillator":
+        ring = np.zeros(desc.space.n)
+        ring[[desc.space.n_plus - 1, desc.space.n - 1]] = 1.0
+        return ring
+    L = desc.parameters["L"]
+    xs = np.abs(np.arange(L) - (L - 1) / 2.0)
+    site = (np.maximum(xs[:, None], xs[None, :]) >= (L - 1) / 2.0).ravel()
+    return np.tile(np.repeat(site, 2), 2).astype(float)
+
+
+@pytest.mark.parametrize("address", ["oscillator:n=2", "oscillator:n=3", "oscillator:n=40",
+                                     "qwz:L=8,m=3.0", "qwz:L=9,m=3.0"])
+def test_structural_guard_matches_dense_frame(address):
+    desc = parse_model(address)
+    dec = desc.D.eig()
+    weights = (np.abs(dec.vectors) ** 2).T @ boundary_ring(desc)
+    rho_max, fraction = _rho_max_from_guard(np.abs(dec.eigenvalues), weights)
+    assert desc.rho_max == rho_max
+    assert desc.truncation_fraction == fraction
+
+
+@pytest.mark.parametrize("draw,expected", [
+    (lambda: random_lipschitz(oscillator_dirac(40).D, 0.02, seed=1).dh_norm,
+     0.4793950471439405),
+    (lambda: parse_model("random:strength=0.02,seed=1").extras["dh_norm"],
+     0.2554139367242224),
+], ids=["default_width", "model_width"])
+def test_random_lipschitz_draw_is_pinned(draw, expected):
+    # the draw is built on D's eigenframe, so it moves if the frame's phases do
+    assert draw() == pytest.approx(expected, rel=1e-12)
