@@ -4,14 +4,12 @@ from .errors import (
     AdmissibilityError,
     ClassInconsistencyError,
     ConfigError,
-    ContractionViolationError,
     DomainError,
     GaplessError,
     GenerationError,
     InternalConsistencyError,
     LocalizerLabError,
     ModelArgumentError,
-    NegativityError,
     NotInvertibleError,
     ParityError,
     PreconditionError,
@@ -23,12 +21,10 @@ from .grading import (
     GradedOperator,
     GradedSpace,
     SpectralDecomposition,
-    bounded_transform,
     func_calc,
     gap,
     lipschitz_derivative,
     operator_norm,
-    sqrt_positive,
 )
 from .localizing import (
     LocalizingFunction,
@@ -56,16 +52,12 @@ from .ktheory import (
     LocalizerIndexReport,
     dirac_path,
     dirac_path_stability,
-    direct_sum,
     half_signature_class,
     homotopy_stability,
-    index_class_projection,
-    inertia_ldl,
     localizer_index,
     phase_path,
     positive_projection,
     signature,
-    space_sum,
 )
 from .oracles import (
     IndexResult,

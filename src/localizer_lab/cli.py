@@ -26,7 +26,6 @@ from .errors import (
 from .grading import gap, lipschitz_derivative, operator_norm
 from .ktheory import localizer_index, positive_projection, signature
 from .localizer import assemble_localizer, choose_params, constant_C
-from .localizing import export_samples_csv
 from .matrixio import write_operator
 from .models import ModelDescriptor, parse_model
 from .oracles import (
@@ -268,12 +267,9 @@ def cmd_verify(args) -> int:
 def cmd_export_phi(args) -> int:
     config = _resolve_config(args)
     phi = config.phi()
-    if config.out:
-        export_samples_csv(phi, config.out)
-    else:
-        sys.stdout.write("x,phi(x)\n")
-        for xv, fv in zip(phi.sample_grid, phi.samples):
-            sys.stdout.write(f"{float(xv)!r},{float(fv)!r}\n")
+    rows = "".join(f"{float(xv)!r},{float(fv)!r}\n"
+                   for xv, fv in zip(phi.sample_grid, phi.samples))
+    _emit("x,phi(x)\n" + rows, config.out)
     return 0
 
 

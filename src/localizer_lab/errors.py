@@ -13,10 +13,6 @@ class ParityError(LocalizerLabError):
     """Claimed block parity is violated by nonzero forbidden blocks."""
 
 
-class NegativityError(LocalizerLabError):
-    """An operator expected to be positive semidefinite has a negative eigenvalue."""
-
-
 class NotInvertibleError(LocalizerLabError):
     """Spectral gap requested for an operator with eigenvalues at or near zero."""
 
@@ -48,10 +44,6 @@ class PreconditionError(LocalizerLabError):
 
 class ClassInconsistencyError(LocalizerLabError):
     """Signature data cannot come from a genuine difference class."""
-
-
-class ContractionViolationError(LocalizerLabError):
-    """An operator expected to be a contraction has norm above one."""
 
 
 class GaplessError(LocalizerLabError):

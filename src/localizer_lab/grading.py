@@ -16,13 +16,11 @@ import numpy as np
 from .errors import (
     DomainError,
     InternalConsistencyError,
-    NegativityError,
     NotInvertibleError,
     ParityError,
 )
 
 EPS_EIG = 1e-10
-EPS_PSD = 1e-10
 EPS_INV = 1e-10
 
 _PARITIES = ("even", "odd", "none")
@@ -50,15 +48,6 @@ class GradedSpace:
         g = np.ones(self.n)
         g[self.n_plus:] = -1.0
         return g
-
-    def gamma_matrix(self) -> np.ndarray:
-        return np.diag(self.gamma_diag).astype(complex)
-
-    def gamma(self) -> "GradedOperator":
-        return GradedOperator(self.gamma_matrix(), self, parity="even", hermitian=True)
-
-    def balanced(self) -> bool:
-        return self.n_plus == self.n_minus
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -346,10 +335,9 @@ class GradedOperator:
 
         Even operators take one eigvalsh per sector.  An odd hermitian
         [[0, B^H], [B, 0]] has spectrum +-sigma(B) plus |n_+ - n_-| zeros,
-        read off one SVD of its odd block B.
+        read off one SVD of its odd block B.  The values never come from a
+        cached eig(), so they are the same bits whichever of the two ran first.
         """
-        if self._eig is not None:
-            return self._eig.eigenvalues
         if self._eigvals_cache is None:
             if not self.hermitian:
                 raise DomainError("eigenvalues require a hermitian operator")
@@ -364,16 +352,6 @@ class GradedOperator:
                 w = np.linalg.eigvalsh(self.matrix)
             self._eigvals_cache = np.sort(w)
         return self._eigvals_cache
-
-    # -- arithmetic helpers (plain ndarray out, bookkeeping by callers) -----
-
-    def __matmul__(self, other):
-        if isinstance(other, GradedOperator):
-            return self.matrix @ other.matrix
-        return self.matrix @ other
-
-    def norm(self) -> float:
-        return operator_norm(self)
 
 
 def _mul_parity(a: str, b: str) -> str:
@@ -503,31 +481,6 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
         m[rows[r], rows[c]] = (d_op.block(r, via_d) @ op.block(via_d, c)
                                - op.block(r, via_t) @ d_op.block(via_t, c))
     return GradedOperator(m, op.space, parity=parity, hermitian=False)
-
-
-def bounded_transform(op: GradedOperator) -> GradedOperator:
-    """x -> x / sqrt(1 + x^2) applied spectrally; strictly a contraction."""
-    return func_calc(lambda x: x / np.sqrt(1.0 + x * x), op)
-
-
-def sqrt_positive(op: GradedOperator, eps_psd: float = EPS_PSD) -> GradedOperator:
-    """Spectral square root with clamping of small negative rounding noise.
-
-    Eigenvalues below -eps_psd * ||T|| fail loudly; everything in the noise
-    band [-eps_psd * ||T||, 0) is clamped to zero before the root.
-    """
-    dec = op.eig()
-    w = dec.eigenvalues
-    scale = np.abs(w).max(initial=0.0)
-    lo = float(w.min())
-    if lo < -eps_psd * max(scale, 1e-300):
-        raise NegativityError(
-            f"operator is not positive semidefinite: eigenvalue {lo:.6e} "
-            f"below tolerance {-eps_psd * scale:.3e}"
-        )
-    vals = np.sqrt(np.maximum(w, 0.0))
-    expected = "even" if op.parity == "even" else "none"
-    return _from_spectrum(op, dec, vals, expected)
 
 
 def gap(op: GradedOperator, eps_inv: float = EPS_INV) -> float:

@@ -7,27 +7,23 @@ admissibility certificate makes a well-defined integer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AdmissibilityError,
     ClassInconsistencyError,
-    ContractionViolationError,
     InternalConsistencyError,
     NotInvertibleError,
     ParityError,
 )
 from .grading import (
     GradedOperator,
-    GradedSpace,
     func_calc,
     gap,
     lipschitz_derivative,
     operator_norm,
-    sqrt_positive,
 )
 from .localizer import (
     LocalizerBundle,
@@ -78,43 +74,6 @@ def signature(op, tau_sig: float | None = None) -> Inertia:
     n_pos = int((w > tau).sum())
     n_neg = int((w < -tau).sum())
     return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=len(w) - n_pos - n_neg, tau=tau)
-
-
-def inertia_ldl(matrix, tau_sig: float | None = None) -> Inertia:
-    """Inertia through a symmetric-pivoting triangular factorization.
-
-    Independent of the eigensolver route; congruence preserves inertia, so the
-    block-diagonal middle factor carries the same counts.
-    """
-    if isinstance(matrix, GradedOperator):
-        matrix = matrix.matrix
-    m = np.asarray(matrix, dtype=complex)
-    _, d, _ = scipy.linalg.ldl(m, hermitian=True)
-    scale = float(np.abs(d).max(initial=0.0))
-    tau = TAU_SIG * scale if tau_sig is None else tau_sig
-    n_pos = n_neg = n_zero = 0
-    i, n = 0, d.shape[0]
-    while i < n:
-        if i + 1 < n and (d[i, i + 1] != 0 or d[i + 1, i] != 0):
-            w = np.linalg.eigvalsh(d[i:i + 2, i:i + 2])
-            for v in w:
-                if v > tau:
-                    n_pos += 1
-                elif v < -tau:
-                    n_neg += 1
-                else:
-                    n_zero += 1
-            i += 2
-        else:
-            v = d[i, i].real
-            if v > tau:
-                n_pos += 1
-            elif v < -tau:
-                n_neg += 1
-            else:
-                n_zero += 1
-            i += 1
-    return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n_zero, tau=tau)
 
 
 # ----------------------------------------------------------------------------
@@ -199,11 +158,6 @@ class LocalizerIndexReport:
     c_phi: float
     C_kr: float
     min_gap: float
-    certified_bound: float
-    gap_h: float
-    dH_norm: float
-    support_defect: float | None = None
-    bundle: LocalizerBundle | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,25 +174,21 @@ class LocalizerIndexReport:
 
 
 def localizer_index(H: GradedOperator, D: GradedOperator, phi: LocalizingFunction,
-                    params: LocalizerParams | None = None, margin: float = 1.1,
-                    rho_max: float | None = None,
-                    tau_sig: float | None = None,
-                    keep_bundle: bool = False,
-                    check_support: bool = True) -> LocalizerIndexReport:
+                    params: LocalizerParams | None = None,
+                    tau_sig: float | None = None) -> LocalizerIndexReport:
     """Class of the pair (-gamma, L), refused unless the parameters are admissible."""
     if params is None:
-        params = choose_params(H, D, phi, margin=margin, rho_max=rho_max)
+        params = choose_params(H, D, phi)
     if not params.admissible:
         raise AdmissibilityError(
             "parameters are not admissible: " + (params.violated_inequality() or "")
         )
     bundle = assemble_localizer(H, D, phi, params)
-    return index_from_bundle(bundle, D, tau_sig=tau_sig, keep_bundle=keep_bundle,
-                             check_support=check_support)
+    return index_from_bundle(bundle, D, tau_sig=tau_sig)
 
 
 def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
-                      tau_sig: float | None = None, keep_bundle: bool = False,
+                      tau_sig: float | None = None,
                       check_support: bool = True) -> LocalizerIndexReport:
     """Index extraction for an already assembled (smooth or sharp) localizer."""
     params = bundle.params
@@ -259,7 +209,6 @@ def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
         raise ClassInconsistencyError(
             f"sign(L) - sign(-gamma) = {diff} is odd"
         )
-    defect = None
     if check_support and bundle.style == "smooth":
         defect = support_residual(bundle, D)
         if defect > 1e-9:
@@ -277,51 +226,7 @@ def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
         c_phi=params.c_phi,
         C_kr=params.C_kr,
         min_gap=bundle.min_abs_eigenvalue,
-        certified_bound=params.certified_lower_bound(),
-        gap_h=params.gap,
-        dH_norm=params.dH_norm,
-        support_defect=defect,
-        bundle=bundle if keep_bundle else None,
     )
-
-
-# ----------------------------------------------------------------------------
-# index-class projection from an odd contraction
-# ----------------------------------------------------------------------------
-
-
-def index_class_projection(F: GradedOperator, eps_contraction: float = 1e-8) -> GradedOperator:
-    """Projection gamma_+(1 - F^2) ... built from an odd hermitian contraction F.
-
-    Q = gamma (1 - F^2) + F sqrt(1 - F^2) + gamma_minus, which equals
-    U gamma_plus U for the odd symmetry U = F + gamma sqrt(1 - F^2); both the
-    idempotency and the conjugation form are verified to 1e-9.
-    """
-    space = F.space
-    nrm = operator_norm(F)
-    if nrm > 1.0 + eps_contraction:
-        raise ContractionViolationError(
-            f"||F|| = {nrm:.12g} exceeds 1 + {eps_contraction:.1e}"
-        )
-    if F.parity != "odd":
-        raise ClassInconsistencyError("index-class projection needs an odd F")
-    fm = F.matrix
-    eye = np.eye(space.n, dtype=complex)
-    fsq = fm @ fm
-    one_minus = GradedOperator.snapped(eye - fsq, space, "even", hermitian=True)
-    root = sqrt_positive(one_minus)
-    gdiag = space.gamma_diag
-    gamma_minus = np.diag(((1.0 - gdiag) / 2.0)).astype(complex)
-    qm = (gdiag[:, None] * one_minus.matrix) + fm @ root.matrix + gamma_minus
-    q = GradedOperator(qm, space, parity="none", hermitian=True)
-
-    check_defect(_idempotency_residual(q), 1e-9,
-                 "index-class projection defect ||Q^2 - Q|| =")
-    u = fm + (gdiag[:, None] * root.matrix)
-    gamma_plus = np.diag(((1.0 + gdiag) / 2.0)).astype(complex)
-    check_defect(q.matrix - u @ gamma_plus @ u, 1e-9,
-                 "conjugation form of the index-class projection off by")
-    return q
 
 
 # ----------------------------------------------------------------------------
@@ -460,28 +365,3 @@ def dirac_path_stability(H: GradedOperator, path: list[GradedOperator],
              for dh_t in dhs]
     return _certified_report(params, steps, [(H, d_t) for d_t in path], phi,
                              tau_sig, "a Dirac-path step")
-
-
-# ----------------------------------------------------------------------------
-# direct sums
-# ----------------------------------------------------------------------------
-
-
-def space_sum(a: GradedSpace, b: GradedSpace) -> GradedSpace:
-    return GradedSpace(a.n_plus + b.n_plus, a.n_minus + b.n_minus)
-
-
-def direct_sum(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    """Graded direct sum: sectors concatenate, so gamma stays diag(+..+,-..-)."""
-    sa, sb = a.space, b.space
-    space = space_sum(sa, sb)
-    m = np.zeros((space.n, space.n), dtype=complex)
-    rows_a = list(range(sa.n_plus)) + \
-        list(range(space.n_plus, space.n_plus + sa.n_minus))
-    rows_b = list(range(sa.n_plus, space.n_plus)) + \
-        list(range(space.n_plus + sa.n_minus, space.n))
-    m[np.ix_(rows_a, rows_a)] = a.matrix
-    m[np.ix_(rows_b, rows_b)] = b.matrix
-    parity = a.parity if a.parity == b.parity else "none"
-    return GradedOperator(m, space, parity=parity,
-                          hermitian=a.hermitian and b.hermitian)

@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ResolutionError
 
@@ -48,7 +47,8 @@ def _bump_raw(t: np.ndarray) -> np.ndarray:
 def _bump_cdf_table():
     """Grid and normalized antiderivative of the bump, shared by all widths."""
     t = np.linspace(-1.0, 1.0, _BUMP_TABLE_POINTS)
-    cdf = cumulative_trapezoid(_bump_raw(t), t, initial=0.0)
+    y = _bump_raw(t)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
     total = cdf[-1]
     return t, cdf / total, total
 
@@ -99,7 +99,6 @@ class FourierWeightResult:
     weight: float
     c_phi: float
     tail_bound: float
-    weight_refined: float
     refinement_change: float
 
 
@@ -128,18 +127,6 @@ class LocalizingFunction:
         """Evaluator of phi(x / rho)."""
         ev = self.evaluator
         return lambda x: ev(np.asarray(x) / rho)
-
-    def odd_complement(self) -> Callable:
-        """g with g(x)^2 + phi(x)^4 = 1 and g odd where phi < 1."""
-        ev = self.evaluator
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            ph = ev(x)
-            val = np.sqrt(np.maximum(0.0, 1.0 - ph**4))
-            return np.where(x < 0, -val, val)
-
-        return g
 
 
 @dataclass
@@ -213,7 +200,6 @@ def fourier_weight(evaluator, support_radius=1.0, p_max=DEFAULT_P_MAX,
         weight=float(weight),
         c_phi=float(2.0 * weight / SQRT_2PI),
         tail_bound=float(tail),
-        weight_refined=refined,
         refinement_change=rel,
     )
 
@@ -275,7 +261,6 @@ def _default_localizer(w: float, x_step: float, p_step: float,
         smoothing_width=w,
         quad={
             "x_step": x_step, "p_step": p_step, "p_max": p_max,
-            "weight_refined": res.weight_refined,
             "refinement_change": res.refinement_change,
         },
     )
@@ -305,11 +290,3 @@ def validate_localizing(phi, grid_step: float = 1e-3) -> ValidationReport:
         plateau=plateau, support=support, monotone=monotone,
         even=even, range_ok=range_ok,
     )
-
-
-def export_samples_csv(phi: LocalizingFunction, path) -> None:
-    """Write the sample grid as CSV with columns x,phi(x)."""
-    with open(path, "w") as fh:
-        fh.write("x,phi(x)\n")
-        for xv, fv in zip(phi.sample_grid, phi.samples):
-            fh.write(f"{float(xv)!r},{float(fv)!r}\n")

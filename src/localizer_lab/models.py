@@ -42,11 +42,6 @@ class ModelDescriptor:
     expected_class: int | None = None
     extras: dict = field(default_factory=dict)
 
-    @property
-    def key(self) -> str:
-        parts = ",".join(f"{k}={v}" for k, v in sorted(self.parameters.items()))
-        return f"{self.name}:{parts}" if parts else self.name
-
 
 def _rho_max_from_guard(abs_eigs: np.ndarray, weights: np.ndarray):
     """Largest usable rho and the checked contamination fraction below it."""

@@ -134,6 +134,15 @@ def test_export_phi_stdout(capsys):
     assert float(v0) == 0.0
 
 
+def test_export_phi_stdout_and_file_hold_the_same_bytes(capsys, tmp_path):
+    code, out, err = run(capsys, "export-phi")
+    assert code == 0
+    path = tmp_path / "phi.csv"
+    code, _, _ = run(capsys, "export-phi", "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+
+
 def test_export_model_writes_files(capsys, tmp_path):
     prefix = tmp_path / "osc"
     code, out, err = run(capsys, "export-model", "--model", "oscillator:n=20",

@@ -4,27 +4,21 @@ import pytest
 from localizer_lab import (
     GradedOperator,
     GradedSpace,
-    bounded_transform,
     choose_params,
     constant_C,
     default_localizer,
     dirac_path,
     dirac_path_stability,
-    direct_sum,
     half_signature_class,
     homotopy_stability,
-    index_class_projection,
     localizer_index,
-    mk_block_example,
     operator_norm,
     oscillator_dirac,
-    parse_model,
     phase_path,
     positive_projection,
     signature,
-    space_sum,
 )
-from localizer_lab.ktheory import check_defect, inertia_ldl
+from localizer_lab.ktheory import check_defect
 from localizer_lab.errors import (
     ClassInconsistencyError,
     InternalConsistencyError,
@@ -68,23 +62,6 @@ def test_signature_accepts_raw_eigenvalues():
     assert s.signature == 1
 
 
-def test_inertia_ldl_matches_eigen_signature():
-    rng = np.random.default_rng(52)
-    for _ in range(5):
-        space = random_space(rng, max_side=14)
-        h = random_even_invertible(rng, space)
-        a = signature(h)
-        b = inertia_ldl(h.matrix)
-        assert (a.n_pos, a.n_neg, a.n_zero) == (b.n_pos, b.n_neg, b.n_zero)
-
-
-def test_inertia_ldl_accepts_graded_operator():
-    for h in (mk_block_example(3, seed=1).H, parse_model("random:n=24,seed=7").H):
-        counts = [(s.n_pos, s.n_neg, s.n_zero)
-                  for s in (inertia_ldl(h), inertia_ldl(h.matrix), signature(h))]
-        assert counts[0] == counts[1] == counts[2]
-
-
 def test_positive_projection_is_spectral():
     h = diag_even([2.0, -1.0, 0.5, -3.0])
     q = positive_projection(h)
@@ -118,26 +95,6 @@ def test_half_signature_class_needs_invertible_input():
         half_signature_class(diag_even([0.0, 1.0]), diag_even([1.0, 1.0]))
 
 
-def test_index_class_projection_idempotent():
-    rng = np.random.default_rng(53)
-    space = GradedSpace(4, 4)
-    f = bounded_transform(random_odd(rng, space))
-    q = index_class_projection(f)
-    assert operator_norm(q.matrix @ q.matrix - q.matrix) < 1e-9
-    assert np.allclose(q.matrix, q.matrix.conj().T)
-
-
-def test_index_class_projection_of_zero_is_gamma_plus():
-    space = GradedSpace(3, 2)
-    f = GradedOperator(np.zeros((5, 5), dtype=complex), space, parity="odd",
-                       hermitian=True)
-    q = index_class_projection(f)
-    expected = np.diag([1.0, 1.0, 1.0, 0.0, 0.0]) + np.diag([0.0, 0.0, 0.0, 1.0, 1.0]) * 0
-    # gamma(1 - 0) + 0 + gamma_minus = diag(1,1,1,-1,-1) + diag(0,0,0,1,1)
-    expected = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
-    assert np.allclose(q.matrix, expected)
-
-
 # ---------------------------------------------------------------------------
 # the localizer index
 # ---------------------------------------------------------------------------
@@ -152,6 +109,26 @@ def test_localizer_index_oscillator():
     payload = report.to_json_dict()
     assert payload["class"] == 1
     assert payload["admissible"] is True
+
+
+def space_sum(a: GradedSpace, b: GradedSpace) -> GradedSpace:
+    return GradedSpace(a.n_plus + b.n_plus, a.n_minus + b.n_minus)
+
+
+def direct_sum(a: GradedOperator, b: GradedOperator) -> GradedOperator:
+    """Graded direct sum: sectors concatenate, so gamma stays diag(+..+,-..-)."""
+    sa, sb = a.space, b.space
+    space = space_sum(sa, sb)
+    m = np.zeros((space.n, space.n), dtype=complex)
+    rows_a = list(range(sa.n_plus)) + \
+        list(range(space.n_plus, space.n_plus + sa.n_minus))
+    rows_b = list(range(sa.n_plus, space.n_plus)) + \
+        list(range(space.n_plus + sa.n_minus, space.n))
+    m[np.ix_(rows_a, rows_a)] = a.matrix
+    m[np.ix_(rows_b, rows_b)] = b.matrix
+    parity = a.parity if a.parity == b.parity else "none"
+    return GradedOperator(m, space, parity=parity,
+                          hermitian=a.hermitian and b.hermitian)
 
 
 def test_localizer_index_additive_under_direct_sum():

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from localizer_lab import RunConfig, default_localizer, validate_localizing
+from localizer_lab.cli import main
 from localizer_lab.localizing import (
     SQRT_2PI,
+    _bump_cdf_table,
     _bump_derivative_l1,
+    _bump_raw,
     _simpson_weights,
     _transform,
-    export_samples_csv,
 )
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
@@ -105,14 +107,6 @@ def test_scaled_evaluator():
     assert f(np.array([4.1])) == 0.0
 
 
-def test_odd_complement_completes_fourth_power():
-    phi = default_localizer()
-    g = phi.odd_complement()
-    xs = np.linspace(-1.5, 1.5, 301)
-    assert np.allclose(g(xs)**2 + phi(xs)**4, 1.0, atol=1e-12)
-    assert np.allclose(g(-xs), -g(xs))
-
-
 def test_fourier_weight_quadrature_stability():
     phi = default_localizer()
     fine = default_localizer(x_step=5e-4, p_step=5e-3)
@@ -140,7 +134,7 @@ def test_cosine_transform_matches_full_grid_quadrature(x_step):
 def test_export_samples_roundtrip(tmp_path):
     phi = default_localizer()
     out = tmp_path / "phi.csv"
-    export_samples_csv(phi, out)
+    assert main(["export-phi", "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "x,phi(x)"
     xs, vals = [], []
@@ -155,6 +149,14 @@ def test_export_samples_roundtrip(tmp_path):
 
 def test_cli_phi_shares_the_default_cache_entry():
     assert default_localizer() is RunConfig().phi()
+
+
+def test_bump_cdf_table_matches_scipy_trapezoid():
+    integrate = pytest.importorskip("scipy.integrate")
+    t, cdf, total = _bump_cdf_table()
+    ref = integrate.cumulative_trapezoid(_bump_raw(t), t, initial=0.0)
+    assert total == ref[-1]
+    assert np.array_equal(cdf, ref / ref[-1])
 
 
 def test_bump_derivative_norms_pinned():

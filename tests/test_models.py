@@ -109,11 +109,6 @@ def test_parse_model_round_trips():
     assert "dh_norm" in desc.extras
 
 
-def test_parse_model_key_property():
-    desc = parse_model("qwz:L=8,m=3.0")
-    assert desc.key == "qwz:L=8,m=3.0"
-
-
 def test_parse_model_rejects_malformed():
     with pytest.raises(ValueError):
         parse_model("nosuchmodel:n=4")
