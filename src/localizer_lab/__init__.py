@@ -15,7 +15,6 @@ from .errors import (
     PreconditionError,
     ResolutionError,
     SpectralCutError,
-    TruncationTooSmallError,
 )
 from .grading import (
     GradedOperator,

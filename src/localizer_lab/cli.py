@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import RunConfig, build_config, load_config_file
@@ -21,7 +22,6 @@ from .errors import (
     PreconditionError,
     ResolutionError,
     SpectralCutError,
-    TruncationTooSmallError,
 )
 from .grading import gap, lipschitz_derivative, operator_norm
 from .ktheory import localizer_index, positive_projection, signature
@@ -50,7 +50,6 @@ _USAGE_ERRORS = (
     PreconditionError,
     ResolutionError,
     SpectralCutError,
-    TruncationTooSmallError,
 )
 
 CHERN_GRID = 48
@@ -63,8 +62,9 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} is empty")
-    if min(values) <= 0:
-        raise ConfigError(f"{flag} values must be strictly positive, got {text!r}")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ConfigError(f"{flag} values must be finite and strictly positive, "
+                          f"got {text!r}")
     return values
 
 

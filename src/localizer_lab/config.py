@@ -11,6 +11,7 @@ exactly one of {kappa and rho, auto}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -131,8 +132,10 @@ def build_config(file_values: dict | None = None,
             try:
                 value = float(value)
             except (TypeError, ValueError):
-                raise ConfigError(f"config field {name!r} must be a number, "
-                                  f"got {value!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(f"config field {name!r} must be a finite "
+                                  f"number, got {values[name]!r}")
         elif name == "auto":
             if not isinstance(value, bool):
                 raise ConfigError(f"localizer.auto must be true or false, "

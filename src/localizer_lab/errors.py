@@ -17,15 +17,6 @@ class NotInvertibleError(LocalizerLabError):
     """Spectral gap requested for an operator with eigenvalues at or near zero."""
 
 
-class TruncationTooSmallError(LocalizerLabError):
-    """The requested spectral radius exceeds what the truncation resolves."""
-
-    def __init__(self, message, rho_required=None, rho_max=None):
-        super().__init__(message)
-        self.rho_required = rho_required
-        self.rho_max = rho_max
-
-
 class AdmissibilityError(LocalizerLabError):
     """Parameters fail the admissibility inequality required for index work."""
 

@@ -4,7 +4,11 @@ A grading splits C^n into a positive and a negative sector, with the grading
 involution gamma = diag(+1, ..., +1, -1, ..., -1).  Operators carry an optional
 parity label: even operators commute with gamma (block diagonal), odd operators
 anticommute (block off-diagonal).  Parity is enforced at the level of exact
-block sparsity, not up to rounding.
+block sparsity, not up to rounding.  Even and odd operators are diagonalized
+through their blocks (one eigh per sector, or one SVD of the odd block), and
+func_calc forms f(T) block by block from that data: the blocks the parity of
+f(T) forbids are never computed, so no result needs snapping to a parity.
+The n x n eigenframe of a graded operator is assembled only when read.
 """
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ from .errors import (
 
 EPS_EIG = 1e-10
 EPS_INV = 1e-10
+# an eigenvalue within EPS_EDGE_REL * ||D|| of a hard cut |x| = rho is refused
+EPS_EDGE_REL = 1e-8
 
 _PARITIES = ("even", "odd", "none")
 
@@ -65,43 +71,14 @@ def _dead_blocks_zero(m: np.ndarray, space: GradedSpace, parity: str) -> bool:
     return True
 
 
-def _snap_parity(m: np.ndarray, space: GradedSpace, expected: str, tol: float):
-    """Zero the forbidden blocks of m if they are negligible.
-
-    Returns (matrix, parity). Falls back to parity "none" when the forbidden
-    blocks carry real weight, so a wrong expectation never silently destroys
-    data.
-    """
-    if expected == "none":
-        return m, "none"
-    k = space.n_plus
-    out = m.copy()
-    if expected == "even":
-        crumbs = max(
-            np.abs(m[:k, k:]).max(initial=0.0), np.abs(m[k:, :k]).max(initial=0.0)
-        )
-        if crumbs > tol:
-            return m, "none"
-        out[:k, k:] = 0.0
-        out[k:, :k] = 0.0
-    else:
-        crumbs = max(
-            np.abs(m[:k, :k]).max(initial=0.0), np.abs(m[k:, k:]).max(initial=0.0)
-        )
-        if crumbs > tol:
-            return m, "none"
-        out[:k, :k] = 0.0
-        out[k:, k:] = 0.0
-    return out, expected
-
-
 @dataclass
 class SpectralDecomposition:
     """Validated eigendecomposition T = U diag(w) U^H of a hermitian operator.
 
     Eigenvalues are sorted.  An even operator is decomposed sector by sector:
-    ``sectors`` holds the (w, U) pair of each diagonal block, ``order`` sorts
-    their concatenated eigenvalues, and the block-diagonal U is only
+    ``sectors`` holds the (w, U) pair of each diagonal block.  An odd one
+    keeps the SVD (V, W, sigma) of its odd block in ``svd``.  Either way
+    ``order`` sorts the unsorted eigenvalues, and the n x n U is only
     assembled when ``vectors`` is read.
     """
 
@@ -110,18 +87,43 @@ class SpectralDecomposition:
     residual: float
     orth_defect: float
     sectors: tuple | None = None
+    svd: tuple | None = None
     order: np.ndarray | None = None
 
     @property
     def vectors(self) -> np.ndarray:
         if self.frame is None:
-            (w_plus, u_plus), (_, u_minus) = self.sectors
-            k = len(w_plus)
             u = np.zeros((len(self.eigenvalues),) * 2, dtype=complex)
-            u[:k, :k] = u_plus
-            u[k:, k:] = u_minus
+            if self.sectors is not None:
+                (w_plus, u_plus), (_, u_minus) = self.sectors
+                k = len(w_plus)
+                u[:k, :k] = u_plus
+                u[k:, k:] = u_minus
+            else:
+                _odd_frame(u, *self.svd)
             self.frame = u[:, self.order]
         return self.frame
+
+
+def _odd_frame(u: np.ndarray, v: np.ndarray, w_left: np.ndarray,
+               sv: np.ndarray) -> None:
+    """Fill u with the unsorted eigenframe of [[0, B^H], [B, 0]], B = W S V^H.
+
+    Columns run over -sigma, the kernel, then +sigma: the pair +-sigma_i has
+    eigenvectors (v_i; +-w_i) / sqrt(2), and the unpaired columns of V or of
+    W span the kernel.
+    """
+    k, r = v.shape[0], len(sv)
+    z = abs(k - w_left.shape[0])
+    s = 1.0 / np.sqrt(2.0)
+    u[:k, :r] = v[:, :r] * s
+    u[k:, :r] = -w_left[:, :r] * s
+    u[:k, r + z:] = v[:, :r] * s
+    u[k:, r + z:] = w_left[:, :r] * s
+    if k > r:
+        u[:k, r:r + z] = v[:, r:]
+    else:
+        u[k:, r:r + z] = w_left[:, r:]
 
 
 def _frame_defects(m: np.ndarray, w: np.ndarray, u: np.ndarray):
@@ -203,15 +205,6 @@ class GradedOperator:
         m[:k, k:] = upper
         return cls(m, space, parity="odd", hermitian=herm)
 
-    @classmethod
-    def snapped(cls, matrix, space: GradedSpace, expected_parity: str,
-                hermitian=False, tol_scale: float = 1e-10):
-        """Construct with forbidden blocks snapped to exact zero if negligible."""
-        m = np.array(matrix, dtype=complex)
-        scale = np.abs(m).max(initial=0.0)
-        m, parity = _snap_parity(m, space, expected_parity, tol_scale * max(1.0, scale))
-        return cls(m, space, parity=parity, hermitian=hermitian)
-
     # -- block access ------------------------------------------------------
 
     def block(self, row: str, col: str) -> np.ndarray:
@@ -227,7 +220,7 @@ class GradedOperator:
 
     # -- spectral data -----------------------------------------------------
 
-    def eig(self, eps_eig: float = EPS_EIG) -> SpectralDecomposition:
+    def eig(self) -> SpectralDecomposition:
         """Eigendecomposition with residual validation, cached after first use.
 
         Even operators take one eigh per sector, odd ones one SVD of the odd
@@ -237,17 +230,17 @@ class GradedOperator:
             raise DomainError("eigendecomposition requires a hermitian operator")
         if self._eig is None:
             if self.parity == "even":
-                self._sector_eig(eps_eig)
+                self._sector_eig()
             elif self.parity == "odd":
-                self._odd_eig(eps_eig)
+                self._odd_eig()
             else:
                 w, u = np.linalg.eigh(self.matrix)
                 residual, orth = _frame_defects(self.matrix, w, u)
-                self._check_frame(residual, orth, eps_eig)
+                self._check_frame(residual, orth)
                 self._eig = SpectralDecomposition(w, u, residual, orth)
         return self._eig
 
-    def _sector_eig(self, eps_eig: float):
+    def _sector_eig(self):
         """Per-sector eigendecomposition of an even operator.
 
         U is block diagonal, so T U - U diag(w) and U^H U - 1 vanish off the
@@ -264,21 +257,19 @@ class GradedOperator:
             residuals.append(residual)
             orths.append(orth)
         residual, orth = float(np.hypot(*residuals)), float(np.hypot(*orths))
-        self._check_frame(residual, orth, eps_eig)
+        self._check_frame(residual, orth)
         w_all = np.concatenate([w for w, _ in sectors])
         order = np.argsort(w_all, kind="stable")
         self._eig = SpectralDecomposition(w_all[order], None, residual, orth,
                                           sectors=tuple(sectors), order=order)
-        return self._eig
 
-    def _odd_eig(self, eps_eig: float):
+    def _odd_eig(self):
         """Eigendecomposition of an odd operator [[0, B^H], [B, 0]] from B = W S V^H.
 
-        Each pair +-sigma_i has eigenvectors (v_i; +-w_i) / sqrt(2); the
-        unpaired columns of V (n_+ > n_-) or of W (n_- > n_+) span the kernel.
-        Phases are pinned: the largest-magnitude entry of every column of V,
-        and of every unpaired column of W, is real and positive, and each
-        paired w_i takes the phase of its v_i.  The defects ||B V - W S|| and
+        The eigenframe (see _odd_frame) is kept as (V, W, sigma).  Phases are
+        pinned: the largest-magnitude entry of every column of V, and of
+        every unpaired column of W, is real and positive, and each paired w_i
+        takes the phase of its v_i.  The defects ||B V - W S|| and
         ||B^H W - V S^T||, and ||V^H V - 1|| and ||W^H W - 1||, combine as a
         root sum of squares to the full-matrix Frobenius defects.
         """
@@ -300,32 +291,20 @@ class GradedOperator:
         orth = float(np.hypot(np.linalg.norm(v.conj().T @ v - np.eye(n_plus)),
                               np.linalg.norm(w_left.conj().T @ w_left
                                              - np.eye(n_minus))))
-        self._check_frame(residual, orth, eps_eig)
-
-        k, z = n_plus, abs(n_plus - n_minus)
-        s = 1.0 / np.sqrt(2.0)
-        u = np.zeros((self.space.n, self.space.n), dtype=complex)
-        u[:k, :r] = v[:, :r] * s
-        u[k:, :r] = -w_left[:, :r] * s
-        u[:k, r + z:] = v[:, :r] * s
-        u[k:, r + z:] = w_left[:, :r] * s
-        if n_plus > r:
-            u[:k, r:r + z] = v[:, r:]
-        else:
-            u[k:, r:r + z] = w_left[:, r:]
-        w_all = np.concatenate([-sv, np.zeros(z), sv])
+        self._check_frame(residual, orth)
+        w_all = np.concatenate([-sv, np.zeros(abs(n_plus - n_minus)), sv])
         order = np.argsort(w_all, kind="stable")
-        self._eig = SpectralDecomposition(w_all[order], u[:, order], residual, orth)
-        return self._eig
+        self._eig = SpectralDecomposition(w_all[order], None, residual, orth,
+                                          svd=(v, w_left, sv), order=order)
 
-    def _check_frame(self, residual: float, orth: float, eps_eig: float) -> None:
+    def _check_frame(self, residual: float, orth: float) -> None:
         scale = np.linalg.norm(self.matrix)
-        if residual > eps_eig * max(scale, 1e-300):
+        if residual > EPS_EIG * max(scale, 1e-300):
             raise InternalConsistencyError(
                 f"eigendecomposition residual {residual:.3e} exceeds "
-                f"{eps_eig:.1e} * ||T|| = {eps_eig * scale:.3e}"
+                f"{EPS_EIG:.1e} * ||T|| = {EPS_EIG * scale:.3e}"
             )
-        if orth > eps_eig * max(1.0, np.sqrt(self.space.n)):
+        if orth > EPS_EIG * max(1.0, np.sqrt(self.space.n)):
             raise InternalConsistencyError(
                 f"eigenvector frame orthonormality defect {orth:.3e} too large"
             )
@@ -394,25 +373,44 @@ def operator_norm(op) -> float:
 
 
 def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,
-                   vals: np.ndarray, expected: str) -> GradedOperator:
-    """U diag(vals) U^H over the eigenframe of op, with parity ``expected``.
+                   vals: np.ndarray, parity: str) -> GradedOperator:
+    """f(T) from the eigendata of op, given f on its sorted spectrum.
 
-    A per-sector decomposition belongs to an even operator, whose function
-    values are even: each diagonal block is rebuilt from its own frame.
+    An even operator rebuilds each diagonal block from its own sector frame.
+    An odd [[0, B^H], [B, 0]] with B = W S V^H has
+    f(T) = [[V e V^H, V o W^H], [W o V^H, W e W^H]], where e and o are the
+    even and odd parts of f on +-sigma, and f(0) extends e over the kernel
+    columns of V or W.  Only the blocks ``parity`` allows are formed, so the
+    forbidden ones are exactly zero.  Parity "none" uses U diag(f) U^H.
     """
-    if dec.sectors is None:
+    if dec.sectors is None and dec.svd is None:
         out = (dec.vectors * vals) @ dec.vectors.conj().T
-        return GradedOperator.snapped(out, op.space, expected, hermitian=True)
-    by_sector = np.empty_like(vals)
-    by_sector[dec.order] = vals
+        return GradedOperator(out, op.space, hermitian=True)
+    unsorted = np.empty_like(vals)
+    unsorted[dec.order] = vals
     k = op.space.n_plus
-    (_, u_plus), (_, u_minus) = dec.sectors
-    top = (u_plus * by_sector[:k]) @ u_plus.conj().T
-    bottom = (u_minus * by_sector[k:]) @ u_minus.conj().T
-    return GradedOperator.even_from_blocks(op.space, top, bottom, hermitian=True)
+    if dec.sectors is not None:
+        (_, u_plus), (_, u_minus) = dec.sectors
+        top = (u_plus * unsorted[:k]) @ u_plus.conj().T
+        bottom = (u_minus * unsorted[k:]) @ u_minus.conj().T
+        return GradedOperator.even_from_blocks(op.space, top, bottom, hermitian=True)
+    v, w_left, sv = dec.svd
+    r, n = len(sv), op.space.n
+    f_minus, f_zero, f_plus = unsorted[:r], unsorted[r:n - r], unsorted[n - r:]
+    m = np.zeros((n, n), dtype=complex)
+    if parity != "odd":
+        # only the larger sector has kernel columns, past its r paired ones
+        ext = np.concatenate([(f_plus + f_minus) / 2.0, f_zero])
+        m[:k, :k] = (v * ext[:k]) @ v.conj().T
+        m[k:, k:] = (w_left * ext[:n - k]) @ w_left.conj().T
+    if parity != "even":
+        lower = (w_left[:, :r] * ((f_plus - f_minus) / 2.0)) @ v[:, :r].conj().T
+        m[k:, :k] = lower
+        m[:k, k:] = lower.conj().T
+    return GradedOperator(m, op.space, parity=parity, hermitian=True)
 
 
-def func_calc(f: Callable, op: GradedOperator, eps_eig: float = EPS_EIG) -> GradedOperator:
+def func_calc(f: Callable, op: GradedOperator) -> GradedOperator:
     """Apply a scalar function to a hermitian operator through its spectrum.
 
     The function must return finite real values on every eigenvalue; a nan,
@@ -421,7 +419,7 @@ def func_calc(f: Callable, op: GradedOperator, eps_eig: float = EPS_EIG) -> Grad
     operator and the symmetry of f on the spectrum (an even function of an odd
     operator is even).
     """
-    dec = op.eig(eps_eig)
+    dec = op.eig()
     w = dec.eigenvalues
     vals = np.asarray(f(w))
     if vals.shape != w.shape:
@@ -438,18 +436,18 @@ def func_calc(f: Callable, op: GradedOperator, eps_eig: float = EPS_EIG) -> Grad
         bad = int(np.argmin(np.isfinite(vals)))
         raise DomainError(f"f({w[bad]!r}) = {vals[bad]!r} is not finite")
 
-    expected = "none"
+    parity = "none"
     if op.parity == "even":
-        expected = "even"
+        parity = "even"
     elif op.parity == "odd":
         scale = max(1.0, np.abs(vals).max(initial=0.0))
         even_f = np.abs(np.asarray(f(-w)) - vals).max(initial=0.0) <= 1e-12 * scale
         odd_f = np.abs(np.asarray(f(-w)) + vals).max(initial=0.0) <= 1e-12 * scale
         if even_f:
-            expected = "even"
+            parity = "even"
         elif odd_f:
-            expected = "odd"
-    return _from_spectrum(op, dec, vals, expected)
+            parity = "odd"
+    return _from_spectrum(op, dec, vals, parity)
 
 
 def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOperator:
@@ -483,13 +481,13 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
     return GradedOperator(m, op.space, parity=parity, hermitian=False)
 
 
-def gap(op: GradedOperator, eps_inv: float = EPS_INV) -> float:
+def gap(op: GradedOperator) -> float:
     """Distance from the spectrum to zero; fails if the operator is not invertible."""
     w = op.eigenvalues()
     scale = np.abs(w).max(initial=0.0)
     g = float(np.abs(w).min())
-    if g <= eps_inv * max(scale, 1e-300):
+    if g <= EPS_INV * max(scale, 1e-300):
         raise NotInvertibleError(
-            f"smallest |eigenvalue| {g:.3e} is within {eps_inv:.1e} * ||T|| of zero"
+            f"smallest |eigenvalue| {g:.3e} is within {EPS_INV:.1e} * ||T|| of zero"
         )
     return g

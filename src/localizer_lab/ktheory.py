@@ -209,7 +209,7 @@ def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
         raise ClassInconsistencyError(
             f"sign(L) - sign(-gamma) = {diff} is odd"
         )
-    if check_support and bundle.style == "smooth":
+    if check_support:
         defect = support_residual(bundle, D)
         if defect > 1e-9:
             raise InternalConsistencyError(
@@ -266,40 +266,43 @@ class HomotopyReport:
 
 
 def homotopy_stability(path: list[GradedOperator], D: GradedOperator,
-                       phi: LocalizingFunction, margin: float = 1.1,
-                       tau_sig: float | None = None,
+                       phi: LocalizingFunction, tau_sig: float | None = None,
                        params: LocalizerParams | None = None) -> HomotopyReport:
-    """Track the localizer class along a path at one common admissible scale.
+    """Track the localizer class along a path of H at one common admissible scale.
 
     Without given params the scale comes from the worst constants along the
-    path: smallest gap, largest derivative norm, largest operator norm.  Each
-    consecutive pair is certified by a no-crossing argument: when the
-    operator-norm step is smaller than both endpoint gaps no eigenvalue can
-    reach zero in between, so the signature cannot jump unseen.  A failure
-    pinpoints the first step where the class moves or the certificate breaks.
+    path (see _path_report), and each consecutive pair is certified by a
+    no-crossing argument: when the operator-norm step is smaller than both
+    endpoint gaps no eigenvalue can reach zero in between, so the signature
+    cannot jump unseen.  A failure pinpoints the first step where the class
+    moves or the certificate breaks.
     """
-    gaps = [gap(h) for h in path]
-    dhs = [operator_norm(lipschitz_derivative(D, h)) for h in path]
-    norms = [operator_norm(h) for h in path]
+    return _path_report([(h_t, D) for h_t in path], phi, tau_sig, params,
+                        "a path step")
+
+
+def _path_report(pairs: list[tuple[GradedOperator, GradedOperator]],
+                 phi: LocalizingFunction, tau_sig: float | None,
+                 params: LocalizerParams | None, where: str) -> HomotopyReport:
+    """Localizers of the (H_t, D_t) path at one common scale, certified
+    pairwise by Weyl no-crossing.
+
+    Per pair it measures gap(H_t), ||[D_t, H_t]||, ||H_t|| and, when the
+    scale is not given, the range of |eig(D_t)|; select_scale turns the
+    worst of each into the common scale.
+    """
+    gaps = [gap(h_t) for h_t, _ in pairs]
+    dhs = [operator_norm(lipschitz_derivative(d_t, h_t)) for h_t, d_t in pairs]
+    norms = [operator_norm(h_t) for h_t, _ in pairs]
     if params is None:
-        d_abs = np.abs(D.eigenvalues())
-        params = select_scale(min(gaps), max(dhs), max(norms), float(d_abs.min()),
-                              float(d_abs.max(initial=0.0)), phi, margin=margin)
-    steps = [make_params(params.kappa, params.rho, g_t, dh_t, phi.c_phi, n_t)
-             for g_t, dh_t, n_t in zip(gaps, dhs, norms)]
-    return _certified_report(params, steps, [(h_t, D) for h_t in path], phi,
-                             tau_sig, "a path step")
-
-
-def _certified_report(params: LocalizerParams, step_params: list[LocalizerParams],
-                      pairs: list[tuple[GradedOperator, GradedOperator]],
-                      phi: LocalizingFunction, tau_sig: float | None,
-                      where: str) -> HomotopyReport:
-    """Localizers of the (H_t, D_t) path at their step parameters, certified
-    pairwise by Weyl no-crossing."""
+        d_abs = [np.abs(d_t.eigenvalues()) for _, d_t in pairs]
+        params = select_scale(min(gaps), max(dhs), max(norms),
+                              min(float(a.min()) for a in d_abs),
+                              max(float(a.max(initial=0.0)) for a in d_abs), phi)
     reports = []
     bundles = []
-    for pt, (h_t, d_t) in zip(step_params, pairs):
+    for (h_t, d_t), g_t, dh_t, n_t in zip(pairs, gaps, dhs, norms):
+        pt = make_params(params.kappa, params.rho, g_t, dh_t, phi.c_phi, n_t)
         if not pt.admissible:
             raise AdmissibilityError(
                 f"common scale is not admissible at {where}: "
@@ -342,26 +345,12 @@ def dirac_path(D: GradedOperator, T: GradedOperator, steps: int) -> list[GradedO
 
 
 def dirac_path_stability(H: GradedOperator, path: list[GradedOperator],
-                         phi: LocalizingFunction, margin: float = 1.1,
-                         tau_sig: float | None = None,
+                         phi: LocalizingFunction, tau_sig: float | None = None,
                          params: LocalizerParams | None = None) -> HomotopyReport:
     """Track the localizer class while the Dirac operator moves along a path.
 
-    The dual of homotopy_stability: H is fixed, D varies.  One common
-    admissible scale is built from the worst derivative norm and the range of
-    |eig(D_t)| along the path, and each consecutive localizer pair is
-    certified by the same no-crossing argument.
+    The dual of homotopy_stability: H is fixed, D varies, and the common
+    scale and the no-crossing certificate come from the same _path_report.
     """
-    g = gap(H)
-    h_norm = operator_norm(H)
-    dhs = [operator_norm(lipschitz_derivative(d_t, H)) for d_t in path]
-    if params is None:
-        d_abs = [np.abs(d_t.eigenvalues()) for d_t in path]
-        params = select_scale(g, max(dhs), h_norm,
-                              min(float(a.min()) for a in d_abs),
-                              max(float(a.max(initial=0.0)) for a in d_abs),
-                              phi, margin=margin)
-    steps = [make_params(params.kappa, params.rho, g, dh_t, phi.c_phi, h_norm)
-             for dh_t in dhs]
-    return _certified_report(params, steps, [(H, d_t) for d_t in path], phi,
-                             tau_sig, "a Dirac-path step")
+    return _path_report([(H, d_t) for d_t in path], phi, tau_sig, params,
+                        "a Dirac-path step")

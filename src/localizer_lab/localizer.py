@@ -6,6 +6,9 @@ the localizer at scale (kappa, rho) is
     L = Phi_rho gamma H Phi_rho + kappa Phi_2rho D Phi_2rho
         - (1 - Phi_2rho^4)^(1/2) gamma,          Phi_s = phi(D / s).
 
+The hard-cut localizer is the same formula with the indicator of |x| < rho
+as both windows, and one routine assembles both.
+
 The error constant C = (kappa + c_phi ||H|| / rho) ||[D, H]|| controls both
 the square expansion and the invertibility certificate; parameters are called
 admissible when C < min(gap(H)^2, kappa^2 rho^2 / 4), which certifies
@@ -15,6 +18,7 @@ admissible when C < min(gap(H)^2, kappa^2 rho^2 / 4), which certifies
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,9 +26,9 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
     SpectralCutError,
-    TruncationTooSmallError,
 )
 from .grading import (
+    EPS_EDGE_REL,
     EPS_INV,
     GradedOperator,
     GradedSpace,
@@ -112,8 +116,8 @@ def constant_C(kappa: float, rho: float, H: GradedOperator, D: GradedOperator,
 
 
 def select_scale(gap_min: float, dh_max: float, h_max: float, d_abs_min: float,
-                 d_abs_max: float, phi: LocalizingFunction, margin: float = 1.1,
-                 rho_max: float | None = None) -> LocalizerParams:
+                 d_abs_max: float, phi: LocalizingFunction,
+                 margin: float = 1.1) -> LocalizerParams:
     """Admissible (kappa, rho) from worst-case constants.
 
     The constants are the smallest gap of H, the largest ||[D, H]||, the
@@ -124,38 +128,22 @@ def select_scale(gap_min: float, dh_max: float, h_max: float, d_abs_min: float,
     Otherwise kappa = gap^2 / (2 ||[D,H]||) and rho is margin times the
     smallest value satisfying both admissibility constraints.  Every
     denominator gap_t^2 - kappa dH_t is then at least gap^2 / 2, and every
-    step's own requirement is at most the worst-case one.  A rho_max cap,
-    when given, turns an out-of-range requirement into
-    TruncationTooSmallError carrying the minimal usable rho.
+    step's own requirement is at most the worst-case one.
     """
     if margin <= 1.0:
         raise ValueError("margin must exceed 1")
     if dh_max <= 1e-14 * max(1.0, h_max) * max(1.0, d_abs_max):
         kappa = 1.0
         rho = max(1.0, d_abs_max) / 2.0
-        if rho_max is not None:
-            rho = min(rho, rho_max)
         # ensure the window sees some spectrum: phi(min|eig D| / rho) > 0
         if d_abs_min >= phi.support_radius * rho:
             rho = d_abs_min / phi.plateau_radius
-        if rho_max is not None and rho > rho_max:
-            raise TruncationTooSmallError(
-                f"spectrum of D starts at {d_abs_min:.4g}, beyond the resolvable "
-                f"window rho_max = {rho_max:.4g}",
-                rho_required=rho, rho_max=rho_max,
-            )
         dh_max = 0.0  # [D, H] vanishes to rounding: certify with C = 0
     else:
         kappa = gap_min**2 / (2.0 * dh_max)
         denom = gap_min**2 - kappa * dh_max
         rho_floor = max(2.0 * gap_min / kappa, phi.c_phi * h_max * dh_max / denom)
         rho = margin * rho_floor
-        if rho_max is not None and rho > rho_max:
-            raise TruncationTooSmallError(
-                f"admissibility needs rho >= {rho_floor:.4g} (with margin: {rho:.4g}) "
-                f"but the truncation only resolves rho_max = {rho_max:.4g}",
-                rho_required=rho_floor, rho_max=rho_max,
-            )
     params = make_params(kappa, rho, gap_min, dh_max, phi.c_phi, h_max)
     if not params.admissible:
         raise InternalConsistencyError(
@@ -166,34 +154,33 @@ def select_scale(gap_min: float, dh_max: float, h_max: float, d_abs_min: float,
 
 
 def choose_params(H: GradedOperator, D: GradedOperator, phi: LocalizingFunction,
-                  margin: float = 1.1, rho_max: float | None = None) -> LocalizerParams:
+                  margin: float = 1.1) -> LocalizerParams:
     """Automatic admissible parameter selection for one pair (see select_scale)."""
     gap_h = gap(H)
     dh = operator_norm(lipschitz_derivative(D, H))
     h_norm = operator_norm(H)
     d_abs = np.abs(D.eigenvalues())
     return select_scale(gap_h, dh, h_norm, float(d_abs.min()),
-                        float(d_abs.max(initial=0.0)), phi, margin=margin,
-                        rho_max=rho_max)
+                        float(d_abs.max(initial=0.0)), phi, margin=margin)
 
 
 @dataclass
 class LocalizerBundle:
-    """Assembled localizer with its truncations and spectral summary.
+    """Assembled localizer with its windows and spectral summary.
 
-    For scales where both truncations are the identity the Phi factors are not
+    ``outer`` is the scalar window x -> Phi_2rho(x).  For scales where both
+    windows are the identity on the spectrum of D the Phi factors are not
     materialized and phi_identity is set.
     """
 
     L: GradedOperator
     params: LocalizerParams
-    phi: LocalizingFunction | None
+    outer: Callable
     Phi_rho: GradedOperator | None
     Phi_2rho: GradedOperator | None
     eigenvalues: np.ndarray
     min_abs_eigenvalue: float
     phi_identity: bool = False
-    style: str = "smooth"
 
     @property
     def space(self) -> GradedSpace:
@@ -203,49 +190,45 @@ class LocalizerBundle:
 def assemble_localizer(H: GradedOperator, D: GradedOperator,
                        phi: LocalizingFunction,
                        params: LocalizerParams) -> LocalizerBundle:
-    """Build L and its spectrum; admissible parameters must yield invertibility.
+    """Build L and its spectrum; admissible parameters must yield invertibility."""
+    return _assemble(H, D, params, params.kappa, phi.scaled(params.rho),
+                     phi.scaled(2.0 * params.rho))
 
-    When every eigenvalue of D sits inside the inner plateau of both windows
-    the truncations are the identity and L = gamma H + kappa D is formed
-    directly, skipping all dense function calculus.
+
+def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
+              kappa: float, inner: Callable, outer: Callable) -> LocalizerBundle:
+    """L = Phi_in gamma H Phi_in + kappa Phi_out D Phi_out - (1 - Phi_out^4)^(1/2) gamma.
+
+    Phi_in = inner(D) and Phi_out = outer(D).  When both windows are 1 on
+    every eigenvalue of D, L = gamma H + kappa D is formed directly,
+    skipping all function calculus.
     """
-    space = H.space
-    gdiag = space.gamma_diag
-    kappa, rho = params.kappa, params.rho
-
+    gdiag = H.space.gamma_diag
+    gH = gdiag[:, None] * H.matrix
     d_eigs = D.eigenvalues()
-    vals_rho = np.asarray(phi.evaluator(d_eigs / rho), dtype=float)
-    vals_2rho = np.asarray(phi.evaluator(d_eigs / (2.0 * rho)), dtype=float)
-
-    if np.all(vals_rho == 1.0) and np.all(vals_2rho == 1.0):
-        lm = (gdiag[:, None] * H.matrix) + kappa * D.matrix
-        L = GradedOperator(lm, space, parity="none", hermitian=True)
-        phi_identity = True
+    phi_identity = bool(np.all(np.asarray(inner(d_eigs), dtype=float) == 1.0)
+                        and np.all(np.asarray(outer(d_eigs), dtype=float) == 1.0))
+    if phi_identity:
+        lm = gH + kappa * D.matrix
         Phi_rho = Phi_2rho = None
     else:
         # All three window operators are functions of D on one eigenbasis.
         # The tail factor in particular must not pass through a matrix
-        # square root: sqrt is not Lipschitz at 0, and the plateau of
-        # phi(./2rho) puts eigenvalues of 1 - Phi^4 exactly there, so
+        # square root: sqrt is not Lipschitz at 0, and the plateau of the
+        # outer window puts eigenvalues of 1 - Phi^4 exactly there, so
         # rebuilding the matrix first would turn 1e-16 roundoff into 1e-8
         # error.  It is applied pointwise to the spectrum instead.
-        outer = phi.scaled(2.0 * rho)
-
         def tail(x):
             return np.sqrt(np.clip(1.0 - np.asarray(outer(x), dtype=float) ** 4,
                                    0.0, None))
 
-        Phi_rho = func_calc(phi.scaled(rho), D)
+        Phi_rho = func_calc(inner, D)
         Phi_2rho = func_calc(outer, D)
         pr = Phi_rho.matrix
         p2 = Phi_2rho.matrix
-        gH = gdiag[:, None] * H.matrix
-        term_h = pr @ gH @ pr
-        term_d = kappa * (p2 @ D.matrix @ p2)
-        term_tail = func_calc(tail, D).matrix * gdiag[None, :]
-        L = GradedOperator(term_h + term_d - term_tail, space,
-                           parity="none", hermitian=True)
-        phi_identity = False
+        lm = (pr @ gH @ pr + kappa * (p2 @ D.matrix @ p2)
+              - func_calc(tail, D).matrix * gdiag[None, :])
+    L = GradedOperator(lm, H.space, parity="none", hermitian=True)
 
     eigs = L.eigenvalues()
     min_abs = float(np.abs(eigs).min())
@@ -256,7 +239,7 @@ def assemble_localizer(H: GradedOperator, D: GradedOperator,
             f"(min |eig| = {min_abs:.3e}); the certificate is violated"
         )
     return LocalizerBundle(
-        L=L, params=params, phi=phi, Phi_rho=Phi_rho, Phi_2rho=Phi_2rho,
+        L=L, params=params, outer=outer, Phi_rho=Phi_rho, Phi_2rho=Phi_2rho,
         eigenvalues=eigs, min_abs_eigenvalue=min_abs, phi_identity=phi_identity,
     )
 
@@ -346,7 +329,7 @@ def support_residual(bundle: LocalizerBundle, D: GradedOperator) -> float:
     if bundle.phi_identity:
         # R is the identity: the complement is zero.
         return 0.0
-    outer = bundle.phi.scaled(2.0 * bundle.params.rho)
+    outer = bundle.outer
     comp = func_calc(lambda x: (np.asarray(outer(x)) <= 0.0).astype(float), D).matrix
     lg = bundle.L.matrix + np.diag(bundle.space.gamma_diag).astype(complex)
     return float(operator_norm(lg @ comp))
@@ -359,19 +342,17 @@ def support_residual(bundle: LocalizerBundle, D: GradedOperator) -> float:
 
 def sharp_localizer(H: GradedOperator, D: GradedOperator, rho: float,
                     kappa: float, phi: LocalizingFunction,
-                    params: LocalizerParams | None = None,
-                    eps_edge_rel: float = 1e-8) -> LocalizerBundle:
+                    params: LocalizerParams | None = None) -> LocalizerBundle:
     """Hard-cut localizer gamma(PHP - (1 - P)) + kappa P D P, P = 1_(-rho,rho)(D).
 
-    Refuses when an eigenvalue of D sits within eps_edge of the cut, and when
-    the window hypotheses P Phi_rho = Phi_rho, P Phi_2rho = P fail on the
-    spectrum of D.
+    This is the smooth assembly with the indicator cut(x) = 1{|x| < rho} as
+    both windows: P is even, so gamma commutes with it, and
+    sqrt(1 - cut^4) = 1 - cut.  Refuses when an eigenvalue of D sits within
+    EPS_EDGE_REL * ||D|| of the cut, and when the window hypotheses
+    P Phi_rho = Phi_rho, P Phi_2rho = P fail on the spectrum of D.
     """
-    space = H.space
-    dec = D.eig()
-    w = dec.eigenvalues
-    d_norm = float(np.abs(w).max(initial=0.0))
-    eps_edge = eps_edge_rel * max(d_norm, 1e-300)
+    w = D.eigenvalues()
+    eps_edge = EPS_EDGE_REL * max(float(np.abs(w).max(initial=0.0)), 1e-300)
     dist = np.abs(np.abs(w) - rho)
     if np.any(dist <= eps_edge):
         bad = w[int(np.argmin(dist))]
@@ -396,21 +377,10 @@ def sharp_localizer(H: GradedOperator, D: GradedOperator, rho: float,
             "on an eigenvalue inside the cut"
         )
 
-    pop = func_calc(lambda x: (np.abs(x) < rho).astype(float), D)
-    pm = pop.matrix
-    gdiag = space.gamma_diag
-    php = pm @ H.matrix @ pm
-    pdp = func_calc(lambda x: np.where(np.abs(x) < rho, x, 0.0), D).matrix
-    eye = np.eye(space.n, dtype=complex)
-    core = php - (eye - pm)
-    lm = (gdiag[:, None] * core) + kappa * pdp
-    L = GradedOperator(lm, space, parity="none", hermitian=True)
-
     if params is None:
         params = constant_C(kappa, rho, H, D, phi)
-    eigs = np.linalg.eigvalsh(L.matrix)
-    return LocalizerBundle(
-        L=L, params=params, phi=phi, Phi_rho=pop, Phi_2rho=pop,
-        eigenvalues=eigs, min_abs_eigenvalue=float(np.abs(eigs).min()),
-        phi_identity=False, style="sharp",
-    )
+
+    def cut(x):
+        return (np.abs(x) < rho).astype(float)
+
+    return _assemble(H, D, params, kappa, cut, cut)

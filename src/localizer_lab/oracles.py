@@ -12,9 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassInconsistencyError, GaplessError, PreconditionError, SpectralCutError
-from .grading import GradedOperator
+from .grading import EPS_EDGE_REL, GradedOperator
 
 TAU_RANK_REL = 1e-7
+# largest distance from {0, 1} an eigenvalue of a projection may have
+TAU_PROJ = 1e-8
+# smallest band gap on the grid, relative to ||h||, that defines a Chern number
+GAP_TOL = 1e-6
 
 
 @dataclass
@@ -80,8 +84,7 @@ def graded_kernel_index(D: GradedOperator, tau_rank: float | None = None) -> Ind
 
 
 def compressed_index(Q: GradedOperator, D: GradedOperator,
-                     tau_rank: float | None = None,
-                     tau_proj: float = 1e-8) -> IndexResult:
+                     tau_rank: float | None = None) -> IndexResult:
     """Index of the Dirac block compressed by an even projection Q.
 
     The block acts between the ranges of Q in the two sectors; kernel and
@@ -103,7 +106,7 @@ def compressed_index(Q: GradedOperator, D: GradedOperator,
         near_one = np.abs(w - 1.0) <= 0.5
         # eigenvalues must cluster at 0 and 1 for a genuine projection
         bad = np.minimum(np.abs(w), np.abs(w - 1.0)).max(initial=0.0)
-        if bad > tau_proj:
+        if bad > TAU_PROJ:
             raise PreconditionError(
                 f"Q is not a projection: eigenvalue {bad:.3e} away from {{0,1}}"
             )
@@ -124,8 +127,7 @@ def compressed_index(Q: GradedOperator, D: GradedOperator,
 # ----------------------------------------------------------------------------
 
 
-def chern_number_bz(bloch, n_occupied: int, grid: int = 48,
-                    gap_tol: float = 1e-6) -> IndexResult:
+def chern_number_bz(bloch, n_occupied: int, grid: int = 48) -> IndexResult:
     """Chern number of the occupied bands of a Bloch family on a 2-torus.
 
     Plaquette construction: overlaps of occupied frames around each grid
@@ -148,10 +150,10 @@ def chern_number_bz(bloch, n_occupied: int, grid: int = 48,
             fermi_dist = min(abs(w[n_occupied]), abs(w[n_occupied - 1]))
             min_gap = min(min_gap, gap_here, 2.0 * fermi_dist)
             frames[a, b] = v[:, :n_occupied]
-    if min_gap <= gap_tol * max(scale, 1e-300):
+    if min_gap <= GAP_TOL * max(scale, 1e-300):
         raise GaplessError(
             f"band gap {min_gap:.3e} on the {grid}x{grid} grid is below "
-            f"{gap_tol:.1e} * ||h||; Chern number undefined"
+            f"{GAP_TOL:.1e} * ||h||; Chern number undefined"
         )
 
     def link(f, g):
@@ -197,8 +199,7 @@ def chern_number_bz(bloch, n_occupied: int, grid: int = 48,
 
 
 def window_signature_index(H: GradedOperator, D: GradedOperator, rho: float,
-                           kappa: float, tau_sig: float | None = None,
-                           eps_edge_rel: float = 1e-8) -> int:
+                           kappa: float, tau_sig: float | None = None) -> int:
     """Half-signature index from the compression to the window |D| < rho.
 
     Evaluates (1/2) sign(P (kappa D + gamma H) P) + (1/2) sign(gamma P) with
@@ -207,7 +208,7 @@ def window_signature_index(H: GradedOperator, D: GradedOperator, rho: float,
     """
     dec = D.eig()
     w = dec.eigenvalues
-    eps_edge = eps_edge_rel * max(float(np.abs(w).max(initial=0.0)), 1e-300)
+    eps_edge = EPS_EDGE_REL * max(float(np.abs(w).max(initial=0.0)), 1e-300)
     dist = np.abs(np.abs(w) - rho)
     if np.any(dist <= eps_edge):
         raise SpectralCutError(

@@ -87,6 +87,35 @@ def test_bad_arguments_exit_two(capsys, argv):
     assert "error:" in err
 
 
+def test_nan_margin_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "compute", "--model", "random:n=20", "--auto",
+                         "--margin", "nan")
+    assert code == 2
+    assert "finite" in err
+
+
+def test_nan_in_sweep_grid_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "--model", "oscillator:n=20",
+                         "--kappa", "1,nan", "--rho", "2")
+    assert code == 2
+    assert "finite" in err
+
+
+def test_infinite_rho_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "compute", "--model", "oscillator:n=20",
+                         "--kappa", "1", "--rho", "inf")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_nan_kappa_names_the_reason(capsys):
+    code, out, err = run(capsys, "compute", "--model", "oscillator:n=20",
+                         "--kappa", "nan", "--rho", "2")
+    assert code == 2
+    assert "--kappa values must be finite" in err
+
+
 def test_linalg_failure_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("eigensolver did not converge")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from localizer_lab import (
     GradedOperator,
     GradedSpace,
+    default_localizer,
     func_calc,
     gap,
     lipschitz_derivative,
@@ -49,16 +50,17 @@ def test_space_rejects_negative_dimensions():
 
 
 def test_parity_of_products():
-    # products of the matrices are plain arrays; snapped with the expected
-    # parity accepts them, which is the structural claim
+    # products of the matrices are plain arrays; the parity-checked
+    # constructor accepts them with the product parity, which is the
+    # structural claim: the forbidden blocks come out exactly zero
     rng = np.random.default_rng(3)
     space = GradedSpace(3, 2)
     e = random_even(space, rng).matrix
     o = random_odd(space, rng).matrix
-    assert GradedOperator.snapped(e @ e, space, "even").parity == "even"
-    assert GradedOperator.snapped(o @ o, space, "even").parity == "even"
-    assert GradedOperator.snapped(e @ o, space, "odd").parity == "odd"
-    assert GradedOperator.snapped(o @ e, space, "odd").parity == "odd"
+    assert GradedOperator(e @ e, space, parity="even").parity == "even"
+    assert GradedOperator(o @ o, space, parity="even").parity == "even"
+    assert GradedOperator(e @ o, space, parity="odd").parity == "odd"
+    assert GradedOperator(o @ e, space, parity="odd").parity == "odd"
 
 
 def test_even_operator_commutes_with_gamma_odd_anticommutes():
@@ -80,18 +82,6 @@ def test_parity_enforced_on_construction():
         GradedOperator(m, space, parity="odd")
     # parity "none" accepts anything square of the right size
     GradedOperator(m, space, parity="none", hermitian=True)
-
-
-def test_snapped_cleans_roundoff():
-    rng = np.random.default_rng(5)
-    space = GradedSpace(3, 3)
-    e = random_even(space, rng)
-    noisy = e.matrix + 1e-13 * rng.normal(size=e.matrix.shape)
-    snapped = GradedOperator.snapped(noisy, space, "even", hermitian=True)
-    assert snapped.parity == "even"
-    assert np.allclose(snapped.matrix, snapped.matrix.conj().T, atol=0)
-    off = snapped.block("+", "-")
-    assert np.all(off == 0)
 
 
 def test_odd_from_block_adjoint_structure():
@@ -221,7 +211,7 @@ def test_odd_squared_is_even_and_psd(n_plus, n_minus, seed):
     rng = np.random.default_rng(seed)
     space = GradedSpace(n_plus, n_minus)
     d = random_odd(space, rng).matrix
-    sq = GradedOperator.snapped(d @ d, space, "even", hermitian=True)
+    sq = GradedOperator(d @ d, space, parity="even", hermitian=True)
     assert sq.parity == "even"
     assert np.all(np.linalg.eigvalsh(sq.matrix) >= -1e-10)
 
@@ -303,6 +293,40 @@ def test_odd_spectrum_from_one_block_svd(n_plus, n_minus):
     assert np.allclose(w, np.linalg.eigvalsh(d.matrix), atol=1e-12)
     assert operator_norm(d) == pytest.approx(np.linalg.norm(d.matrix, 2), abs=1e-12)
     assert_odd_frame(d)
+
+
+ODD_FUNCTIONS = {
+    "even_window": (default_localizer().scaled(1.5), "even"),
+    "odd_cut": (lambda x: np.where(np.abs(x) < 3.5, x, 0.0), "odd"),
+    "exp": (np.exp, "none"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_FUNCTIONS))
+@pytest.mark.parametrize("build", [
+    *(lambda shape=shape: random_odd(GradedSpace(*shape),
+                                     np.random.default_rng(400 + 10 * shape[0] + shape[1]))
+      for shape in [(4, 4), (5, 3), (3, 5), (1, 4), (6, 0), (0, 6)]),
+    lambda: oscillator_dirac(40).D,
+], ids=["4x4", "5x3", "3x5", "1x4", "6x0", "0x6", "ladder40"])
+def test_odd_func_calc_from_block_svd_matches_dense_frame(build, name):
+    f, parity = ODD_FUNCTIONS[name]
+    d = build()
+    out = func_calc(f, d)
+    # the block route never assembles the n x n eigenframe
+    assert d.eig().frame is None
+    if 0 in (d.space.n_plus, d.space.n_minus):
+        parity = "even"  # D = 0: every f is even on its spectrum
+    assert out.parity == parity
+    if parity == "even":
+        assert not np.any(out.block("+", "-")) and not np.any(out.block("-", "+"))
+    if parity == "odd":
+        assert not np.any(out.block("+", "+")) and not np.any(out.block("-", "-"))
+    dec = d.eig()
+    vals = f(dec.eigenvalues)
+    dense = (dec.vectors * vals) @ dec.vectors.conj().T
+    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+    assert np.abs(out.matrix - dense).max(initial=0.0) <= 1e-13 * scale
 
 
 def rank_deficient_odd():

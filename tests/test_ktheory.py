@@ -224,14 +224,9 @@ def test_commuting_dirac_path_window_meets_spectrum():
 
 def test_margin_at_most_one_rejected_by_every_scale_choice():
     osc = oscillator_dirac(10)
-    path = dirac_path(osc.D, osc.D, 3)
     for margin in (1.0, 0.5):
         with pytest.raises(ValueError, match="margin"):
             choose_params(osc.H, osc.D, PHI, margin=margin)
-        with pytest.raises(ValueError, match="margin"):
-            homotopy_stability(phase_path(osc.H, 3), osc.D, PHI, margin=margin)
-        with pytest.raises(ValueError, match="margin"):
-            dirac_path_stability(osc.H, path, PHI, margin=margin)
 
 
 def test_dirac_path_rejects_even_perturbation():

@@ -19,7 +19,7 @@ from localizer_lab.localizer import (
     square_identity_residual,
     support_residual,
 )
-from localizer_lab.errors import SpectralCutError, TruncationTooSmallError
+from localizer_lab.errors import SpectralCutError
 from localizer_lab.verification import random_even_invertible, random_odd, random_space
 
 PHI = default_localizer()
@@ -105,14 +105,6 @@ def test_choose_params_commuting_branch():
     assert p.rho == pytest.approx(max(1.0, operator_norm(osc.D)) / 2.0)
 
 
-def test_choose_params_respects_truncation_guard():
-    H, D = dense_instance(31)
-    p = choose_params(H, D, PHI)
-    with pytest.raises(TruncationTooSmallError) as exc:
-        choose_params(H, D, PHI, rho_max=p.rho / 2.0)
-    assert "rho" in str(exc.value)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -189,10 +181,36 @@ def test_sharp_matches_smooth_signature_on_oscillator():
     p = choose_params(osc.H, osc.D, PHI)
     smooth = assemble_localizer(osc.H, osc.D, PHI, p)
     sharp = sharp_localizer(osc.H, osc.D, p.rho, p.kappa, PHI, params=p)
-    assert sharp.style == "sharp"
+    assert not sharp.phi_identity
     s1 = signature(smooth.eigenvalues).signature
     s2 = signature(sharp.eigenvalues).signature
     assert s1 == s2
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.0])
+@pytest.mark.parametrize("rho", [2.5, 3.5, 5.5])
+def test_sharp_cut_through_the_one_assembly_matches_hard_cut_formula(rho, kappa):
+    # windows are active: the ladder spectrum sqrt(k), k < 40, straddles rho
+    osc = oscillator_dirac(40)
+    H, D = osc.H, osc.D
+    p = constant_C(kappa, rho, H, D, PHI)
+    sharp = sharp_localizer(H, D, rho, kappa, PHI, params=p)
+    assert not sharp.phi_identity
+
+    dec = D.eig()
+    u = dec.vectors
+    P = (u * (np.abs(dec.eigenvalues) < rho)) @ u.conj().T
+    g = H.space.gamma_diag[:, None]
+    eye = np.eye(H.space.n)
+    expected = g * (P @ H.matrix @ P - (eye - P)) + kappa * (P @ D.matrix @ P)
+    L = sharp.L.matrix
+    assert np.abs(L - expected).max() <= 1e-12 * np.linalg.norm(L, 2)
+    assert support_residual(sharp, D) <= 1e-12
+
+    smooth = assemble_localizer(H, D, PHI, p)
+    assert not smooth.phi_identity
+    assert signature(sharp.eigenvalues).signature == \
+        signature(smooth.eigenvalues).signature
 
 
 def test_sharp_refuses_cut_through_spectrum():
