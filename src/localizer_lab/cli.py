@@ -79,16 +79,12 @@ def _single(values: list[float] | None) -> float | None:
 
 def _resolve_config(args, kappa: float | None = None,
                     rho: float | None = None) -> RunConfig:
+    # each subcommand defines only the flags it reads; a missing one is unset
+    flags = vars(args)
     file_values = load_config_file(args.config) if args.config else None
-    overrides = {
-        "model": args.model,
-        "kappa": kappa,
-        "rho": rho,
-        "auto": True if args.auto else None,
-        "margin": args.margin,
-        "seed": args.seed,
-        "out": args.out,
-    }
+    overrides = {name: flags.get(name) for name in ("model", "margin", "seed", "out")}
+    overrides.update(kappa=kappa, rho=rho,
+                     auto=True if flags.get("auto") else None)
     return build_config(file_values, overrides)
 
 
@@ -112,19 +108,18 @@ def _emit(text: str, out_path: str | None) -> None:
 # ----------------------------------------------------------------------------
 
 
-def _model_oracles(desc: ModelDescriptor, report, config: RunConfig) -> dict:
+def _model_oracles(desc: ModelDescriptor, report) -> dict:
     """Independent index values for the triangle, keyed by oracle name."""
     oracles: dict[str, dict] = {}
     if desc.name == "oscillator":
-        gk = graded_kernel_index(desc.D, tau_rank=config.tau_rank)
+        gk = graded_kernel_index(desc.D)
         oracles["graded_kernel"] = {
             "value": gk.value, "reliable": gk.reliable,
             "rank_tolerance": gk.rank_tolerance,
         }
         try:
             win = window_signature_index(desc.H, desc.D, rho=report.rho,
-                                         kappa=report.kappa,
-                                         tau_sig=config.tau_sig)
+                                         kappa=report.kappa)
             oracles["window_formula"] = {"value": win, "reliable": True}
         except (SpectralCutError, PreconditionError) as exc:
             oracles["window_formula"] = {"value": None, "reliable": False,
@@ -136,8 +131,7 @@ def _model_oracles(desc: ModelDescriptor, report, config: RunConfig) -> dict:
             "value": ch.value, "reliable": ch.reliable,
             "integer_deviation": ch.diagnostics["integer_deviation"],
         }
-        q = positive_projection(desc.H, tau_sig=config.tau_sig)
-        ci = compressed_index(q, desc.D, tau_rank=config.tau_rank)
+        ci = compressed_index(positive_projection(desc.H), desc.D)
         oracles["compressed"] = {
             "value": ci.value, "reliable": ci.reliable,
             "rank_tolerance": ci.rank_tolerance,
@@ -157,10 +151,9 @@ def cmd_compute(args) -> int:
         params = choose_params(desc.H, desc.D, phi, margin=config.margin)
     else:
         params = constant_C(kappa, rho, desc.H, desc.D, phi)
-    report = localizer_index(desc.H, desc.D, phi, params=params,
-                             tau_sig=config.tau_sig)
+    report = localizer_index(desc.H, desc.D, phi, params=params)
 
-    oracles = _model_oracles(desc, report, config)
+    oracles = _model_oracles(desc, report)
     values = {"localizer": report.value}
     for name, entry in oracles.items():
         if entry["value"] is not None:
@@ -217,7 +210,7 @@ def cmd_sweep(args) -> int:
         params = constant_C(kappa, rho, desc.H, desc.D, phi, gap_h=gap_h,
                             dh_norm=dh_norm, h_norm=h_norm)
         bundle = assemble_localizer(desc.H, desc.D, phi, params)
-        inert = signature(bundle.eigenvalues, config.tau_sig)
+        inert = signature(bundle.eigenvalues)
         slack = bundle.min_abs_eigenvalue**2 - params.certified_lower_bound()
         return params, bundle.min_abs_eigenvalue, inert.signature, slack
 
@@ -311,43 +304,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates, sweeps, and property suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--model", help="model address, e.g. qwz:L=12,m=1.0")
-        p.add_argument("--auto", action="store_true", default=None,
-                       help="choose admissible (kappa, rho) automatically")
-        p.add_argument("--kappa", type=str, default=None,
-                       help="kappa value (compute) or comma grid (sweep)")
-        p.add_argument("--rho", type=str, default=None,
-                       help="rho value (compute) or comma grid (sweep)")
-        p.add_argument("--margin", type=float, default=None,
-                       help="headroom factor for automatic rho")
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed for seeded suites and reports")
-        p.add_argument("--out", default=None, help="output file path")
+    flags = {
+        "--config": {"help": "flat JSON config file"},
+        "--model": {"help": "model address, e.g. qwz:L=12,m=1.0"},
+        "--auto": {"action": "store_true", "default": None,
+                   "help": "choose admissible (kappa, rho) automatically"},
+        "--kappa": {"help": "kappa value (compute) or comma grid (sweep)"},
+        "--rho": {"help": "rho value (compute) or comma grid (sweep)"},
+        "--margin": {"type": float, "help": "headroom factor for automatic rho"},
+        "--seed": {"type": int, "help": "base seed for seeded suites and reports"},
+        "--out": {"help": "output file path"},
+    }
 
-    p_compute = sub.add_parser("compute", help="index triangle for one model")
-    add_common(p_compute)
-    p_compute.set_defaults(func=cmd_compute)
+    def add(name, func, help, *names):
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p_sweep = sub.add_parser("sweep", help="(kappa, rho) grid sweep as CSV")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("suite", choices=["bounds", "identities",
-                                            "homotopy", "all"])
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_phi = sub.add_parser("export-phi", help="sampled localizing function CSV")
-    add_common(p_phi)
-    p_phi.set_defaults(func=cmd_export_phi)
-
-    p_model = sub.add_parser("export-model",
-                             help="model matrices as interchange CSV + metadata")
-    add_common(p_model)
-    p_model.set_defaults(func=cmd_export_model)
+    add("compute", cmd_compute, "index triangle for one model",
+        "--config", "--model", "--auto", "--kappa", "--rho", "--margin",
+        "--seed", "--out")
+    add("sweep", cmd_sweep, "(kappa, rho) grid sweep as CSV",
+        "--config", "--model", "--kappa", "--rho", "--out")
+    add("verify", cmd_verify, "run a property suite",
+        "--config", "--seed", "--out").add_argument(
+            "suite", choices=["bounds", "identities", "homotopy", "all"])
+    add("export-phi", cmd_export_phi, "sampled localizing function CSV",
+        "--config", "--out")
+    add("export-model", cmd_export_model,
+        "model matrices as interchange CSV + metadata",
+        "--config", "--model", "--out")
     return parser
 
 
@@ -355,10 +343,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.kappa is not None:
-            args.kappa = _float_list(args.kappa, "--kappa")
-        if args.rho is not None:
-            args.rho = _float_list(args.rho, "--rho")
+        for name in ("kappa", "rho"):
+            if getattr(args, name, None) is not None:
+                setattr(args, name, _float_list(getattr(args, name), f"--{name}"))
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

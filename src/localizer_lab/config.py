@@ -4,9 +4,9 @@ A config file is a single flat JSON object, e.g.
 
     {"model": "qwz:L=12,m=1.0", "localizer.auto": true, "seed": 7}
 
-Command-line flags override file keys.  Unknown keys are rejected, all
-tolerances must be strictly positive, and a localizer scale must be given as
-exactly one of {kappa and rho, auto}.
+Command-line flags override file keys.  Unknown keys are rejected, and a
+localizer scale must be given as exactly one of {kappa and rho, auto}.
+Tolerances and quadrature steps are module constants, not keys.
 """
 from __future__ import annotations
 
@@ -15,15 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .ktheory import TAU_SIG
-from .localizing import (
-    DEFAULT_P_MAX,
-    DEFAULT_P_STEP,
-    DEFAULT_X_STEP,
-    LocalizingFunction,
-    default_localizer,
-)
-from .oracles import TAU_RANK_REL
+from .localizing import LocalizingFunction, default_localizer
 
 
 @dataclass(frozen=True)
@@ -36,11 +28,6 @@ class RunConfig:
     auto: bool = False
     margin: float = 1.1
     smoothing_width: float = 0.25
-    x_step: float = DEFAULT_X_STEP
-    p_step: float = DEFAULT_P_STEP
-    p_max: float = DEFAULT_P_MAX
-    tau_sig: float = TAU_SIG
-    tau_rank: float = TAU_RANK_REL
     seed: int = 0
     out: str | None = None
 
@@ -59,8 +46,7 @@ class RunConfig:
         return ("manual", self.kappa, self.rho)
 
     def phi(self) -> LocalizingFunction:
-        return default_localizer(self.smoothing_width, x_step=self.x_step,
-                                 p_step=self.p_step, p_max=self.p_max)
+        return default_localizer(self.smoothing_width)
 
 
 # dotted config key -> RunConfig field
@@ -71,19 +57,11 @@ KEYS = {
     "localizer.auto": "auto",
     "localizer.margin": "margin",
     "phi.smoothing_width": "smoothing_width",
-    "quad.x_step": "x_step",
-    "quad.p_step": "p_step",
-    "quad.p_max": "p_max",
-    "tol.tau_sig": "tau_sig",
-    "tol.tau_rank": "tau_rank",
     "seed": "seed",
     "out": "out",
 }
 
-_FLOAT_FIELDS = {"kappa", "rho", "margin", "smoothing_width", "x_step",
-                 "p_step", "p_max", "tau_sig", "tau_rank"}
-_POSITIVE_FIELDS = {"smoothing_width", "x_step", "p_step", "p_max",
-                    "tau_sig", "tau_rank"}
+_FLOAT_FIELDS = {"kappa", "rho", "margin", "smoothing_width"}
 
 
 def load_config_file(path) -> dict:
@@ -141,8 +119,9 @@ def build_config(file_values: dict | None = None,
                 raise ConfigError(f"localizer.auto must be true or false, "
                                   f"got {value!r}")
         elif name == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"seed must be an integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"seed must be a non-negative integer, "
+                                  f"got {value!r}")
         elif name in ("model", "out"):
             if not isinstance(value, str):
                 raise ConfigError(f"config field {name!r} must be a string, "
@@ -150,9 +129,6 @@ def build_config(file_values: dict | None = None,
         coerced[name] = value
 
     config = RunConfig(**coerced)
-    for name in _POSITIVE_FIELDS:
-        if getattr(config, name) <= 0:
-            raise ConfigError(f"config field {name!r} must be strictly positive")
     if config.kappa is not None and config.kappa <= 0:
         raise ConfigError("localizer.kappa must be strictly positive")
     if config.rho is not None and config.rho <= 0:

@@ -28,6 +28,8 @@ EPS_EIG = 1e-10
 EPS_INV = 1e-10
 # an eigenvalue within EPS_EDGE_REL * ||D|| of a hard cut |x| = rho is refused
 EPS_EDGE_REL = 1e-8
+# half-width of the zero band of a signature, relative to ||T||
+TAU_SIG = 1e-8
 
 _PARITIES = ("even", "odd", "none")
 

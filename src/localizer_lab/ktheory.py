@@ -19,6 +19,7 @@ from .errors import (
     ParityError,
 )
 from .grading import (
+    TAU_SIG,
     GradedOperator,
     func_calc,
     gap,
@@ -35,8 +36,6 @@ from .localizer import (
     support_residual,
 )
 from .localizing import LocalizingFunction
-
-TAU_SIG = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,10 @@ def _values_of(op) -> np.ndarray:
     return arr.astype(float)
 
 
-def signature(op, tau_sig: float | None = None) -> Inertia:
-    """Spectral inertia with a zero band of half-width tau_sig (default 1e-8 ||T||)."""
+def signature(op) -> Inertia:
+    """Spectral inertia with a zero band of half-width TAU_SIG * ||T||."""
     w = _values_of(op)
-    scale = float(np.abs(w).max(initial=0.0))
-    tau = TAU_SIG * scale if tau_sig is None else tau_sig
+    tau = TAU_SIG * float(np.abs(w).max(initial=0.0))
     n_pos = int((w > tau).sum())
     n_neg = int((w < -tau).sum())
     return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=len(w) - n_pos - n_neg, tau=tau)
@@ -81,10 +79,10 @@ def signature(op, tau_sig: float | None = None) -> Inertia:
 # ----------------------------------------------------------------------------
 
 
-def half_signature_class(h_ref, h_var, tau_sig: float | None = None) -> int:
+def half_signature_class(h_ref, h_var) -> int:
     """One half of sign(h_var) - sign(h_ref); both must be invertible."""
-    s_ref = signature(h_ref, tau_sig)
-    s_var = signature(h_var, tau_sig)
+    s_ref = signature(h_ref)
+    s_var = signature(h_var)
     if not s_ref.invertible:
         raise NotInvertibleError(
             f"reference operator has {s_ref.n_zero} eigenvalues inside the "
@@ -104,9 +102,9 @@ def half_signature_class(h_ref, h_var, tau_sig: float | None = None) -> int:
     return diff // 2
 
 
-def positive_projection(H: GradedOperator, tau_sig: float | None = None) -> GradedOperator:
+def positive_projection(H: GradedOperator) -> GradedOperator:
     """Spectral projection onto the positive part of an invertible hermitian H."""
-    s = signature(H, tau_sig)
+    s = signature(H)
     if not s.invertible:
         raise NotInvertibleError(
             f"{s.n_zero} eigenvalues inside the zero band; positive projection "
@@ -174,8 +172,7 @@ class LocalizerIndexReport:
 
 
 def localizer_index(H: GradedOperator, D: GradedOperator, phi: LocalizingFunction,
-                    params: LocalizerParams | None = None,
-                    tau_sig: float | None = None) -> LocalizerIndexReport:
+                    params: LocalizerParams | None = None) -> LocalizerIndexReport:
     """Class of the pair (-gamma, L), refused unless the parameters are admissible."""
     if params is None:
         params = choose_params(H, D, phi)
@@ -184,11 +181,10 @@ def localizer_index(H: GradedOperator, D: GradedOperator, phi: LocalizingFunctio
             "parameters are not admissible: " + (params.violated_inequality() or "")
         )
     bundle = assemble_localizer(H, D, phi, params)
-    return index_from_bundle(bundle, D, tau_sig=tau_sig)
+    return index_from_bundle(bundle, D)
 
 
 def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
-                      tau_sig: float | None = None,
                       check_support: bool = True) -> LocalizerIndexReport:
     """Index extraction for an already assembled (smooth or sharp) localizer."""
     params = bundle.params
@@ -197,7 +193,7 @@ def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
             "parameters are not admissible: " + (params.violated_inequality() or "")
         )
     space = bundle.space
-    s_l = signature(bundle.eigenvalues, tau_sig)
+    s_l = signature(bundle.eigenvalues)
     if not s_l.invertible:
         raise NotInvertibleError(
             f"localizer has {s_l.n_zero} eigenvalues in the zero band despite "
@@ -266,7 +262,7 @@ class HomotopyReport:
 
 
 def homotopy_stability(path: list[GradedOperator], D: GradedOperator,
-                       phi: LocalizingFunction, tau_sig: float | None = None,
+                       phi: LocalizingFunction,
                        params: LocalizerParams | None = None) -> HomotopyReport:
     """Track the localizer class along a path of H at one common admissible scale.
 
@@ -277,13 +273,12 @@ def homotopy_stability(path: list[GradedOperator], D: GradedOperator,
     cannot jump unseen.  A failure pinpoints the first step where the class
     moves or the certificate breaks.
     """
-    return _path_report([(h_t, D) for h_t in path], phi, tau_sig, params,
-                        "a path step")
+    return _path_report([(h_t, D) for h_t in path], phi, params, "a path step")
 
 
 def _path_report(pairs: list[tuple[GradedOperator, GradedOperator]],
-                 phi: LocalizingFunction, tau_sig: float | None,
-                 params: LocalizerParams | None, where: str) -> HomotopyReport:
+                 phi: LocalizingFunction, params: LocalizerParams | None,
+                 where: str) -> HomotopyReport:
     """Localizers of the (H_t, D_t) path at one common scale, certified
     pairwise by Weyl no-crossing.
 
@@ -309,8 +304,7 @@ def _path_report(pairs: list[tuple[GradedOperator, GradedOperator]],
                 + (pt.violated_inequality() or "")
             )
         bundle = assemble_localizer(h_t, d_t, phi, pt)
-        reports.append(index_from_bundle(bundle, d_t, tau_sig=tau_sig,
-                                         check_support=False))
+        reports.append(index_from_bundle(bundle, d_t, check_support=False))
         bundles.append(bundle)
     steps = []
     values = [r.value for r in reports]
@@ -345,12 +339,12 @@ def dirac_path(D: GradedOperator, T: GradedOperator, steps: int) -> list[GradedO
 
 
 def dirac_path_stability(H: GradedOperator, path: list[GradedOperator],
-                         phi: LocalizingFunction, tau_sig: float | None = None,
+                         phi: LocalizingFunction,
                          params: LocalizerParams | None = None) -> HomotopyReport:
     """Track the localizer class while the Dirac operator moves along a path.
 
     The dual of homotopy_stability: H is fixed, D varies, and the common
     scale and the no-crossing certificate come from the same _path_report.
     """
-    return _path_report([(H, d_t) for d_t in path], phi, tau_sig, params,
+    return _path_report([(H, d_t) for d_t in path], phi, params,
                         "a Dirac-path step")

@@ -20,6 +20,8 @@ from numpy.polynomial import Polynomial
 
 from .errors import ResolutionError
 
+# Simpson steps in x and p and the p window of the Fourier weight; the
+# halved-step check in fourier_weight guards them
 DEFAULT_X_STEP = 1e-3
 DEFAULT_P_STEP = 1e-2
 DEFAULT_P_MAX = 200.0
@@ -175,24 +177,25 @@ def _weight_once(evaluator, support_radius, p_max, x_step, p_step):
     return 2.0 * _simpson_uniform(np.abs(p * ph), h)
 
 
-def fourier_weight(evaluator, support_radius=1.0, p_max=DEFAULT_P_MAX,
-                   x_step=DEFAULT_X_STEP, p_step=DEFAULT_P_STEP, *,
-                   deriv3_l1: float, deriv4_l1: float) -> FourierWeightResult:
-    """||p * phihat(p)||_1 over [-p_max, p_max] with a certified tail bound.
+def fourier_weight(evaluator, support_radius=1.0, *, deriv3_l1: float,
+                   deriv4_l1: float) -> FourierWeightResult:
+    """||p * phihat(p)||_1 over [-P, P], P = DEFAULT_P_MAX, with a certified
+    tail bound.
 
     The tail bound comes from |phihat(p)| <= ||phi^(k)||_1 / (sqrt(2 pi) |p|^k)
     for k in {3, 4}, with the derivative L1 norms supplied by the caller.  If
     halving both quadrature steps moves the result by more than 1 percent the
     quadrature is declared unresolved.
     """
+    p_max, x_step, p_step = DEFAULT_P_MAX, DEFAULT_X_STEP, DEFAULT_P_STEP
     weight = _weight_once(evaluator, support_radius, p_max, x_step, p_step)
     refined = _weight_once(evaluator, support_radius, p_max, x_step / 2.0, p_step / 2.0)
     rel = abs(refined - weight) / max(abs(weight), 1e-300)
     if rel > 0.01:
         raise ResolutionError(
             f"fourier weight moved by {rel:.2%} when quadrature steps were "
-            f"halved ({weight:.6g} -> {refined:.6g}); refine x_step/p_step "
-            f"or smooth the cutoff"
+            f"halved ({weight:.6g} -> {refined:.6g}); the cutoff is too steep "
+            f"for the fixed quadrature, widen phi.smoothing_width"
         )
     tail = min(2.0 / SQRT_2PI * deriv3_l1 / p_max,
                2.0 / SQRT_2PI * deriv4_l1 / (2.0 * p_max**2))
@@ -219,9 +222,7 @@ def _default_evaluator(w: float):
     return ev
 
 
-def default_localizer(w: float = 0.25, x_step: float = DEFAULT_X_STEP,
-                      p_step: float = DEFAULT_P_STEP,
-                      p_max: float = DEFAULT_P_MAX) -> LocalizingFunction:
+def default_localizer(w: float = 0.25) -> LocalizingFunction:
     """Mollified plateau cutoff with transition half-width w.
 
     The function equals 1 on [-(3/4 - w), 3/4 - w] and vanishes outside
@@ -232,23 +233,21 @@ def default_localizer(w: float = 0.25, x_step: float = DEFAULT_X_STEP,
     """
     # lru_cache keys on how arguments are passed: a positional and a keyword
     # call for the same phi would each build it.
-    return _default_localizer(w, x_step, p_step, p_max)
+    return _default_localizer(w)
 
 
 @lru_cache(maxsize=32)
-def _default_localizer(w: float, x_step: float, p_step: float,
-                       p_max: float) -> LocalizingFunction:
+def _default_localizer(w: float) -> LocalizingFunction:
     if not (0.0 < w <= 0.25):
         raise ValueError(f"smoothing width must lie in (0, 1/4], got {w}")
     ev = _default_evaluator(w)
     res = fourier_weight(
         ev,
         support_radius=PLATEAU_EDGE + w,
-        p_max=p_max, x_step=x_step, p_step=p_step,
         deriv3_l1=2.0 / w**2 * _bump_derivative_l1(2),
         deriv4_l1=2.0 / w**3 * _bump_derivative_l1(3),
     )
-    grid = np.arange(-1.0, 1.0 + x_step, x_step)
+    grid = np.arange(-1.0, 1.0 + DEFAULT_X_STEP, DEFAULT_X_STEP)
     return LocalizingFunction(
         evaluator=ev,
         sample_grid=grid,
@@ -260,7 +259,8 @@ def _default_localizer(w: float, x_step: float, p_step: float,
         plateau_radius=PLATEAU_EDGE - w,
         smoothing_width=w,
         quad={
-            "x_step": x_step, "p_step": p_step, "p_max": p_max,
+            "x_step": DEFAULT_X_STEP, "p_step": DEFAULT_P_STEP,
+            "p_max": DEFAULT_P_MAX,
             "refinement_change": res.refinement_change,
         },
     )

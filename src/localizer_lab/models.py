@@ -358,10 +358,13 @@ def parse_model(spec_str: str) -> ModelDescriptor:
             return default
         text = args.pop(key)
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
-            raise ModelArgumentError(
-                f"model argument {key}={text!r} is not a {kind.__name__}") from None
+            value = None
+        if value is None or (kind is float and not np.isfinite(value)):
+            what = "a finite float" if kind is float else "an int"
+            raise ModelArgumentError(f"model argument {key}={text!r} is not {what}")
+        return value
 
     def geti(key, default=None):
         return get(key, int, default)
@@ -369,16 +372,22 @@ def parse_model(spec_str: str) -> ModelDescriptor:
     def getf(key, default=None):
         return get(key, float, default)
 
+    def get_seed():
+        seed = geti("seed", 0)
+        if seed < 0:
+            raise ModelArgumentError(f"model seed must be non-negative, got {seed}")
+        return seed
+
     if name == "oscillator":
         desc = oscillator_dirac(geti("n"))
     elif name == "qwz":
         desc = qwz_chern_model(geti("L"), getf("m"))
     elif name == "mk":
-        desc = mk_block_example(geti("k"), geti("seed", 0), blocks=geti("blocks", 3))
+        desc = mk_block_example(geti("k"), get_seed(), blocks=geti("blocks", 3))
     elif name == "random":
         base = oscillator_dirac(geti("n", 40))
         strength = getf("strength", 0.02)
-        seed = geti("seed", 0)
+        seed = get_seed()
         width = getf("width", base.rho_max / 8.0 if np.isfinite(base.rho_max) else 1.0)
         res = random_lipschitz(base.D, strength, seed, block_width=width)
         desc = ModelDescriptor(

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassInconsistencyError, GaplessError, PreconditionError, SpectralCutError
-from .grading import EPS_EDGE_REL, GradedOperator
+from .grading import EPS_EDGE_REL, TAU_SIG, GradedOperator
 
+# singular values at most TAU_RANK_REL * sigma_max count as kernel
 TAU_RANK_REL = 1e-7
 # largest distance from {0, 1} an eigenvalue of a projection may have
 TAU_PROJ = 1e-8
@@ -35,19 +36,16 @@ class IndexResult:
         return self.diagnostics.get("cut_ratio", 0.0) < 1e-3
 
 
-def _kernel_counts(block: np.ndarray, tau_rank: float | None):
-    """Rank data of a rectangular block: (rank, tau, diagnostics).
-
-    tau_rank is relative: the absolute cut is tau_rank * sigma_max, with
-    TAU_RANK_REL as the default multiplier.
-    """
+def _kernel_counts(block: np.ndarray):
+    """Rank data of a rectangular block: (rank, tau, diagnostics), with the
+    cut tau = TAU_RANK_REL * sigma_max."""
     rows, cols = block.shape
     if min(rows, cols) == 0:
         sv = np.zeros(0)
     else:
         sv = np.linalg.svd(block, compute_uv=False)
     smax = float(sv.max(initial=0.0))
-    tau = (TAU_RANK_REL if tau_rank is None else tau_rank) * smax
+    tau = TAU_RANK_REL * smax
     retained = sv[sv > tau]
     discarded = sv[sv <= tau]
     rank = int(len(retained))
@@ -67,7 +65,7 @@ def _kernel_counts(block: np.ndarray, tau_rank: float | None):
     return rank, tau, diags
 
 
-def graded_kernel_index(D: GradedOperator, tau_rank: float | None = None) -> IndexResult:
+def graded_kernel_index(D: GradedOperator) -> IndexResult:
     """dim ker over the positive sector minus dim ker over the negative sector.
 
     Works on the lower-left block of the odd operator: kernel on the positive
@@ -76,15 +74,14 @@ def graded_kernel_index(D: GradedOperator, tau_rank: float | None = None) -> Ind
     if D.parity != "odd":
         raise PreconditionError("graded kernel index needs an odd operator")
     block = D.odd_block
-    rank, tau, diags = _kernel_counts(block, tau_rank)
+    rank, tau, diags = _kernel_counts(block)
     n_minus, n_plus = block.shape
     value = (n_plus - rank) - (n_minus - rank)
     return IndexResult(value=value, method="graded_kernel", rank_tolerance=tau,
                        diagnostics=diags)
 
 
-def compressed_index(Q: GradedOperator, D: GradedOperator,
-                     tau_rank: float | None = None) -> IndexResult:
+def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
     """Index of the Dirac block compressed by an even projection Q.
 
     The block acts between the ranges of Q in the two sectors; kernel and
@@ -113,7 +110,7 @@ def compressed_index(Q: GradedOperator, D: GradedOperator,
         frames.append(v[:, near_one])
     v_plus, v_minus = frames
     block = v_minus.conj().T @ D.odd_block @ v_plus
-    rank, tau, diags = _kernel_counts(block, tau_rank)
+    rank, tau, diags = _kernel_counts(block)
     r_minus, r_plus = block.shape
     value = (r_plus - rank) - (r_minus - rank)
     diags["rank_Q_plus"] = r_plus
@@ -199,7 +196,7 @@ def chern_number_bz(bloch, n_occupied: int, grid: int = 48) -> IndexResult:
 
 
 def window_signature_index(H: GradedOperator, D: GradedOperator, rho: float,
-                           kappa: float, tau_sig: float | None = None) -> int:
+                           kappa: float) -> int:
     """Half-signature index from the compression to the window |D| < rho.
 
     Evaluates (1/2) sign(P (kappa D + gamma H) P) + (1/2) sign(gamma P) with
@@ -223,8 +220,7 @@ def window_signature_index(H: GradedOperator, D: GradedOperator, rho: float,
         v.conj().T @ (gdiag[:, None] * H.matrix) @ v
     core = (core + core.conj().T) / 2.0
     w_core = np.linalg.eigvalsh(core)
-    scale = float(np.abs(w_core).max(initial=0.0))
-    tau = (1e-8 * scale) if tau_sig is None else tau_sig
+    tau = TAU_SIG * float(np.abs(w_core).max(initial=0.0))
     sig_core = int((w_core > tau).sum() - (w_core < -tau).sum())
 
     g_win = v.conj().T @ (gdiag[:, None] * v)

@@ -80,11 +80,32 @@ def test_compute_bad_model_arguments_exit_two(capsys, model):
     ("compute", "--model", "oscillator:n=20", "--auto", "--margin", "0.5"),
     ("sweep", "--model", "oscillator:n=20", "--kappa", "0,1", "--rho", "2"),
     ("sweep", "--model", "oscillator:n=20", "--kappa", "x", "--rho", "2"),
+    ("compute", "--model", "qwz:L=8,m=nan", "--auto"),
+    ("compute", "--model", "random:n=20,strength=nan", "--auto"),
+    ("compute", "--model", "random:n=20,width=nan", "--auto"),
+    ("compute", "--model", "mk:k=2,blocks=2,seed=-1", "--auto"),
+    ("verify", "homotopy", "--seed", "-1"),
 ])
 def test_bad_arguments_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--model", "oscillator:n=20", "--auto", "--x-step", "1e-3"),
+    ("sweep", "--model", "oscillator:n=20", "--kappa", "1", "--rho", "2",
+     "--auto"),
+    ("verify", "bounds", "--model", "qwz:L=8,m=0"),
+    ("export-phi", "--seed", "4"),
+    ("export-model", "--model", "oscillator:n=20", "--out", "x",
+     "--margin", "2"),
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_nan_margin_is_a_usage_error(capsys):
@@ -216,7 +237,7 @@ def test_readme_examples_parse():
     assert len(addresses) >= 4
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
-        if args.model:
+        if getattr(args, "model", None):
             addresses.append(args.model)
     for address in addresses:
         parse_model(address)

@@ -86,12 +86,18 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         build_config({"seed": "seven"})
     with pytest.raises(ConfigError):
+        build_config({"seed": -1})
+    with pytest.raises(ConfigError):
         build_config({"localizer.auto": "yes"})
     with pytest.raises(ConfigError):
         build_config({"localizer.kappa": "much"})
 
 
-@pytest.mark.parametrize("key,value", [("format", "json"), ("tol.eps_eig", 1e-10)])
+@pytest.mark.parametrize("key,value", [
+    ("format", "json"), ("tol.eps_eig", 1e-10), ("quad.x_step", 1e-3),
+    ("quad.p_step", 1e-2), ("quad.p_max", 200.0), ("tol.tau_sig", 1e-8),
+    ("tol.tau_rank", 1e-7),
+])
 def test_removed_keys_fail_as_unknown(key, value):
     with pytest.raises(ConfigError, match="unknown config key"):
         build_config({key: value})

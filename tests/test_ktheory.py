@@ -52,9 +52,11 @@ def test_signature_zero_band_is_relative():
     s = signature(diag_even([1.0, 1e-12]))
     assert s.n_zero == 1
     assert not s.invertible
-    # widening the band by hand moves the small value out of it
-    s2 = signature(diag_even([1.0, 1e-12]), tau_sig=1e-14)
-    assert s2.n_zero == 0
+    # the band scales with ||T||: next to 1e6, a value of 1e-3 lies inside it
+    s2 = signature(diag_even([1e6, 1e-3]))
+    assert s2.tau == pytest.approx(1e-2)
+    assert s2.n_zero == 1
+    assert not s2.invertible
 
 
 def test_signature_accepts_raw_eigenvalues():

@@ -8,12 +8,14 @@ import pytest
 from localizer_lab import RunConfig, default_localizer, validate_localizing
 from localizer_lab.cli import main
 from localizer_lab.localizing import (
+    DEFAULT_P_MAX,
     SQRT_2PI,
     _bump_cdf_table,
     _bump_derivative_l1,
     _bump_raw,
     _simpson_weights,
     _transform,
+    _weight_once,
 )
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
@@ -109,8 +111,9 @@ def test_scaled_evaluator():
 
 def test_fourier_weight_quadrature_stability():
     phi = default_localizer()
-    fine = default_localizer(x_step=5e-4, p_step=5e-3)
-    change = abs(fine.fourier_weight - phi.fourier_weight) / phi.fourier_weight
+    fine = _weight_once(phi.evaluator, phi.support_radius, DEFAULT_P_MAX,
+                        5e-4, 5e-3)
+    change = abs(fine - phi.fourier_weight) / phi.fourier_weight
     assert change < 5e-3
 
 
