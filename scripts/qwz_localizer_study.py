@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from localizer_lab import (
+    LocalizerParams,
     assemble_localizer,
     chern_number_bz,
     choose_params,
     compressed_index,
-    constant_C,
     default_localizer,
     gap,
     lipschitz_derivative,
@@ -36,6 +36,7 @@ def study_mass(L: int, m: float, kappas, phi) -> None:
     H, D = desc.H, desc.D
     gap_h = gap(H)
     dh = operator_norm(lipschitz_derivative(D, H))
+    h_norm = operator_norm(H)
     d_norm = operator_norm(D)
     chern = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied, grid=48)
     Q = positive_projection(H)
@@ -62,8 +63,7 @@ def study_mass(L: int, m: float, kappas, phi) -> None:
     print(f"kappa scan at rho={rho_full:.2f} (windows identically 1):")
     print(f"{'kappa':>10} {'admissible':>10} {'min|eig|':>10} {'sig':>5}")
     for kappa in kappas:
-        params = constant_C(kappa, rho_full, H, D, phi,
-                            gap_h=gap_h, dh_norm=dh)
+        params = LocalizerParams(kappa, rho_full, gap_h, dh, phi.c_phi, h_norm)
         bundle = assemble_localizer(H, D, phi, params)
         sig = signature(bundle.eigenvalues).signature
         print(f"{kappa:10.4f} {str(params.admissible):>10} "

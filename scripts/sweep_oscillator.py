@@ -9,8 +9,9 @@ import argparse
 import sys
 
 from localizer_lab import (
+    LocalizerParams,
     assemble_localizer,
-    constant_C,
+    certificate_residual,
     default_localizer,
     gap,
     lipschitz_derivative,
@@ -44,11 +45,10 @@ def main() -> int:
     admissible_sigs = []
     for kappa in kappas:
         for rho in rhos:
-            params = constant_C(kappa, rho, H, D, phi,
-                                gap_h=gap_h, dh_norm=dh, h_norm=h_norm)
+            params = LocalizerParams(kappa, rho, gap_h, dh, phi.c_phi, h_norm)
             bundle = assemble_localizer(H, D, phi, params)
             sig = signature(bundle.eigenvalues).signature
-            slack = bundle.min_abs_eigenvalue**2 - params.certified_lower_bound()
+            slack = certificate_residual(bundle)
             print(f"{kappa:8.3g} {rho:8.3g} {str(params.admissible):>10} "
                   f"{params.C_kr:12.4g} {bundle.min_abs_eigenvalue:12.4g} "
                   f"{sig:9d} {slack:12.4g}")

@@ -39,7 +39,6 @@ from .localizer import (
     choose_params,
     constant_C,
     lower_bound_residual,
-    make_params,
     select_scale,
     sharp_localizer,
     square_identity_residual,

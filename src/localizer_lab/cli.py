@@ -25,7 +25,13 @@ from .errors import (
 )
 from .grading import gap, lipschitz_derivative, operator_norm
 from .ktheory import localizer_index, positive_projection, signature
-from .localizer import assemble_localizer, choose_params, constant_C
+from .localizer import (
+    LocalizerParams,
+    assemble_localizer,
+    certificate_residual,
+    choose_params,
+    constant_C,
+)
 from .matrixio import write_operator
 from .models import ModelDescriptor, parse_model
 from .oracles import (
@@ -97,10 +103,17 @@ def _require_model(config: RunConfig) -> ModelDescriptor:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _unwritable(exc) from None
     else:
         sys.stdout.write(text)
+
+
+def _unwritable(exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {exc.filename}: {exc.strerror}")
 
 
 # ----------------------------------------------------------------------------
@@ -207,12 +220,11 @@ def cmd_sweep(args) -> int:
 
     def one_cell(cell):
         kappa, rho = cell
-        params = constant_C(kappa, rho, desc.H, desc.D, phi, gap_h=gap_h,
-                            dh_norm=dh_norm, h_norm=h_norm)
+        params = LocalizerParams(kappa, rho, gap_h, dh_norm, phi.c_phi, h_norm)
         bundle = assemble_localizer(desc.H, desc.D, phi, params)
         inert = signature(bundle.eigenvalues)
-        slack = bundle.min_abs_eigenvalue**2 - params.certified_lower_bound()
-        return params, bundle.min_abs_eigenvalue, inert.signature, slack
+        return (params, bundle.min_abs_eigenvalue, inert.signature,
+                certificate_residual(bundle))
 
     rows = parallel_map(one_cell, cells)
     lines = ["kappa,rho,C_kr,admissible,min_abs_eig,signature"]
@@ -272,8 +284,6 @@ def cmd_export_model(args) -> int:
     if not config.out:
         raise ConfigError("export-model needs --out as a file prefix")
     prefix = config.out
-    write_operator(desc.H, f"{prefix}_H.csv")
-    write_operator(desc.D, f"{prefix}_D.csv")
     meta = {
         "name": desc.name,
         "parameters": desc.parameters,
@@ -286,9 +296,14 @@ def cmd_export_model(args) -> int:
         "expected_class": desc.expected_class,
         "files": {"H": f"{prefix}_H.csv", "D": f"{prefix}_D.csv"},
     }
-    with open(f"{prefix}_model.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        write_operator(desc.H, f"{prefix}_H.csv")
+        write_operator(desc.D, f"{prefix}_D.csv")
+        with open(f"{prefix}_model.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise _unwritable(exc) from None
     return 0
 
 

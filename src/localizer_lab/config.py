@@ -66,7 +66,11 @@ _FLOAT_FIELDS = {"kappa", "rho", "margin", "smoothing_width"}
 
 def load_config_file(path) -> dict:
     """Read a flat JSON config object; returns the raw key -> value mapping."""
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    with fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:

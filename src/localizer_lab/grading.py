@@ -187,25 +187,20 @@ class GradedOperator:
         return cls(m, space, parity="even", hermitian=hermitian)
 
     @classmethod
-    def odd_from_block(cls, space: GradedSpace, lower, upper=None):
-        """Odd operator from its lower-left block (positive to negative sector).
-
-        When ``upper`` is omitted the adjoint block is used, giving a hermitian
-        odd operator.
+    def odd_from_block(cls, space: GradedSpace, lower):
+        """Hermitian odd operator from its lower-left block (positive to
+        negative sector); the upper block is its adjoint.
         """
         lower = np.asarray(lower, dtype=complex)
         if lower.shape != (space.n_minus, space.n_plus):
             raise ValueError(
                 f"lower block must be {space.n_minus} x {space.n_plus}, got {lower.shape}"
             )
-        herm = upper is None
-        if upper is None:
-            upper = lower.conj().T
         m = np.zeros((space.n, space.n), dtype=complex)
         k = space.n_plus
         m[k:, :k] = lower
-        m[:k, k:] = upper
-        return cls(m, space, parity="odd", hermitian=herm)
+        m[:k, k:] = lower.conj().T
+        return cls(m, space, parity="odd", hermitian=True)
 
     # -- block access ------------------------------------------------------
 

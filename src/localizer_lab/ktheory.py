@@ -31,7 +31,6 @@ from .localizer import (
     LocalizerParams,
     assemble_localizer,
     choose_params,
-    make_params,
     select_scale,
     support_residual,
 )
@@ -262,42 +261,38 @@ class HomotopyReport:
 
 
 def homotopy_stability(path: list[GradedOperator], D: GradedOperator,
-                       phi: LocalizingFunction,
-                       params: LocalizerParams | None = None) -> HomotopyReport:
+                       phi: LocalizingFunction) -> HomotopyReport:
     """Track the localizer class along a path of H at one common admissible scale.
 
-    Without given params the scale comes from the worst constants along the
-    path (see _path_report), and each consecutive pair is certified by a
+    The scale comes from the worst constants along the path (see
+    _path_report), and each consecutive pair is certified by a
     no-crossing argument: when the operator-norm step is smaller than both
     endpoint gaps no eigenvalue can reach zero in between, so the signature
     cannot jump unseen.  A failure pinpoints the first step where the class
     moves or the certificate breaks.
     """
-    return _path_report([(h_t, D) for h_t in path], phi, params, "a path step")
+    return _path_report([(h_t, D) for h_t in path], phi, "a path step")
 
 
 def _path_report(pairs: list[tuple[GradedOperator, GradedOperator]],
-                 phi: LocalizingFunction, params: LocalizerParams | None,
-                 where: str) -> HomotopyReport:
+                 phi: LocalizingFunction, where: str) -> HomotopyReport:
     """Localizers of the (H_t, D_t) path at one common scale, certified
     pairwise by Weyl no-crossing.
 
-    Per pair it measures gap(H_t), ||[D_t, H_t]||, ||H_t|| and, when the
-    scale is not given, the range of |eig(D_t)|; select_scale turns the
-    worst of each into the common scale.
+    Per pair it measures gap(H_t), ||[D_t, H_t]||, ||H_t|| and the range of
+    |eig(D_t)|; select_scale turns the worst of each into the common scale.
     """
     gaps = [gap(h_t) for h_t, _ in pairs]
     dhs = [operator_norm(lipschitz_derivative(d_t, h_t)) for h_t, d_t in pairs]
     norms = [operator_norm(h_t) for h_t, _ in pairs]
-    if params is None:
-        d_abs = [np.abs(d_t.eigenvalues()) for _, d_t in pairs]
-        params = select_scale(min(gaps), max(dhs), max(norms),
-                              min(float(a.min()) for a in d_abs),
-                              max(float(a.max(initial=0.0)) for a in d_abs), phi)
+    d_abs = [np.abs(d_t.eigenvalues()) for _, d_t in pairs]
+    params = select_scale(min(gaps), max(dhs), max(norms),
+                          min(float(a.min()) for a in d_abs),
+                          max(float(a.max(initial=0.0)) for a in d_abs), phi)
     reports = []
     bundles = []
     for (h_t, d_t), g_t, dh_t, n_t in zip(pairs, gaps, dhs, norms):
-        pt = make_params(params.kappa, params.rho, g_t, dh_t, phi.c_phi, n_t)
+        pt = LocalizerParams(params.kappa, params.rho, g_t, dh_t, phi.c_phi, n_t)
         if not pt.admissible:
             raise AdmissibilityError(
                 f"common scale is not admissible at {where}: "
@@ -339,12 +334,10 @@ def dirac_path(D: GradedOperator, T: GradedOperator, steps: int) -> list[GradedO
 
 
 def dirac_path_stability(H: GradedOperator, path: list[GradedOperator],
-                         phi: LocalizingFunction,
-                         params: LocalizerParams | None = None) -> HomotopyReport:
+                         phi: LocalizingFunction) -> HomotopyReport:
     """Track the localizer class while the Dirac operator moves along a path.
 
     The dual of homotopy_stability: H is fixed, D varies, and the common
     scale and the no-crossing certificate come from the same _path_report.
     """
-    return _path_report([(H, d_t) for d_t in path], phi, params,
-                        "a Dirac-path step")
+    return _path_report([(H, d_t) for d_t in path], phi, "a Dirac-path step")

@@ -17,7 +17,7 @@ admissible when C < min(gap(H)^2, kappa^2 rho^2 / 4), which certifies
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -39,12 +39,14 @@ from .grading import (
 )
 from .localizing import LocalizingFunction
 
-_C_REL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LocalizerParams:
-    """Scale parameters with the derived admissibility data."""
+    """A scale (kappa, rho) with the measured constants it is certified against.
+
+    C_kr and admissible are derived from the six fields, which are coerced
+    to Python floats.
+    """
 
     kappa: float
     rho: float
@@ -52,20 +54,21 @@ class LocalizerParams:
     dH_norm: float
     c_phi: float
     h_norm: float
-    C_kr: float
-    admissible: bool
 
     def __post_init__(self):
-        expected = self.expected_C()
-        if abs(self.C_kr - expected) > _C_REL_TOL * max(1.0, abs(expected)):
-            raise InternalConsistencyError(
-                f"C_kr = {self.C_kr!r} does not match its formula value {expected!r}"
-            )
-        if self.admissible != (expected < self.threshold()):
-            raise InternalConsistencyError("admissible flag contradicts the inequality")
+        if self.kappa <= 0 or self.rho <= 0:
+            raise ValueError("kappa and rho must be positive")
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
-    def expected_C(self) -> float:
+    @property
+    def C_kr(self) -> float:
+        """C = (kappa + c_phi ||H|| / rho) ||[D, H]||."""
         return (self.kappa + self.c_phi * self.h_norm / self.rho) * self.dH_norm
+
+    @property
+    def admissible(self) -> bool:
+        return self.C_kr < self.threshold()
 
     def threshold(self) -> float:
         return min(self.gap**2, self.kappa**2 * self.rho**2 / 4.0)
@@ -88,31 +91,12 @@ class LocalizerParams:
                    self.kappa**2 * self.rho**2 / 4.0 - self.C_kr)
 
 
-def make_params(kappa: float, rho: float, gap_h: float, dh_norm: float,
-                c_phi: float, h_norm: float) -> LocalizerParams:
-    if kappa <= 0 or rho <= 0:
-        raise ValueError("kappa and rho must be positive")
-    c = (kappa + c_phi * h_norm / rho) * dh_norm
-    admissible = c < min(gap_h**2, kappa**2 * rho**2 / 4.0)
-    return LocalizerParams(
-        kappa=float(kappa), rho=float(rho), gap=float(gap_h),
-        dH_norm=float(dh_norm), c_phi=float(c_phi), h_norm=float(h_norm),
-        C_kr=float(c), admissible=bool(admissible),
-    )
-
-
 def constant_C(kappa: float, rho: float, H: GradedOperator, D: GradedOperator,
-               phi: LocalizingFunction, gap_h: float | None = None,
-               dh_norm: float | None = None,
-               h_norm: float | None = None) -> LocalizerParams:
-    """Error constant and admissibility verdict for the given scales."""
-    if gap_h is None:
-        gap_h = gap(H)
-    if dh_norm is None:
-        dh_norm = operator_norm(lipschitz_derivative(D, H))
-    if h_norm is None:
-        h_norm = operator_norm(H)
-    return make_params(kappa, rho, gap_h, dh_norm, phi.c_phi, h_norm)
+               phi: LocalizingFunction) -> LocalizerParams:
+    """The scale (kappa, rho) with gap(H), ||[D, H]|| and ||H|| measured."""
+    return LocalizerParams(kappa, rho, gap(H),
+                           operator_norm(lipschitz_derivative(D, H)),
+                           phi.c_phi, operator_norm(H))
 
 
 def select_scale(gap_min: float, dh_max: float, h_max: float, d_abs_min: float,
@@ -144,7 +128,7 @@ def select_scale(gap_min: float, dh_max: float, h_max: float, d_abs_min: float,
         denom = gap_min**2 - kappa * dh_max
         rho_floor = max(2.0 * gap_min / kappa, phi.c_phi * h_max * dh_max / denom)
         rho = margin * rho_floor
-    params = make_params(kappa, rho, gap_min, dh_max, phi.c_phi, h_max)
+    params = LocalizerParams(kappa, rho, gap_min, dh_max, phi.c_phi, h_max)
     if not params.admissible:
         raise InternalConsistencyError(
             "automatic parameter selection produced a non-admissible pair; "
@@ -341,8 +325,7 @@ def support_residual(bundle: LocalizerBundle, D: GradedOperator) -> float:
 
 
 def sharp_localizer(H: GradedOperator, D: GradedOperator, rho: float,
-                    kappa: float, phi: LocalizingFunction,
-                    params: LocalizerParams | None = None) -> LocalizerBundle:
+                    kappa: float, phi: LocalizingFunction) -> LocalizerBundle:
     """Hard-cut localizer gamma(PHP - (1 - P)) + kappa P D P, P = 1_(-rho,rho)(D).
 
     This is the smooth assembly with the indicator cut(x) = 1{|x| < rho} as
@@ -377,10 +360,7 @@ def sharp_localizer(H: GradedOperator, D: GradedOperator, rho: float,
             "on an eigenvalue inside the cut"
         )
 
-    if params is None:
-        params = constant_C(kappa, rho, H, D, phi)
-
     def cut(x):
         return (np.abs(x) < rho).astype(float)
 
-    return _assemble(H, D, params, kappa, cut, cut)
+    return _assemble(H, D, constant_C(kappa, rho, H, D, phi), kappa, cut, cut)

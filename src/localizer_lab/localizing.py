@@ -25,6 +25,7 @@ from .errors import ResolutionError
 DEFAULT_X_STEP = 1e-3
 DEFAULT_P_STEP = 1e-2
 DEFAULT_P_MAX = 200.0
+VALIDATION_STEP = 1e-3  # grid step of validate_localizing on [0, 2]
 
 PLATEAU_EDGE = 0.75  # midpoint of the transition window of the default family
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -269,14 +270,14 @@ def _default_localizer(w: float) -> LocalizingFunction:
 default_localizer.cache_info = _default_localizer.cache_info
 
 
-def validate_localizing(phi, grid_step: float = 1e-3) -> ValidationReport:
+def validate_localizing(phi) -> ValidationReport:
     """Check the defining properties of a localizing function on a grid.
 
     Plateau, support, and range are compared exactly; the definition states
     them as equalities and the default family satisfies them bit-exactly.
     """
     ev = phi.evaluator if isinstance(phi, LocalizingFunction) else phi
-    x = np.arange(0.0, 2.0 + grid_step, grid_step)
+    x = np.arange(0.0, 2.0 + VALIDATION_STEP, VALIDATION_STEP)
     fx = np.asarray(ev(x), dtype=float)
     fneg = np.asarray(ev(-x), dtype=float)
 

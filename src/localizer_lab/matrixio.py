@@ -18,14 +18,8 @@ from .grading import GradedOperator, GradedSpace
 HEADER = ("i", "j", "re", "im")
 
 
-def _meta_path(csv_path) -> Path:
-    p = Path(csv_path)
-    return p.with_suffix(".json")
-
-
-def write_operator(op: GradedOperator, csv_path, meta_path=None) -> None:
+def write_operator(op: GradedOperator, csv_path) -> None:
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path is not None else _meta_path(csv_path)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
@@ -39,15 +33,14 @@ def write_operator(op: GradedOperator, csv_path, meta_path=None) -> None:
         "parity": op.parity,
         "hermitian": op.hermitian,
     }
-    with open(meta_path, "w") as fh:
+    with open(csv_path.with_suffix(".json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def read_operator(csv_path, meta_path=None) -> GradedOperator:
+def read_operator(csv_path) -> GradedOperator:
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path is not None else _meta_path(csv_path)
-    with open(meta_path) as fh:
+    with open(csv_path.with_suffix(".json")) as fh:
         meta = json.load(fh)
     space = GradedSpace(int(meta["n_plus"]), int(meta["n_minus"]))
     m = np.zeros((space.n, space.n), dtype=complex)

@@ -21,6 +21,9 @@ from .errors import (
 from .grading import GradedOperator, GradedSpace, lipschitz_derivative, operator_norm
 
 BOUNDARY_WEIGHT_TOL = 1e-6
+QWZ_GAP_GRID = 257  # Brillouin-zone grid on which the Bloch gap is scanned
+RANDOM_GAP_FLOOR = 0.1  # random_lipschitz redraws until gap(H) >= this * ||H||
+RANDOM_MAX_TRIES = 20
 
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -112,8 +115,8 @@ def qwz_bloch(k1: float, k2: float, m: float) -> np.ndarray:
             + (m - np.cos(k1) - np.cos(k2)) * PAULI_3)
 
 
-def _qwz_gap(m: float, grid: int = 257) -> float:
-    ks = 2.0 * np.pi * np.arange(grid) / grid
+def _qwz_gap(m: float) -> float:
+    ks = 2.0 * np.pi * np.arange(QWZ_GAP_GRID) / QWZ_GAP_GRID
     s1 = np.sin(ks)[:, None]
     s2 = np.sin(ks)[None, :]
     mz = m - np.cos(ks)[:, None] - np.cos(ks)[None, :]
@@ -206,8 +209,7 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
 # ----------------------------------------------------------------------------
 
 
-def mk_block_example(k: int, seed: int, blocks: int = 3,
-                     rank: int | None = None) -> ModelDescriptor:
+def mk_block_example(k: int, seed: int, blocks: int = 3) -> ModelDescriptor:
     """Random projection over k x k matrix coefficients on a trivially graded space.
 
     gamma is the identity, D is zero, and the pair (-1, 2p - 1) represents the
@@ -218,10 +220,7 @@ def mk_block_example(k: int, seed: int, blocks: int = 3,
         raise ModelArgumentError("need k >= 1 and blocks >= 1")
     dim = k * blocks
     rng = np.random.default_rng(seed)
-    if rank is None:
-        rank = int(rng.integers(0, dim + 1))
-    if not (0 <= rank <= dim):
-        raise ModelArgumentError(f"rank must lie in [0, {dim}]")
+    rank = int(rng.integers(0, dim + 1))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
     p = q[:, :rank] @ q[:, :rank].conj().T
@@ -254,16 +253,14 @@ class RandomLipschitz:
 
 
 def random_lipschitz(D: GradedOperator, strength: float, seed: int,
-                     block_width: float | None = None,
-                     gap_floor: float = 0.1,
-                     max_tries: int = 20) -> RandomLipschitz:
+                     block_width: float | None = None) -> RandomLipschitz:
     """Random even invertible H whose derivative along D is small by design.
 
     The base term is block-constant across spectral bands of D of the given
     width (signed spectra in [0.5, 1]), mirrored through gamma so evenness is
     bit-exact; a full random even perturbation of the given strength is added
-    on top.  Draws repeat until gap(H) >= gap_floor * ||H||, failing after
-    max_tries.
+    on top.  Draws repeat until gap(H) >= RANDOM_GAP_FLOOR * ||H||, failing
+    after RANDOM_MAX_TRIES.
     """
     space = D.space
     dec = D.eig()
@@ -287,7 +284,7 @@ def random_lipschitz(D: GradedOperator, strength: float, seed: int,
         bands.append(pos_idx[start:stop + 1])
         start = stop + 1
 
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, RANDOM_MAX_TRIES + 1):
         rng = np.random.default_rng((seed, attempt))
         a = np.zeros((space.n, space.n), dtype=complex)
         for band in bands:
@@ -323,13 +320,14 @@ def random_lipschitz(D: GradedOperator, strength: float, seed: int,
 
         vals = np.linalg.eigvalsh(hm)
         h_norm = float(np.abs(vals).max(initial=0.0))
-        if h_norm > 0 and float(np.abs(vals).min()) >= gap_floor * h_norm:
+        if h_norm > 0 and float(np.abs(vals).min()) >= RANDOM_GAP_FLOOR * h_norm:
             H = GradedOperator(hm, space, parity="even", hermitian=True)
             dh = operator_norm(lipschitz_derivative(D, H))
             return RandomLipschitz(H=H, dh_norm=dh, block_width=float(block_width),
                                    bands=len(bands), tries=attempt)
     raise GenerationError(
-        f"no draw reached gap >= {gap_floor} * ||H|| within {max_tries} tries"
+        f"no draw reached gap >= {RANDOM_GAP_FLOOR} * ||H|| within "
+        f"{RANDOM_MAX_TRIES} tries"
     )
 
 
@@ -387,8 +385,14 @@ def parse_model(spec_str: str) -> ModelDescriptor:
     elif name == "random":
         base = oscillator_dirac(geti("n", 40))
         strength = getf("strength", 0.02)
+        if strength < 0:
+            raise ModelArgumentError(f"random strength must be non-negative, "
+                                     f"got {strength}")
         seed = get_seed()
         width = getf("width", base.rho_max / 8.0 if np.isfinite(base.rho_max) else 1.0)
+        if width <= 0:
+            raise ModelArgumentError(f"random band width must be positive, "
+                                     f"got {width}")
         res = random_lipschitz(base.D, strength, seed, block_width=width)
         desc = ModelDescriptor(
             name="random", parameters={"n": base.parameters["n"],

@@ -34,7 +34,7 @@ from .localizer import (
     square_identity_residual,
     support_residual,
 )
-from .localizing import LocalizingFunction, default_localizer
+from .localizing import LocalizingFunction
 from .models import (
     mk_block_example,
     oscillator_dirac,
@@ -48,6 +48,11 @@ CERT_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 WINDOW_PRODUCT_TOL = 1e-10
 COVARIANCE_TOL = 1e-9
+
+BOUNDS_INSTANCES = 200  # seeded instances per bounds contract
+IDENTITY_INSTANCES = 100  # seeded random instances of the identities suite
+HOMOTOPY_STEPS = 11  # points on every homotopy path, endpoints included
+EVEN_GAP_FLOOR = 0.3  # spectral gap of random_even_invertible
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -100,10 +105,10 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_space(rng: np.random.Generator, max_side: int = 40,
-                 min_side: int = 2) -> GradedSpace:
-    return GradedSpace(int(rng.integers(min_side, max_side + 1)),
-                       int(rng.integers(min_side, max_side + 1)))
+def random_space(rng: np.random.Generator, max_side: int = 40) -> GradedSpace:
+    """Sector dimensions drawn uniformly from [2, max_side]."""
+    return GradedSpace(int(rng.integers(2, max_side + 1)),
+                       int(rng.integers(2, max_side + 1)))
 
 
 def random_odd(rng: np.random.Generator, space: GradedSpace,
@@ -112,14 +117,14 @@ def random_odd(rng: np.random.Generator, space: GradedSpace,
     return GradedOperator.odd_from_block(space, lower)
 
 
-def random_even_invertible(rng: np.random.Generator, space: GradedSpace,
-                           gap_floor: float = 0.3) -> GradedOperator:
-    """Even hermitian with |spectrum| >= gap_floor, both signs possible."""
+def random_even_invertible(rng: np.random.Generator,
+                           space: GradedSpace) -> GradedOperator:
+    """Even hermitian with |spectrum| >= EVEN_GAP_FLOOR, both signs possible."""
     blocks = []
     for k in (space.n_plus, space.n_minus):
         u = _random_unitary(rng, k)
         signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
-        vals = signs * (gap_floor + 1.7 * rng.random(k))
+        vals = signs * (EVEN_GAP_FLOOR + 1.7 * rng.random(k))
         blocks.append((u * vals) @ u.conj().T)
     return GradedOperator.even_from_blocks(space, blocks[0], blocks[1],
                                            hermitian=True)
@@ -145,7 +150,7 @@ def random_graded_unitary(rng: np.random.Generator,
 # ----------------------------------------------------------------------------
 
 
-def zoo_instances(phi: LocalizingFunction) -> list[tuple[str, GradedOperator, GradedOperator]]:
+def zoo_instances() -> list[tuple[str, GradedOperator, GradedOperator]]:
     """The model zoo as (label, H, D) triples at natural sizes."""
     osc = oscillator_dirac(40)
     qwz1 = qwz_chern_model(10, 1.0)
@@ -177,15 +182,13 @@ def _random_identity_instance(phi: LocalizingFunction, base_seed: int, s: int):
 # ----------------------------------------------------------------------------
 
 
-def suite_bounds(phi: LocalizingFunction | None = None, instances: int = 200,
-                 base_seed: int = 0) -> list[CheckResult]:
+def suite_bounds(phi: LocalizingFunction, base_seed: int = 0) -> list[CheckResult]:
     """Fourier-side inequalities: commutator scaling and perturbation bound.
 
     Both contracts use the measured transform weight plus the analytic tail
     bound, so a violation means the inequality itself failed, not the
     quadrature.
     """
-    phi = phi or default_localizer()
     slack = phi.fourier_weight + phi.tail_bound
 
     def one_commutator(s: int) -> tuple[str, float]:
@@ -220,7 +223,7 @@ def suite_bounds(phi: LocalizingFunction | None = None, instances: int = 200,
     results = []
     for name, worker in (("commutator_bound", one_commutator),
                          ("perturbation_bound", one_perturbation)):
-        rows = parallel_map(worker, range(instances))
+        rows = parallel_map(worker, range(BOUNDS_INSTANCES))
         worst = max(ratio for _, ratio in rows)
         failing = [label for label, ratio in rows if ratio > 1.0]
         results.append(CheckResult(
@@ -236,7 +239,7 @@ def suite_bounds(phi: LocalizingFunction | None = None, instances: int = 200,
 # ----------------------------------------------------------------------------
 
 
-def suite_identities(phi: LocalizingFunction | None = None, instances: int = 100,
+def suite_identities(phi: LocalizingFunction,
                      base_seed: int = 0) -> list[CheckResult]:
     """Exact localizer identities over random instances plus the model zoo.
 
@@ -244,7 +247,6 @@ def suite_identities(phi: LocalizingFunction | None = None, instances: int = 100
     certificate on admissible instances, the support of L + gamma, the window
     product relation, and unitary covariance.
     """
-    phi = phi or default_localizer()
 
     def measure(label, h, d, params, unitary_rng=None):
         bundle = assemble_localizer(h, d, phi, params)
@@ -283,11 +285,11 @@ def suite_identities(phi: LocalizingFunction | None = None, instances: int = 100
         return out
 
     collected: dict[str, list[tuple[str, float]]] = {}
-    for rows_list in parallel_map(one_random, range(instances)):
+    for rows_list in parallel_map(one_random, range(IDENTITY_INSTANCES)):
         for rows in rows_list:
             for key, row in rows.items():
                 collected.setdefault(key, []).append(row)
-    for label, h, d in zoo_instances(phi):
+    for label, h, d in zoo_instances():
         rows = measure(label, h, d, choose_params(h, d, phi))
         for key, row in rows.items():
             collected.setdefault(key, []).append(row)
@@ -319,15 +321,13 @@ def suite_identities(phi: LocalizingFunction | None = None, instances: int = 100
 # ----------------------------------------------------------------------------
 
 
-def suite_homotopy(phi: LocalizingFunction | None = None, base_seed: int = 0,
-                   steps: int = 11) -> list[CheckResult]:
+def suite_homotopy(phi: LocalizingFunction, base_seed: int = 0) -> list[CheckResult]:
     """Constancy of the class along phase and Dirac-perturbation paths.
 
     Every path must keep the integer fixed and every consecutive step must
     carry the discrete no-crossing certificate (step norm below both endpoint
     gaps).
     """
-    phi = phi or default_localizer()
     osc = oscillator_dirac(40)
     rl = random_lipschitz(osc.D, strength=0.02, seed=2)
 
@@ -342,7 +342,7 @@ def suite_homotopy(phi: LocalizingFunction | None = None, base_seed: int = 0,
 
     def one_phase(item):
         _, (label, h, d) = item
-        report = homotopy_stability(phase_path(h, steps), d, phi)
+        report = homotopy_stability(phase_path(h, HOMOTOPY_STEPS), d, phi)
         return label, report
 
     def one_dirac(item):
@@ -350,7 +350,7 @@ def suite_homotopy(phi: LocalizingFunction | None = None, base_seed: int = 0,
         rng = np.random.default_rng((302, base_seed, idx))
         t = random_odd(rng, d.space,
                        scale=0.1 * operator_norm(d) / np.sqrt(d.space.n))
-        report = dirac_path_stability(h, dirac_path(d, t, steps), phi)
+        report = dirac_path_stability(h, dirac_path(d, t, HOMOTOPY_STEPS), phi)
         return label, report
 
     results = []
@@ -383,7 +383,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, phi: LocalizingFunction | None = None,
+def run_suite(name: str, phi: LocalizingFunction,
               base_seed: int = 0) -> list[CheckResult]:
     """Run one named suite, or all of them in order."""
     if name == "all":

@@ -77,7 +77,7 @@ def corpus():
         rho = float(rng.uniform(0.4, 1.6)) * operator_norm(d)
         params = constant_C(kappa, rho, h, d, PHI)
         out.append((f"dense-{k}", h, d, assemble_localizer(h, d, PHI, params)))
-    for label, h, d in zoo_instances(PHI):
+    for label, h, d in zoo_instances():
         params = choose_params(h, d, PHI)
         out.append((label, h, d, assemble_localizer(h, d, PHI, params)))
     _corpus_cache = out
@@ -208,11 +208,10 @@ def test_08_index_triangle_chern_model():
 
 def test_09_sharp_matches_smooth_everywhere():
     lines = []
-    for label, h, d in zoo_instances(PHI):
+    for label, h, d in zoo_instances():
         params = choose_params(h, d, PHI)
         smooth = assemble_localizer(h, d, PHI, params)
-        sharp = sharp_localizer(h, d, params.rho, params.kappa, PHI,
-                                params=params)
+        sharp = sharp_localizer(h, d, params.rho, params.kappa, PHI)
         s_smooth = signature(smooth.eigenvalues).signature
         s_sharp = signature(sharp.eigenvalues).signature
         assert s_smooth == s_sharp, label

@@ -83,6 +83,9 @@ def test_compute_bad_model_arguments_exit_two(capsys, model):
     ("compute", "--model", "qwz:L=8,m=nan", "--auto"),
     ("compute", "--model", "random:n=20,strength=nan", "--auto"),
     ("compute", "--model", "random:n=20,width=nan", "--auto"),
+    ("compute", "--model", "random:n=20,width=0", "--auto"),
+    ("compute", "--model", "random:n=20,width=-1", "--auto"),
+    ("compute", "--model", "random:n=20,strength=-1", "--auto"),
     ("compute", "--model", "mk:k=2,blocks=2,seed=-1", "--auto"),
     ("verify", "homotopy", "--seed", "-1"),
 ])
@@ -203,6 +206,20 @@ def test_export_model_writes_files(capsys, tmp_path):
     meta = json.loads((tmp_path / "osc_model.json").read_text())
     assert meta["name"] == "oscillator"
     assert meta["n_plus"] == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--config", "{missing}/config.json", "--auto"),
+    ("compute", "--model", "oscillator:n=20", "--auto", "--out",
+     "{missing}/report.json"),
+    ("export-model", "--model", "oscillator:n=20", "--out", "{missing}/osc"),
+])
+def test_missing_paths_exit_two(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert str(missing) in err
 
 
 def test_export_model_requires_out(capsys):

@@ -387,8 +387,9 @@ def test_block_commutator_matches_dense(d_parity, t_parity, hermitian):
         if herm:
             return random_odd(space, rng)
         upper = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        return GradedOperator.odd_from_block(space, random_odd(space, rng).odd_block,
-                                             upper=upper)
+        m = random_odd(space, rng).matrix
+        m[:5, 5:] = upper
+        return GradedOperator(m, space, parity="odd")
 
     d = make(d_parity, True)
     t = make(t_parity, hermitian)

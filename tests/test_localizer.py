@@ -3,11 +3,13 @@ import pytest
 
 from localizer_lab import (
     GradedOperator,
+    LocalizerParams,
     assemble_localizer,
     choose_params,
     constant_C,
     default_localizer,
-    make_params,
+    gap,
+    lipschitz_derivative,
     operator_norm,
     oscillator_dirac,
     sharp_localizer,
@@ -39,16 +41,16 @@ def dense_instance(seed):
 
 
 def test_make_params_worked_example_admissible():
-    p = make_params(kappa=0.25, rho=64.0, gap_h=1.0, dh_norm=1.0,
-                    c_phi=16.0, h_norm=1.0)
+    p = LocalizerParams(kappa=0.25, rho=64.0, gap=1.0, dH_norm=1.0,
+                        c_phi=16.0, h_norm=1.0)
     assert p.C_kr == pytest.approx(0.5)
     assert p.admissible
     assert p.certified_lower_bound() == pytest.approx(0.5)
 
 
 def test_make_params_worked_example_not_admissible():
-    p = make_params(kappa=0.25, rho=4.0, gap_h=1.0, dh_norm=1.0,
-                    c_phi=16.0, h_norm=1.0)
+    p = LocalizerParams(kappa=0.25, rho=4.0, gap=1.0, dH_norm=1.0,
+                        c_phi=16.0, h_norm=1.0)
     assert p.C_kr == pytest.approx(4.25)
     assert not p.admissible
     assert "C = " in p.violated_inequality()
@@ -56,24 +58,37 @@ def test_make_params_worked_example_not_admissible():
 
 def test_make_params_commuting_case_always_admissible():
     for kappa, rho in [(0.01, 0.01), (1.0, 1.0), (100.0, 3.0)]:
-        p = make_params(kappa, rho, gap_h=0.7, dh_norm=0.0, c_phi=16.0,
-                        h_norm=2.0)
+        p = LocalizerParams(kappa, rho, gap=0.7, dH_norm=0.0, c_phi=16.0,
+                            h_norm=2.0)
         assert p.C_kr == 0.0
         assert p.admissible
 
 
 def test_make_params_rejects_bad_scales():
     with pytest.raises(ValueError):
-        make_params(0.0, 1.0, 1.0, 1.0, 16.0, 1.0)
+        LocalizerParams(0.0, 1.0, 1.0, 1.0, 16.0, 1.0)
     with pytest.raises(ValueError):
-        make_params(1.0, -2.0, 1.0, 1.0, 16.0, 1.0)
+        LocalizerParams(1.0, -2.0, 1.0, 1.0, 16.0, 1.0)
+
+
+def test_params_hold_python_floats_and_derive_c():
+    p = LocalizerParams(np.float64(0.25), np.float64(64.0), np.float64(1.0),
+                        np.float64(1.0), np.float64(16.0), np.int64(1))
+    for value in (p.kappa, p.rho, p.gap, p.dH_norm, p.c_phi, p.h_norm, p.C_kr):
+        assert type(value) is float
+    assert type(p.admissible) is bool
+    # the sweep CSV prints with !r: a numpy scalar would show as np.float64(...)
+    assert repr(p.C_kr) == "0.5"
+    for derived in ("C_kr", "admissible"):
+        with pytest.raises(TypeError):
+            LocalizerParams(0.25, 64.0, 1.0, 1.0, 16.0, 1.0, **{derived: 0.5})
 
 
 def test_selection_formula_instance_is_admissible():
     # kappa = g^2/(2 dh) = 5, rho = 1.1 * max(2g/kappa, c dh h/(g^2 - kappa dh))
     # = 1.1 * max(0.4, 3.2) = 3.52 for g=1, h=1, dh=0.1, c=16
-    p = make_params(kappa=5.0, rho=3.52, gap_h=1.0, dh_norm=0.1,
-                    c_phi=16.0, h_norm=1.0)
+    p = LocalizerParams(kappa=5.0, rho=3.52, gap=1.0, dH_norm=0.1,
+                        c_phi=16.0, h_norm=1.0)
     assert p.admissible
     assert p.C_kr == pytest.approx((5.0 + 16.0 / 3.52) * 0.1)
 
@@ -81,12 +96,10 @@ def test_selection_formula_instance_is_admissible():
 def test_constant_c_measures_operator_constants():
     H, D = dense_instance(21)
     p = constant_C(0.7, 1.3, H, D, PHI)
-    from localizer_lab import gap, lipschitz_derivative
-    expected = make_params(0.7, 1.3, gap(H),
-                           operator_norm(lipschitz_derivative(D, H)),
-                           PHI.c_phi, operator_norm(H))
-    assert p.C_kr == pytest.approx(expected.C_kr)
-    assert p.admissible == expected.admissible
+    expected = LocalizerParams(0.7, 1.3, gap(H),
+                               operator_norm(lipschitz_derivative(D, H)),
+                               PHI.c_phi, operator_norm(H))
+    assert p == expected
 
 
 def test_choose_params_returns_admissible():
@@ -180,7 +193,7 @@ def test_sharp_matches_smooth_signature_on_oscillator():
     osc = oscillator_dirac(40)
     p = choose_params(osc.H, osc.D, PHI)
     smooth = assemble_localizer(osc.H, osc.D, PHI, p)
-    sharp = sharp_localizer(osc.H, osc.D, p.rho, p.kappa, PHI, params=p)
+    sharp = sharp_localizer(osc.H, osc.D, p.rho, p.kappa, PHI)
     assert not sharp.phi_identity
     s1 = signature(smooth.eigenvalues).signature
     s2 = signature(sharp.eigenvalues).signature
@@ -194,7 +207,8 @@ def test_sharp_cut_through_the_one_assembly_matches_hard_cut_formula(rho, kappa)
     osc = oscillator_dirac(40)
     H, D = osc.H, osc.D
     p = constant_C(kappa, rho, H, D, PHI)
-    sharp = sharp_localizer(H, D, rho, kappa, PHI, params=p)
+    sharp = sharp_localizer(H, D, rho, kappa, PHI)
+    assert sharp.params == p
     assert not sharp.phi_identity
 
     dec = D.eig()

@@ -68,13 +68,6 @@ def test_mk_block_example_rank_is_class():
     assert operator_norm(desc.D) == 0.0
 
 
-def test_mk_block_example_rank_override():
-    desc = mk_block_example(3, seed=0, rank=4)
-    assert desc.expected_class == 4
-    with pytest.raises(ValueError):
-        mk_block_example(2, seed=0, rank=100)
-
-
 def test_random_lipschitz_derivative_is_controlled():
     base = oscillator_dirac(30)
     res = random_lipschitz(base.D, strength=0.02, seed=3)

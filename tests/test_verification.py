@@ -1,6 +1,6 @@
 import pytest
 
-from localizer_lab import CheckResult, parallel_map, run_suite
+from localizer_lab import CheckResult, default_localizer, parallel_map, run_suite
 from localizer_lab.errors import ConfigError
 
 
@@ -21,11 +21,11 @@ def test_check_result_line_format():
 
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ConfigError):
-        run_suite("nonsense")
+        run_suite("nonsense", default_localizer())
 
 
 def test_identities_suite_passes_with_nondefault_seed():
-    results = run_suite("identities", base_seed=5)
+    results = run_suite("identities", default_localizer(), base_seed=5)
     assert results
     assert all(r.passed for r in results)
     names = {r.name for r in results}
