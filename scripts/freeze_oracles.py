@@ -17,8 +17,8 @@ from localizer_lab import (
     oscillator_dirac,
     qwz_chern_model,
 )
+from localizer_lab.oracles import CHERN_GRID
 
-CHERN_GRID = 48
 OSCILLATOR_SIZES = (40, 60, 100)
 QWZ_CASES = ((12, 1.0), (16, 1.0), (12, 3.0), (16, 3.0))
 PHI_REL_TOL = 5e-4
@@ -29,8 +29,7 @@ def compute_oracles() -> dict:
     chern = {}
     for L, m in QWZ_CASES:
         desc = qwz_chern_model(L, m)
-        result = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied,
-                                 grid=CHERN_GRID)
+        result = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied)
         chern[f"qwz:L={L},m={m}"] = result.value
     graded = {}
     for n in OSCILLATOR_SIZES:

@@ -1,12 +1,14 @@
 """Study the finite-volume localizer on the two-band Chern lattice model.
 
 For each mass the script reports the Brillouin-zone Chern number, the
-compressed Fredholm index, the automatic parameter choice with its
-admissibility certificate, and a kappa scan of sig(gamma H + kappa D)
-at full windows.  The scan exposes the finite-volume tension: the kappa
-range where the truncated signature reproduces the Chern number does not
-overlap the range certified by the admissibility constant, because the
-certificate requires rho far beyond the truncation guard rho_max.
+compressed oracle's value (the rank difference of the two sectors of the
+Fermi projection, which does not depend on D and is 0 on this model), the
+automatic parameter choice with its admissibility certificate, and a kappa
+scan of sig(gamma H + kappa D) at full windows.  The scan exposes the
+finite-volume tension: the kappa range where the truncated signature
+reproduces the Chern number does not overlap the range certified by the
+admissibility constant, because the certificate requires rho far beyond the
+truncation guard rho_max.
 """
 import argparse
 import sys
@@ -20,10 +22,8 @@ from localizer_lab import (
     choose_params,
     compressed_index,
     default_localizer,
-    gap,
-    lipschitz_derivative,
     localizer_index,
-    operator_norm,
+    measure_constants,
     positive_projection,
     qwz_chern_model,
     signature,
@@ -34,11 +34,8 @@ from localizer_lab.errors import AdmissibilityError
 def study_mass(L: int, m: float, kappas, phi) -> None:
     desc = qwz_chern_model(L, m)
     H, D = desc.H, desc.D
-    gap_h = gap(H)
-    dh = operator_norm(lipschitz_derivative(D, H))
-    h_norm = operator_norm(H)
-    d_norm = operator_norm(D)
-    chern = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied, grid=48)
+    gap_h, dh, h_norm, _, d_norm = measure_constants(H, D)
+    chern = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied)
     Q = positive_projection(H)
     comp = compressed_index(Q, D)
     print(f"\n=== qwz L={L} m={m} (n={H.matrix.shape[0]}) ===")

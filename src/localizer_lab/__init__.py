@@ -39,6 +39,7 @@ from .localizer import (
     choose_params,
     constant_C,
     lower_bound_residual,
+    measure_constants,
     select_scale,
     sharp_localizer,
     square_identity_residual,

@@ -23,7 +23,6 @@ from .errors import (
     ResolutionError,
     SpectralCutError,
 )
-from .grading import gap, lipschitz_derivative, operator_norm
 from .ktheory import localizer_index, positive_projection, signature
 from .localizer import (
     LocalizerParams,
@@ -31,6 +30,7 @@ from .localizer import (
     certificate_residual,
     choose_params,
     constant_C,
+    measure_constants,
 )
 from .matrixio import write_operator
 from .models import ModelDescriptor, parse_model
@@ -57,8 +57,6 @@ _USAGE_ERRORS = (
     ResolutionError,
     SpectralCutError,
 )
-
-CHERN_GRID = 48
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -121,7 +119,7 @@ def _unwritable(exc: OSError) -> ConfigError:
 # ----------------------------------------------------------------------------
 
 
-def _model_oracles(desc: ModelDescriptor, report) -> dict:
+def _model_oracles(desc: ModelDescriptor, params: LocalizerParams) -> dict:
     """Independent index values for the triangle, keyed by oracle name."""
     oracles: dict[str, dict] = {}
     if desc.name == "oscillator":
@@ -131,15 +129,14 @@ def _model_oracles(desc: ModelDescriptor, report) -> dict:
             "rank_tolerance": gk.rank_tolerance,
         }
         try:
-            win = window_signature_index(desc.H, desc.D, rho=report.rho,
-                                         kappa=report.kappa)
+            win = window_signature_index(desc.H, desc.D, rho=params.rho,
+                                         kappa=params.kappa)
             oracles["window_formula"] = {"value": win, "reliable": True}
         except (SpectralCutError, PreconditionError) as exc:
             oracles["window_formula"] = {"value": None, "reliable": False,
                                          "skipped": str(exc)}
     elif desc.name == "qwz":
-        ch = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied,
-                             grid=CHERN_GRID)
+        ch = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied)
         oracles["chern_bz"] = {
             "value": ch.value, "reliable": ch.reliable,
             "integer_deviation": ch.diagnostics["integer_deviation"],
@@ -166,7 +163,7 @@ def cmd_compute(args) -> int:
         params = constant_C(kappa, rho, desc.H, desc.D, phi)
     report = localizer_index(desc.H, desc.D, phi, params=params)
 
-    oracles = _model_oracles(desc, report)
+    oracles = _model_oracles(desc, params)
     values = {"localizer": report.value}
     for name, entry in oracles.items():
         if entry["value"] is not None:
@@ -181,16 +178,16 @@ def cmd_compute(args) -> int:
         "agreement": agreement,
         "certificate": report.to_json_dict(),
         "truncation": {
-            "rho": report.rho,
+            "rho": params.rho,
             "rho_max": desc.rho_max,
-            "within_guard": report.rho <= desc.rho_max,
+            "within_guard": params.rho <= desc.rho_max,
         },
         "seed": config.seed,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _emit(text, config.out)
     if not payload["truncation"]["within_guard"]:
-        print(f"warning: rho = {report.rho:.6g} exceeds the truncation guard "
+        print(f"warning: rho = {params.rho:.6g} exceeds the truncation guard "
               f"rho_max = {desc.rho_max:.6g}; doubling the truncation is the "
               "stability check", file=sys.stderr)
     if not agreement:
@@ -214,9 +211,7 @@ def cmd_sweep(args) -> int:
     phi = config.phi()
     cells = [(k, r) for k in args.kappa for r in args.rho]
 
-    gap_h = gap(desc.H)
-    dh_norm = operator_norm(lipschitz_derivative(desc.D, desc.H))
-    h_norm = operator_norm(desc.H)
+    gap_h, dh_norm, h_norm, _, _ = measure_constants(desc.H, desc.D)
 
     def one_cell(cell):
         kappa, rho = cell

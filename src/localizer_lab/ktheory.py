@@ -12,25 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AdmissibilityError,
     ClassInconsistencyError,
     InternalConsistencyError,
     NotInvertibleError,
     ParityError,
 )
-from .grading import (
-    TAU_SIG,
-    GradedOperator,
-    func_calc,
-    gap,
-    lipschitz_derivative,
-    operator_norm,
-)
+from .grading import TAU_SIG, GradedOperator, func_calc, operator_norm
 from .localizer import (
     LocalizerBundle,
     LocalizerParams,
     assemble_localizer,
     choose_params,
+    measure_constants,
     select_scale,
     support_residual,
 )
@@ -144,28 +137,25 @@ def check_defect(residual, limit: float, what: str) -> None:
 
 @dataclass
 class LocalizerIndexReport:
-    """Index value together with the certificate that backs it."""
+    """Index value together with the scale record whose certificate backs it."""
 
     value: int
     signature_ref: int
     signature_var: int
-    admissible: bool
-    kappa: float
-    rho: float
-    c_phi: float
-    C_kr: float
+    params: LocalizerParams
     min_gap: float
 
     def to_json_dict(self) -> dict:
+        p = self.params
         return {
             "signature_ref": self.signature_ref,
             "signature_var": self.signature_var,
             "class": self.value,
-            "admissible": self.admissible,
-            "kappa": self.kappa,
-            "rho": self.rho,
-            "c_phi": self.c_phi,
-            "C_kr": self.C_kr,
+            "admissible": p.admissible,
+            "kappa": p.kappa,
+            "rho": p.rho,
+            "c_phi": p.c_phi,
+            "C_kr": p.C_kr,
             "min_gap": self.min_gap,
         }
 
@@ -175,35 +165,29 @@ def localizer_index(H: GradedOperator, D: GradedOperator, phi: LocalizingFunctio
     """Class of the pair (-gamma, L), refused unless the parameters are admissible."""
     if params is None:
         params = choose_params(H, D, phi)
-    if not params.admissible:
-        raise AdmissibilityError(
-            "parameters are not admissible: " + (params.violated_inequality() or "")
-        )
+    params.require_admissible()
     bundle = assemble_localizer(H, D, phi, params)
     return index_from_bundle(bundle, D)
 
 
 def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
                       check_support: bool = True) -> LocalizerIndexReport:
-    """Index extraction for an already assembled (smooth or sharp) localizer."""
+    """Index extraction for an already assembled (smooth or sharp) localizer.
+
+    The class is half_signature_class of the pair (-gamma, L), with the
+    exact spectrum -gamma_diag as the reference.
+    """
     params = bundle.params
-    if not params.admissible:
-        raise AdmissibilityError(
-            "parameters are not admissible: " + (params.violated_inequality() or "")
-        )
+    params.require_admissible()
     space = bundle.space
-    s_l = signature(bundle.eigenvalues)
-    if not s_l.invertible:
+    try:
+        value = half_signature_class(-space.gamma_diag, bundle.eigenvalues)
+    except NotInvertibleError:
         raise NotInvertibleError(
-            f"localizer has {s_l.n_zero} eigenvalues in the zero band despite "
-            "an admissibility certificate; numerical contradiction"
-        )
-    sig_ref = space.n_minus - space.n_plus  # signature of -gamma, exact
-    diff = s_l.signature - sig_ref
-    if diff % 2 != 0:
-        raise ClassInconsistencyError(
-            f"sign(L) - sign(-gamma) = {diff} is odd"
-        )
+            f"localizer has {signature(bundle.eigenvalues).n_zero} eigenvalues "
+            "in the zero band despite an admissibility certificate; numerical "
+            "contradiction"
+        ) from None
     if check_support:
         defect = support_residual(bundle, D)
         if defect > 1e-9:
@@ -211,15 +195,12 @@ def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
                 f"localizer differs from -gamma off the truncation range by "
                 f"{defect:.3e} (limit 1e-9)"
             )
+    sig_ref = space.n_minus - space.n_plus  # signature of -gamma, exact
     return LocalizerIndexReport(
-        value=diff // 2,
+        value=value,
         signature_ref=sig_ref,
-        signature_var=s_l.signature,
-        admissible=True,
-        kappa=params.kappa,
-        rho=params.rho,
-        c_phi=params.c_phi,
-        C_kr=params.C_kr,
+        signature_var=sig_ref + 2 * value,
+        params=params,
         min_gap=bundle.min_abs_eigenvalue,
     )
 
@@ -279,25 +260,19 @@ def _path_report(pairs: list[tuple[GradedOperator, GradedOperator]],
     """Localizers of the (H_t, D_t) path at one common scale, certified
     pairwise by Weyl no-crossing.
 
-    Per pair it measures gap(H_t), ||[D_t, H_t]||, ||H_t|| and the range of
-    |eig(D_t)|; select_scale turns the worst of each into the common scale.
+    Per pair measure_constants gives gap(H_t), ||[D_t, H_t]||, ||H_t|| and
+    the range of |eig(D_t)|; select_scale turns the worst of each into the
+    common scale.
     """
-    gaps = [gap(h_t) for h_t, _ in pairs]
-    dhs = [operator_norm(lipschitz_derivative(d_t, h_t)) for h_t, d_t in pairs]
-    norms = [operator_norm(h_t) for h_t, _ in pairs]
-    d_abs = [np.abs(d_t.eigenvalues()) for _, d_t in pairs]
-    params = select_scale(min(gaps), max(dhs), max(norms),
-                          min(float(a.min()) for a in d_abs),
-                          max(float(a.max(initial=0.0)) for a in d_abs), phi)
+    gaps, dhs, norms, d_mins, d_maxs = zip(*(measure_constants(h_t, d_t)
+                                             for h_t, d_t in pairs))
+    params = select_scale(min(gaps), max(dhs), max(norms), min(d_mins),
+                          max(d_maxs), phi)
     reports = []
     bundles = []
     for (h_t, d_t), g_t, dh_t, n_t in zip(pairs, gaps, dhs, norms):
         pt = LocalizerParams(params.kappa, params.rho, g_t, dh_t, phi.c_phi, n_t)
-        if not pt.admissible:
-            raise AdmissibilityError(
-                f"common scale is not admissible at {where}: "
-                + (pt.violated_inequality() or "")
-            )
+        pt.require_admissible(f"common scale is not admissible at {where}")
         bundle = assemble_localizer(h_t, d_t, phi, pt)
         reports.append(index_from_bundle(bundle, d_t, check_support=False))
         bundles.append(bundle)

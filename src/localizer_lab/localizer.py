@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    AdmissibilityError,
     InternalConsistencyError,
     PreconditionError,
     SpectralCutError,
@@ -73,17 +74,17 @@ class LocalizerParams:
     def threshold(self) -> float:
         return min(self.gap**2, self.kappa**2 * self.rho**2 / 4.0)
 
-    def violated_inequality(self) -> str | None:
-        """Human-readable statement of the failing admissibility constraint."""
+    def require_admissible(self, prefix: str = "parameters are not admissible") -> None:
+        """Raise AdmissibilityError naming every failing inequality after prefix."""
         if self.admissible:
-            return None
+            return
         parts = []
         if self.C_kr >= self.gap**2:
             parts.append(f"C = {self.C_kr:.6g} >= gap^2 = {self.gap**2:.6g}")
         quarter = self.kappa**2 * self.rho**2 / 4.0
         if self.C_kr >= quarter:
             parts.append(f"C = {self.C_kr:.6g} >= kappa^2 rho^2 / 4 = {quarter:.6g}")
-        return " and ".join(parts)
+        raise AdmissibilityError(f"{prefix}: " + " and ".join(parts))
 
     def certified_lower_bound(self) -> float:
         """Certified floor for min |eig(L)|^2 when admissible."""
@@ -91,12 +92,22 @@ class LocalizerParams:
                    self.kappa**2 * self.rho**2 / 4.0 - self.C_kr)
 
 
+def measure_constants(H: GradedOperator,
+                      D: GradedOperator) -> tuple[float, float, float, float, float]:
+    """(gap(H), ||[D, H]||, ||H||, min |eig D|, max |eig D|), the measured
+    inputs of select_scale in its argument order."""
+    gap_h = gap(H)
+    dh = operator_norm(lipschitz_derivative(D, H))
+    h_norm = operator_norm(H)
+    d_abs = np.abs(D.eigenvalues())
+    return gap_h, dh, h_norm, float(d_abs.min()), float(d_abs.max(initial=0.0))
+
+
 def constant_C(kappa: float, rho: float, H: GradedOperator, D: GradedOperator,
                phi: LocalizingFunction) -> LocalizerParams:
     """The scale (kappa, rho) with gap(H), ||[D, H]|| and ||H|| measured."""
-    return LocalizerParams(kappa, rho, gap(H),
-                           operator_norm(lipschitz_derivative(D, H)),
-                           phi.c_phi, operator_norm(H))
+    gap_h, dh, h_norm, _, _ = measure_constants(H, D)
+    return LocalizerParams(kappa, rho, gap_h, dh, phi.c_phi, h_norm)
 
 
 def select_scale(gap_min: float, dh_max: float, h_max: float, d_abs_min: float,
@@ -140,12 +151,7 @@ def select_scale(gap_min: float, dh_max: float, h_max: float, d_abs_min: float,
 def choose_params(H: GradedOperator, D: GradedOperator, phi: LocalizingFunction,
                   margin: float = 1.1) -> LocalizerParams:
     """Automatic admissible parameter selection for one pair (see select_scale)."""
-    gap_h = gap(H)
-    dh = operator_norm(lipschitz_derivative(D, H))
-    h_norm = operator_norm(H)
-    d_abs = np.abs(D.eigenvalues())
-    return select_scale(gap_h, dh, h_norm, float(d_abs.min()),
-                        float(d_abs.max(initial=0.0)), phi, margin=margin)
+    return select_scale(*measure_constants(H, D), phi, margin=margin)
 
 
 @dataclass

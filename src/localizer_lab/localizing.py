@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import ResolutionError
+from .errors import PreconditionError, ResolutionError
 
 # Simpson steps in x and p and the p window of the Fourier weight; the
 # halved-step check in fourier_weight guards them
@@ -229,8 +229,10 @@ def default_localizer(w: float = 0.25) -> LocalizingFunction:
     The function equals 1 on [-(3/4 - w), 3/4 - w] and vanishes outside
     [-(3/4 + w), 3/4 + w], both exactly; the transition is the integrated
     bump exp(-1/(1-t^2)).  Any w in (0, 1/4] keeps the plateau covering
-    [-1/2, 1/2] and the support inside [-1, 1].  Results are cached by
-    value, however the arguments are passed.
+    [-1/2, 1/2] and the support inside [-1, 1]; validate_localizing checks
+    this before the Fourier weight is computed, and a failure raises
+    PreconditionError.  Results are cached by value, however the arguments
+    are passed.
     """
     # lru_cache keys on how arguments are passed: a positional and a keyword
     # call for the same phi would each build it.
@@ -242,6 +244,13 @@ def _default_localizer(w: float) -> LocalizingFunction:
     if not (0.0 < w <= 0.25):
         raise ValueError(f"smoothing width must lie in (0, 1/4], got {w}")
     ev = _default_evaluator(w)
+    report = validate_localizing(ev)
+    if not report.passed:
+        failed = [name for name, ok in vars(report).items() if not ok]
+        raise PreconditionError(
+            f"phi of width {w} fails validate_localizing ({', '.join(failed)}); "
+            "the certificate assumes those properties"
+        )
     res = fourier_weight(
         ev,
         support_radius=PLATEAU_EDGE + w,

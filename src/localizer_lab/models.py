@@ -135,10 +135,16 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     """
     if L < 8:
         raise ModelArgumentError("lattice extent must be at least 8")
+    # The grid minimum of |E| bounds the gap from above.  Each ||dh/dk_i|| is
+    # 1 and every k lies within pi / QWZ_GAP_GRID of the grid in each
+    # coordinate, so the gap is at least the grid minimum - 2 pi / QWZ_GAP_GRID.
     bloch_gap = _qwz_gap(m)
-    if bloch_gap <= 1e-6 * max(1.0, abs(m) + 2.0):
+    gap_floor = bloch_gap - 2.0 * np.pi / QWZ_GAP_GRID
+    if gap_floor <= 1e-6 * max(1.0, abs(m) + 2.0):
         raise GaplessError(
-            f"band structure closes at m = {m} (min |E| = {bloch_gap:.3e})"
+            f"band gap at m = {m} is not certified open: min |E| = "
+            f"{bloch_gap:.3e} on the {QWZ_GAP_GRID}x{QWZ_GAP_GRID} grid, "
+            f"{gap_floor:.3e} after the grid-spacing bound"
         )
 
     npb = L * L

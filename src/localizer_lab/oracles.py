@@ -20,6 +20,7 @@ TAU_RANK_REL = 1e-7
 TAU_PROJ = 1e-8
 # smallest band gap on the grid, relative to ||h||, that defines a Chern number
 GAP_TOL = 1e-6
+CHERN_GRID = 48  # Brillouin-zone grid side of chern_number_bz
 
 
 @dataclass
@@ -82,11 +83,15 @@ def graded_kernel_index(D: GradedOperator) -> IndexResult:
 
 
 def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
-    """Index of the Dirac block compressed by an even projection Q.
+    """Kernel count of the Dirac block compressed by an even projection Q.
 
-    The block acts between the ranges of Q in the two sectors; kernel and
-    cokernel dimensions are counted after an orthonormal basis of each range
-    is extracted from the spectrum of Q.
+    The block maps the range of Q in the positive sector (rank r_+) to its
+    range in the negative sector (rank r_-).  Kernel minus cokernel dimension
+    of any r_- x r_+ matrix is (r_+ - rank) - (r_- - rank) = r_+ - r_-, so the
+    value is the difference of the ranks of Q's sectors and does not depend
+    on D: the singular values of the compressed block feed only
+    rank_tolerance and reliable.  When both sectors of Q are equal the value
+    is 0 for every D.
     """
     if Q.parity != "even":
         raise PreconditionError("compression projection must be even")
@@ -124,7 +129,7 @@ def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
 # ----------------------------------------------------------------------------
 
 
-def chern_number_bz(bloch, n_occupied: int, grid: int = 48) -> IndexResult:
+def chern_number_bz(bloch, n_occupied: int, grid: int = CHERN_GRID) -> IndexResult:
     """Chern number of the occupied bands of a Bloch family on a 2-torus.
 
     Plaquette construction: overlaps of occupied frames around each grid

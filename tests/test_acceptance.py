@@ -158,7 +158,8 @@ def test_07_index_triangle_oscillator():
         desc = oscillator_dirac(n)
         report = localizer_index(desc.H, desc.D, PHI)
         kernel = graded_kernel_index(desc.D)
-        window = window_signature_index(desc.H, desc.D, report.rho, report.kappa)
+        window = window_signature_index(desc.H, desc.D, report.params.rho,
+                                        report.params.kappa)
         elapsed = time.monotonic() - t0
         assert report.value == 1
         assert kernel.value == 1
@@ -285,7 +286,8 @@ def test_12_finite_size_stability():
         desc = oscillator_dirac(n)
         rep = localizer_index(desc.H, desc.D, PHI)
         kernel = graded_kernel_index(desc.D).value
-        window = window_signature_index(desc.H, desc.D, rep.rho, rep.kappa)
+        window = window_signature_index(desc.H, desc.D, rep.params.rho,
+                                        rep.params.kappa)
         osc_vals[n] = (rep.value, kernel, window)
     assert osc_vals[60] == osc_vals[120]
 

@@ -88,6 +88,8 @@ def test_compute_bad_model_arguments_exit_two(capsys, model):
     ("compute", "--model", "random:n=20,strength=-1", "--auto"),
     ("compute", "--model", "mk:k=2,blocks=2,seed=-1", "--auto"),
     ("verify", "homotopy", "--seed", "-1"),
+    ("compute", "--model", "qwz:L=8,m=0", "--auto"),
+    ("compute", "--model", "qwz:L=8,m=-2.0", "--auto"),
 ])
 def test_bad_arguments_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -169,6 +171,9 @@ def test_sweep_constant_signature(capsys):
     assert len(data) == 4
     comments = [l for l in lines if l.startswith("#")]
     assert any("signature_constant=True" in c for c in comments)
+    # admissible cells keep min |eig(L)|^2 above the certified floor
+    slack_min = re.search(r"lower_bound_slack_min=(\S+)", comments[-1])
+    assert float(slack_min.group(1)) >= -1e-9
 
 
 def test_sweep_requires_both_grids(capsys):

@@ -4,6 +4,7 @@ import pytest
 from localizer_lab import (
     GradedOperator,
     GradedSpace,
+    assemble_localizer,
     choose_params,
     constant_C,
     default_localizer,
@@ -18,7 +19,7 @@ from localizer_lab import (
     positive_projection,
     signature,
 )
-from localizer_lab.ktheory import check_defect
+from localizer_lab.ktheory import check_defect, index_from_bundle
 from localizer_lab.errors import (
     ClassInconsistencyError,
     InternalConsistencyError,
@@ -106,11 +107,26 @@ def test_localizer_index_oscillator():
     osc = oscillator_dirac(40)
     report = localizer_index(osc.H, osc.D, PHI)
     assert report.value == 1
-    assert report.admissible
+    assert report.params.admissible
     assert report.min_gap > 0
     payload = report.to_json_dict()
     assert payload["class"] == 1
     assert payload["admissible"] is True
+
+
+def test_index_from_bundle_class_and_zero_band_error():
+    osc = oscillator_dirac(20)
+    bundle = assemble_localizer(osc.H, osc.D, PHI, choose_params(osc.H, osc.D, PHI))
+    report = index_from_bundle(bundle, osc.D)
+    assert report.signature_ref == osc.space.n_minus - osc.space.n_plus
+    assert report.signature_var == signature(bundle.eigenvalues).signature
+    assert report.value == half_signature_class(-osc.space.gamma_diag,
+                                                bundle.eigenvalues) == 1
+    bundle.eigenvalues = bundle.eigenvalues.copy()
+    bundle.eigenvalues[0] = 0.0
+    with pytest.raises(NotInvertibleError,
+                       match="^localizer has 1 eigenvalues in the zero band"):
+        index_from_bundle(bundle, osc.D)
 
 
 def space_sum(a: GradedSpace, b: GradedSpace) -> GradedSpace:

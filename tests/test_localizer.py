@@ -21,7 +21,7 @@ from localizer_lab.localizer import (
     square_identity_residual,
     support_residual,
 )
-from localizer_lab.errors import SpectralCutError
+from localizer_lab.errors import AdmissibilityError, SpectralCutError
 from localizer_lab.verification import random_even_invertible, random_odd, random_space
 
 PHI = default_localizer()
@@ -53,7 +53,10 @@ def test_make_params_worked_example_not_admissible():
                         c_phi=16.0, h_norm=1.0)
     assert p.C_kr == pytest.approx(4.25)
     assert not p.admissible
-    assert "C = " in p.violated_inequality()
+    with pytest.raises(AdmissibilityError,
+                       match=r"^where: C = 4\.25 >= gap\^2 = 1 and "
+                             r"C = 4\.25 >= kappa\^2 rho\^2 / 4 = 0\.25$"):
+        p.require_admissible("where")
 
 
 def test_make_params_commuting_case_always_admissible():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from localizer_lab import RunConfig, default_localizer, validate_localizing
+from localizer_lab import localizing
 from localizer_lab.cli import main
+from localizer_lab.errors import PreconditionError
 from localizer_lab.localizing import (
     DEFAULT_P_MAX,
     SQRT_2PI,
@@ -100,6 +102,22 @@ def test_validation_report_passes():
 def test_validation_flags_bad_function():
     rep = validate_localizing(lambda x: np.cos(np.asarray(x)))
     assert not rep.passed
+
+
+def test_builder_refuses_a_phi_that_fails_validation(monkeypatch):
+    # even, [0, 1]-valued, exact plateau and support, but not monotone: the
+    # uncached builder must refuse it before any Fourier work
+    def bumpy(w):
+        def ev(x):
+            a = np.abs(np.asarray(x, dtype=float))
+            return np.where(a <= 0.5, 1.0,
+                            np.where((a > 0.7) & (a <= 0.8), 1.0, 0.0))
+        return ev
+
+    monkeypatch.setattr(localizing, "_default_evaluator", bumpy)
+    monkeypatch.setattr(localizing, "fourier_weight", None)
+    with pytest.raises(PreconditionError, match=r"\(monotone\)"):
+        localizing._default_localizer.__wrapped__(0.25)
 
 
 def test_scaled_evaluator():

@@ -18,6 +18,7 @@ from localizer_lab import (
     window_signature_index,
 )
 from localizer_lab.errors import GaplessError
+from localizer_lab.verification import random_odd
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
 PHI = default_localizer()
@@ -88,8 +89,28 @@ def test_chern_grid_independence():
 
 
 def test_closed_gap_refused_at_model_construction():
-    with pytest.raises(GaplessError):
-        qwz_chern_model(8, 2.0)
+    # m = 0 and m = -2 close the gap between points of the scan grid, where
+    # the grid minimum alone stays above zero
+    for m in (2.0, 0.0, -2.0):
+        with pytest.raises(GaplessError):
+            qwz_chern_model(8, m)
+
+
+def test_compressed_index_counts_sector_ranks_of_q():
+    rng = np.random.default_rng(57)
+    space = GradedSpace(5, 4)
+
+    def range_projection(n, rank):
+        frame, _ = np.linalg.qr(rng.normal(size=(n, rank))
+                                + 1j * rng.normal(size=(n, rank)))
+        return frame @ frame.conj().T
+
+    q = GradedOperator.even_from_blocks(space, range_projection(5, 3),
+                                        range_projection(4, 1), hermitian=True)
+    for _ in range(5):
+        res = compressed_index(q, random_odd(rng, space))
+        assert res.value == (res.diagnostics["rank_Q_plus"]
+                             - res.diagnostics["rank_Q_minus"]) == 2
 
 
 def test_window_signature_oscillator():

@@ -1,4 +1,4 @@
-"""Smoke runs of the study scripts at small sizes: both must exit 0."""
+"""Smoke run of the study script at a small size: it must exit 0."""
 import runpy
 import sys
 from pathlib import Path
@@ -9,7 +9,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.mark.parametrize("script,args", [
-    ("sweep_oscillator.py", ["--n", "12"]),
     ("qwz_localizer_study.py", ["--size", "8", "--kappa-points", "3"]),
 ])
 def test_study_script_runs(monkeypatch, capsys, script, args):
