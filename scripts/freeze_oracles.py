@@ -11,30 +11,27 @@ import sys
 from pathlib import Path
 
 from localizer_lab import (
+    chern_number_bz,
     default_localizer,
     graded_kernel_index,
-    chern_number_bz,
-    oscillator_dirac,
-    qwz_chern_model,
+    parse_model,
 )
 from localizer_lab.oracles import CHERN_GRID
 
-OSCILLATOR_SIZES = (40, 60, 100)
-QWZ_CASES = ((12, 1.0), (16, 1.0), (12, 3.0), (16, 3.0))
+# each oracle is keyed by the --model address of the model it is computed on
+CHERN_MODELS = ("qwz:L=12,m=1.0", "qwz:L=16,m=1.0", "qwz:L=12,m=3.0", "qwz:L=16,m=3.0")
+KERNEL_MODELS = ("oscillator:n=40", "oscillator:n=60", "oscillator:n=100")
 PHI_REL_TOL = 5e-4
 
 
 def compute_oracles() -> dict:
     phi = default_localizer()
     chern = {}
-    for L, m in QWZ_CASES:
-        desc = qwz_chern_model(L, m)
-        result = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied)
-        chern[f"qwz:L={L},m={m}"] = result.value
-    graded = {}
-    for n in OSCILLATOR_SIZES:
-        desc = oscillator_dirac(n)
-        graded[f"oscillator:n={n}"] = graded_kernel_index(desc.D).value
+    for address in CHERN_MODELS:
+        desc = parse_model(address)
+        chern[address] = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied).value
+    graded = {address: graded_kernel_index(parse_model(address).D).value
+              for address in KERNEL_MODELS}
     return {
         "chern_bz": {"grid": CHERN_GRID, "values": chern},
         "graded_kernel": graded,

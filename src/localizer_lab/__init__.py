@@ -67,7 +67,6 @@ from .oracles import (
 )
 from .models import (
     ModelDescriptor,
-    RandomLipschitz,
     mk_block_example,
     oscillator_dirac,
     parse_model,

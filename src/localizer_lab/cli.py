@@ -40,7 +40,7 @@ from .oracles import (
     graded_kernel_index,
     window_signature_index,
 )
-from .verification import parallel_map, run_suite
+from .verification import SUITE_CHOICES, parallel_map, run_suite
 
 # Input and configuration problems exit 2; anything else is a real bug and
 # propagates as a traceback.  Bare ValueError stays out: numpy's LinAlgError
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", "--model", "--kappa", "--rho", "--out")
     add("verify", cmd_verify, "run a property suite",
         "--config", "--seed", "--out").add_argument(
-            "suite", choices=["bounds", "identities", "homotopy", "all"])
+            "suite", choices=SUITE_CHOICES)
     add("export-phi", cmd_export_phi, "sampled localizing function CSV",
         "--config", "--out")
     add("export-model", cmd_export_model,

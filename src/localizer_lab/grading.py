@@ -34,6 +34,16 @@ TAU_SIG = 1e-8
 _PARITIES = ("even", "odd", "none")
 
 
+def eigenvalue_at_cut(w: np.ndarray, rho: float):
+    """(eigenvalue, eps) for the eigenvalue in w nearest the hard cut |x| = rho
+    when it lies within eps = EPS_EDGE_REL * max |w| of it; None otherwise."""
+    eps = EPS_EDGE_REL * max(float(np.abs(w).max(initial=0.0)), 1e-300)
+    dist = np.abs(np.abs(w) - rho)
+    if not np.any(dist <= eps):
+        return None
+    return w[int(np.argmin(dist))], eps
+
+
 @dataclass(frozen=True)
 class GradedSpace:
     """Dimensions of the positive and negative sector of a graded C^n."""

@@ -51,10 +51,7 @@ class Inertia:
 def _values_of(op) -> np.ndarray:
     if isinstance(op, GradedOperator):
         return op.eigenvalues()
-    arr = np.asarray(op)
-    if arr.ndim == 2:
-        return np.linalg.eigvalsh(arr)
-    return arr.astype(float)
+    return np.asarray(op, dtype=float)
 
 
 def signature(op) -> Inertia:

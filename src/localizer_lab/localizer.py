@@ -29,10 +29,10 @@ from .errors import (
     SpectralCutError,
 )
 from .grading import (
-    EPS_EDGE_REL,
     EPS_INV,
     GradedOperator,
     GradedSpace,
+    eigenvalue_at_cut,
     func_calc,
     gap,
     lipschitz_derivative,
@@ -341,10 +341,9 @@ def sharp_localizer(H: GradedOperator, D: GradedOperator, rho: float,
     P Phi_rho = Phi_rho, P Phi_2rho = P fail on the spectrum of D.
     """
     w = D.eigenvalues()
-    eps_edge = EPS_EDGE_REL * max(float(np.abs(w).max(initial=0.0)), 1e-300)
-    dist = np.abs(np.abs(w) - rho)
-    if np.any(dist <= eps_edge):
-        bad = w[int(np.argmin(dist))]
+    edge = eigenvalue_at_cut(w, rho)
+    if edge is not None:
+        bad, eps_edge = edge
         raise SpectralCutError(
             f"eigenvalue {bad!r} of D lies within {eps_edge:.3e} of the cut at "
             f"rho = {rho}"

@@ -8,7 +8,7 @@ spectrally indistinguishable from its infinite-volume parent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import (
     InternalConsistencyError,
     ModelArgumentError,
 )
-from .grading import GradedOperator, GradedSpace, lipschitz_derivative, operator_norm
+from .grading import GradedOperator, GradedSpace
 
 BOUNDARY_WEIGHT_TOL = 1e-6
 QWZ_GAP_GRID = 257  # Brillouin-zone grid on which the Bloch gap is scanned
@@ -34,7 +34,6 @@ PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 class ModelDescriptor:
     name: str
     parameters: dict
-    space: GradedSpace
     D: GradedOperator
     H: GradedOperator
     rho_max: float
@@ -43,7 +42,10 @@ class ModelDescriptor:
     bloch: object = None
     n_occupied: int | None = None
     expected_class: int | None = None
-    extras: dict = field(default_factory=dict)
+
+    @property
+    def space(self) -> GradedSpace:
+        return self.H.space
 
 
 def _rho_max_from_guard(abs_eigs: np.ndarray, weights: np.ndarray):
@@ -100,7 +102,7 @@ def oscillator_dirac(n: int) -> ModelDescriptor:
     H = GradedOperator(np.eye(space.n, dtype=complex), space, parity="even",
                        hermitian=True)
     return ModelDescriptor(
-        name="oscillator", parameters={"n": n}, space=space, D=D, H=H,
+        name="oscillator", parameters={"n": n}, D=D, H=H,
         rho_max=rho_max, truncation_fraction=fraction, gap_bound=1.0,
     )
 
@@ -204,7 +206,7 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
                                             np.repeat(ring_of_site, 2))
 
     return ModelDescriptor(
-        name="qwz", parameters={"L": L, "m": m}, space=space, D=D, H=H,
+        name="qwz", parameters={"L": L, "m": m}, D=D, H=H,
         rho_max=rho_max, truncation_fraction=fraction, gap_bound=bloch_gap,
         bloch=lambda k1, k2, mm=m: qwz_bloch(k1, k2, mm), n_occupied=1,
     )
@@ -238,9 +240,8 @@ def mk_block_example(k: int, seed: int, blocks: int = 3) -> ModelDescriptor:
                        parity="odd", hermitian=True)
     return ModelDescriptor(
         name="mk", parameters={"k": k, "blocks": blocks, "seed": seed},
-        space=space, D=D, H=H, rho_max=float("inf"), truncation_fraction=0.0,
+        D=D, H=H, rho_max=float("inf"), truncation_fraction=0.0,
         gap_bound=1.0, expected_class=rank,
-        extras={"projection": p},
     )
 
 
@@ -249,17 +250,8 @@ def mk_block_example(k: int, seed: int, blocks: int = 3) -> ModelDescriptor:
 # ----------------------------------------------------------------------------
 
 
-@dataclass
-class RandomLipschitz:
-    H: GradedOperator
-    dh_norm: float
-    block_width: float
-    bands: int
-    tries: int
-
-
 def random_lipschitz(D: GradedOperator, strength: float, seed: int,
-                     block_width: float | None = None) -> RandomLipschitz:
+                     block_width: float) -> GradedOperator:
     """Random even invertible H whose derivative along D is small by design.
 
     The base term is block-constant across spectral bands of D of the given
@@ -272,8 +264,6 @@ def random_lipschitz(D: GradedOperator, strength: float, seed: int,
     dec = D.eig()
     w, u = dec.eigenvalues, dec.vectors
     d_scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    if block_width is None:
-        block_width = d_scale / 8.0
     gdiag = space.gamma_diag
     z_tol = 1e-9 * d_scale
 
@@ -327,10 +317,7 @@ def random_lipschitz(D: GradedOperator, strength: float, seed: int,
         vals = np.linalg.eigvalsh(hm)
         h_norm = float(np.abs(vals).max(initial=0.0))
         if h_norm > 0 and float(np.abs(vals).min()) >= RANDOM_GAP_FLOOR * h_norm:
-            H = GradedOperator(hm, space, parity="even", hermitian=True)
-            dh = operator_norm(lipschitz_derivative(D, H))
-            return RandomLipschitz(H=H, dh_norm=dh, block_width=float(block_width),
-                                   bands=len(bands), tries=attempt)
+            return GradedOperator(hm, space, parity="even", hermitian=True)
     raise GenerationError(
         f"no draw reached gap >= {RANDOM_GAP_FLOOR} * ||H|| within "
         f"{RANDOM_MAX_TRIES} tries"
@@ -395,18 +382,17 @@ def parse_model(spec_str: str) -> ModelDescriptor:
             raise ModelArgumentError(f"random strength must be non-negative, "
                                      f"got {strength}")
         seed = get_seed()
-        width = getf("width", base.rho_max / 8.0 if np.isfinite(base.rho_max) else 1.0)
+        width = getf("width", base.rho_max / 8.0)
         if width <= 0:
             raise ModelArgumentError(f"random band width must be positive, "
                                      f"got {width}")
-        res = random_lipschitz(base.D, strength, seed, block_width=width)
         desc = ModelDescriptor(
             name="random", parameters={"n": base.parameters["n"],
-                                       "strength": strength, "seed": seed},
-            space=base.space, D=base.D, H=res.H, rho_max=base.rho_max,
-            truncation_fraction=base.truncation_fraction,
+                                       "strength": strength, "seed": seed,
+                                       "width": width},
+            D=base.D, H=random_lipschitz(base.D, strength, seed, width),
+            rho_max=base.rho_max, truncation_fraction=base.truncation_fraction,
             gap_bound=float("nan"),
-            extras={"dh_norm": res.dh_norm, "block_width": res.block_width},
         )
     else:
         raise ModelArgumentError(f"unknown model {name!r}")

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassInconsistencyError, GaplessError, PreconditionError, SpectralCutError
-from .grading import EPS_EDGE_REL, TAU_SIG, GradedOperator
+from .grading import GradedOperator, eigenvalue_at_cut
+from .ktheory import signature
 
 # singular values at most TAU_RANK_REL * sigma_max count as kernel
 TAU_RANK_REL = 1e-7
@@ -37,14 +38,10 @@ class IndexResult:
         return self.diagnostics.get("cut_ratio", 0.0) < 1e-3
 
 
-def _kernel_counts(block: np.ndarray):
-    """Rank data of a rectangular block: (rank, tau, diagnostics), with the
-    cut tau = TAU_RANK_REL * sigma_max."""
-    rows, cols = block.shape
-    if min(rows, cols) == 0:
-        sv = np.zeros(0)
-    else:
-        sv = np.linalg.svd(block, compute_uv=False)
+def _kernel_counts(sv: np.ndarray, shape: tuple[int, int]):
+    """Rank data of a rows x cols block with singular values sv:
+    (rank, tau, diagnostics), with the cut tau = TAU_RANK_REL * sigma_max."""
+    rows, cols = shape
     smax = float(sv.max(initial=0.0))
     tau = TAU_RANK_REL * smax
     retained = sv[sv > tau]
@@ -69,14 +66,19 @@ def _kernel_counts(block: np.ndarray):
 def graded_kernel_index(D: GradedOperator) -> IndexResult:
     """dim ker over the positive sector minus dim ker over the negative sector.
 
-    Works on the lower-left block of the odd operator: kernel on the positive
-    sector is the block kernel, cokernel matches the adjoint block.
+    Works on the lower-left block of the hermitian odd operator: kernel on
+    the positive sector is the block kernel, cokernel matches the adjoint
+    block.
     """
     if D.parity != "odd":
         raise PreconditionError("graded kernel index needs an odd operator")
-    block = D.odd_block
-    rank, tau, diags = _kernel_counts(block)
-    n_minus, n_plus = block.shape
+    n_minus, n_plus = D.odd_block.shape
+    # the cached spectrum is sort(-sigma, zeros, sigma) of the odd block: its
+    # top min(n_+, n_-) values, reversed, are the block's singular values
+    # (abs turns a -0.0 that sorted to the top back into 0.0)
+    k = min(n_plus, n_minus)
+    sv = np.abs(D.eigenvalues()[::-1][:k])
+    rank, tau, diags = _kernel_counts(sv, (n_minus, n_plus))
     value = (n_plus - rank) - (n_minus - rank)
     return IndexResult(value=value, method="graded_kernel", rank_tolerance=tau,
                        diagnostics=diags)
@@ -115,8 +117,9 @@ def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
         frames.append(v[:, near_one])
     v_plus, v_minus = frames
     block = v_minus.conj().T @ D.odd_block @ v_plus
-    rank, tau, diags = _kernel_counts(block)
     r_minus, r_plus = block.shape
+    rank, tau, diags = _kernel_counts(np.linalg.svd(block, compute_uv=False),
+                                      block.shape)
     value = (r_plus - rank) - (r_minus - rank)
     diags["rank_Q_plus"] = r_plus
     diags["rank_Q_minus"] = r_minus
@@ -210,11 +213,10 @@ def window_signature_index(H: GradedOperator, D: GradedOperator, rho: float,
     """
     dec = D.eig()
     w = dec.eigenvalues
-    eps_edge = EPS_EDGE_REL * max(float(np.abs(w).max(initial=0.0)), 1e-300)
-    dist = np.abs(np.abs(w) - rho)
-    if np.any(dist <= eps_edge):
+    edge = eigenvalue_at_cut(w, rho)
+    if edge is not None:
         raise SpectralCutError(
-            f"eigenvalue of D within {eps_edge:.3e} of the window edge rho = {rho}"
+            f"eigenvalue of D within {edge[1]:.3e} of the window edge rho = {rho}"
         )
     sel = np.abs(w) < rho
     if not np.any(sel):
@@ -224,13 +226,10 @@ def window_signature_index(H: GradedOperator, D: GradedOperator, rho: float,
     core = np.diag(kappa * w[sel]).astype(complex) + \
         v.conj().T @ (gdiag[:, None] * H.matrix) @ v
     core = (core + core.conj().T) / 2.0
-    w_core = np.linalg.eigvalsh(core)
-    tau = TAU_SIG * float(np.abs(w_core).max(initial=0.0))
-    sig_core = int((w_core > tau).sum() - (w_core < -tau).sum())
-
+    sig_core = signature(np.linalg.eigvalsh(core)).signature
+    # the window is gamma-invariant, so gamma P has eigenvalues +-1 on it
     g_win = v.conj().T @ (gdiag[:, None] * v)
-    w_g = np.linalg.eigvalsh((g_win + g_win.conj().T) / 2.0)
-    sig_g = int((w_g > 0.5).sum() - (w_g < -0.5).sum())
+    sig_g = signature(np.linalg.eigvalsh((g_win + g_win.conj().T) / 2.0)).signature
 
     if (sig_core + sig_g) % 2 != 0:
         raise ClassInconsistencyError(

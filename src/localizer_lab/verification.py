@@ -3,7 +3,9 @@
 The CLI `verify` command and the acceptance tests both run these, so a
 failure in either entry point reproduces in the other with the same seed.
 Each suite returns CheckResult records aggregating one named contract over a
-seeded corpus; failing instances are listed by label.
+seeded corpus; failing instances are listed by label.  A model-zoo label is
+the `--model` address that rebuilds the instance (`parse_model(label)`); a
+label `s<k>` names the k-th seeded random instance of the suite.
 """
 from __future__ import annotations
 
@@ -35,12 +37,7 @@ from .localizer import (
     support_residual,
 )
 from .localizing import LocalizingFunction
-from .models import (
-    mk_block_example,
-    oscillator_dirac,
-    qwz_chern_model,
-    random_lipschitz,
-)
+from .models import parse_model
 
 SQUARE_TOL = 1e-9
 LOWER_TOL = 1e-9
@@ -53,6 +50,17 @@ BOUNDS_INSTANCES = 200  # seeded instances per bounds contract
 IDENTITY_INSTANCES = 100  # seeded random instances of the identities suite
 HOMOTOPY_STEPS = 11  # points on every homotopy path, endpoints included
 EVEN_GAP_FLOOR = 0.3  # spectral gap of random_even_invertible
+
+# Models by --model address; each instance is parse_model(address).  ZOO is
+# the identities suite's zoo, HOMOTOPY_MODELS the model cases of suite_homotopy.
+ZOO = (
+    "oscillator:n=40",
+    "qwz:L=10,m=1.0",
+    "qwz:L=10,m=3.0",
+    "mk:k=2,seed=0",
+    "random:strength=0.02,seed=1",
+)
+HOMOTOPY_MODELS = ("oscillator:n=40", "random:strength=0.02,seed=2")
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -150,20 +158,13 @@ def random_graded_unitary(rng: np.random.Generator,
 # ----------------------------------------------------------------------------
 
 
-def zoo_instances() -> list[tuple[str, GradedOperator, GradedOperator]]:
-    """The model zoo as (label, H, D) triples at natural sizes."""
-    osc = oscillator_dirac(40)
-    qwz1 = qwz_chern_model(10, 1.0)
-    qwz3 = qwz_chern_model(10, 3.0)
-    mk = mk_block_example(2, seed=0)
-    rl = random_lipschitz(osc.D, strength=0.02, seed=1)
-    return [
-        ("oscillator:n=40", osc.H, osc.D),
-        ("qwz:L=10,m=1.0", qwz1.H, qwz1.D),
-        ("qwz:L=10,m=3.0", qwz3.H, qwz3.D),
-        ("mk:k=2,seed=0", mk.H, mk.D),
-        ("random:strength=0.02,seed=1", rl.H, osc.D),
-    ]
+def zoo_instances(addresses=ZOO) -> list[tuple[str, GradedOperator, GradedOperator]]:
+    """(address, H, D) for each model address, the model built by parse_model."""
+    out = []
+    for address in addresses:
+        desc = parse_model(address)
+        out.append((address, desc.H, desc.D))
+    return out
 
 
 def _random_identity_instance(phi: LocalizingFunction, base_seed: int, s: int):
@@ -328,11 +329,7 @@ def suite_homotopy(phi: LocalizingFunction, base_seed: int = 0) -> list[CheckRes
     carry the discrete no-crossing certificate (step norm below both endpoint
     gaps).
     """
-    osc = oscillator_dirac(40)
-    rl = random_lipschitz(osc.D, strength=0.02, seed=2)
-
-    cases = [("oscillator:n=40", osc.H, osc.D),
-             ("random:strength=0.02,seed=2", rl.H, osc.D)]
+    cases = zoo_instances(HOMOTOPY_MODELS)
     for s in range(3):
         rng = np.random.default_rng((301, base_seed, s))
         space = random_space(rng, max_side=20)
@@ -381,6 +378,7 @@ SUITES = {
     "identities": suite_identities,
     "homotopy": suite_homotopy,
 }
+SUITE_CHOICES = (*SUITES, "all")  # run_suite's names; "all" runs SUITES in order
 
 
 def run_suite(name: str, phi: LocalizingFunction,
@@ -388,12 +386,10 @@ def run_suite(name: str, phi: LocalizingFunction,
     """Run one named suite, or all of them in order."""
     if name == "all":
         out = []
-        for key in ("bounds", "identities", "homotopy"):
-            out.extend(SUITES[key](phi, base_seed=base_seed))
+        for suite in SUITES.values():
+            out.extend(suite(phi, base_seed=base_seed))
         return out
     if name not in SUITES:
         raise ConfigError(
-            f"unknown suite {name!r}; choose from bounds, identities, "
-            "homotopy, all"
-        )
+            f"unknown suite {name!r}; choose from {', '.join(SUITE_CHOICES)}")
     return SUITES[name](phi, base_seed=base_seed)

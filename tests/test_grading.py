@@ -371,7 +371,8 @@ def test_rectangular_ladder_block_and_empty_sector():
 
     mk = mk_block_example(2, seed=3)  # GradedSpace(6, 0): empty negative sector
     proj = positive_projection(mk.H)
-    assert np.allclose(proj.matrix, mk.extras["projection"], atol=1e-12)
+    assert np.allclose(proj.matrix, (mk.H.matrix + np.eye(mk.space.n)) / 2.0,
+                       atol=1e-12)
 
 
 @pytest.mark.parametrize("d_parity,t_parity", [("odd", "even"), ("odd", "odd"),

@@ -4,6 +4,7 @@ import pytest
 from localizer_lab import (
     gap,
     lipschitz_derivative,
+    measure_constants,
     operator_norm,
     oscillator_dirac,
     parse_model,
@@ -13,6 +14,11 @@ from localizer_lab import (
     random_lipschitz,
 )
 from localizer_lab.models import _rho_max_from_guard
+
+
+def spectral_width(D):
+    """max(1, ||D||) / 8, the band width these draws were first pinned at."""
+    return max(1.0, float(np.abs(D.eig().eigenvalues).max())) / 8.0
 
 
 def test_oscillator_shapes_and_parities():
@@ -62,7 +68,7 @@ def test_qwz_model_structure():
 
 def test_mk_block_example_rank_is_class():
     desc = mk_block_example(2, seed=7)
-    p = desc.extras["projection"]
+    p = (desc.H.matrix + np.eye(desc.space.n)) / 2.0
     assert np.allclose(p @ p, p, atol=1e-12)
     assert desc.expected_class == int(round(np.trace(p).real))
     assert operator_norm(desc.D) == 0.0
@@ -70,24 +76,25 @@ def test_mk_block_example_rank_is_class():
 
 def test_random_lipschitz_derivative_is_controlled():
     base = oscillator_dirac(30)
-    res = random_lipschitz(base.D, strength=0.02, seed=3)
-    assert res.H.parity == "even"
-    assert res.H.hermitian
+    h = random_lipschitz(base.D, strength=0.02, seed=3,
+                         block_width=spectral_width(base.D))
+    assert h.parity == "even"
+    assert h.hermitian
     d_norm = operator_norm(base.D)
-    measured = operator_norm(lipschitz_derivative(base.D, res.H))
-    assert measured == pytest.approx(res.dh_norm)
+    measured = operator_norm(lipschitz_derivative(base.D, h))
     # block-constant base contributes nothing; only the perturbation does
-    assert res.dh_norm <= 2.0 * 0.02 * 2.0 * d_norm
-    assert gap(res.H) >= 0.1 * operator_norm(res.H) - 1e-12
+    assert measured <= 2.0 * 0.02 * 2.0 * d_norm
+    assert gap(h) >= 0.1 * operator_norm(h) - 1e-12
 
 
 def test_random_lipschitz_is_seeded():
     base = oscillator_dirac(20)
-    a = random_lipschitz(base.D, 0.05, seed=11)
-    b = random_lipschitz(base.D, 0.05, seed=11)
-    c = random_lipschitz(base.D, 0.05, seed=12)
-    assert np.array_equal(a.H.matrix, b.H.matrix)
-    assert not np.array_equal(a.H.matrix, c.H.matrix)
+    width = spectral_width(base.D)
+    a = random_lipschitz(base.D, 0.05, seed=11, block_width=width)
+    b = random_lipschitz(base.D, 0.05, seed=11, block_width=width)
+    c = random_lipschitz(base.D, 0.05, seed=12, block_width=width)
+    assert np.array_equal(a.matrix, b.matrix)
+    assert not np.array_equal(a.matrix, c.matrix)
 
 
 def test_parse_model_round_trips():
@@ -99,7 +106,12 @@ def test_parse_model_round_trips():
     assert desc.parameters["k"] == 2 and desc.parameters["seed"] == 5
     desc = parse_model("random:strength=0.01,seed=2")
     assert desc.name == "random"
-    assert "dh_norm" in desc.extras
+    # the band width defaults to rho_max / 8 and is always reported
+    assert desc.parameters == {"n": 40, "strength": 0.01, "seed": 2,
+                               "width": desc.rho_max / 8.0}
+    desc = parse_model("random:width=0.5")
+    assert desc.parameters["width"] == 0.5
+    assert desc.parameters != parse_model("random:").parameters
 
 
 def test_parse_model_rejects_malformed():
@@ -155,12 +167,21 @@ def test_structural_guard_matches_dense_frame(address):
     assert desc.truncation_fraction == fraction
 
 
+def _spectral_width_draw():
+    D = oscillator_dirac(40).D
+    return random_lipschitz(D, 0.02, seed=1, block_width=spectral_width(D)), D
+
+
+def _model_draw():
+    desc = parse_model("random:strength=0.02,seed=1")
+    return desc.H, desc.D
+
+
 @pytest.mark.parametrize("draw,expected", [
-    (lambda: random_lipschitz(oscillator_dirac(40).D, 0.02, seed=1).dh_norm,
-     0.4793950471439405),
-    (lambda: parse_model("random:strength=0.02,seed=1").extras["dh_norm"],
-     0.2554139367242224),
+    (_spectral_width_draw, 0.4793950471439405),
+    (_model_draw, 0.2554139367242224),
 ], ids=["default_width", "model_width"])
 def test_random_lipschitz_draw_is_pinned(draw, expected):
     # the draw is built on D's eigenframe, so it moves if the frame's phases do
-    assert draw() == pytest.approx(expected, rel=1e-12)
+    _, dh_norm, _, _, _ = measure_constants(*draw())
+    assert dh_norm == pytest.approx(expected, rel=1e-12)

@@ -1,7 +1,15 @@
+import numpy as np
 import pytest
 
-from localizer_lab import CheckResult, default_localizer, parallel_map, run_suite
+from localizer_lab import (
+    CheckResult,
+    default_localizer,
+    parallel_map,
+    parse_model,
+    run_suite,
+)
 from localizer_lab.errors import ConfigError
+from localizer_lab.verification import HOMOTOPY_MODELS, zoo_instances
 
 
 def test_parallel_map_preserves_order():
@@ -17,6 +25,14 @@ def test_check_result_line_format():
     line = bad.line()
     assert line.startswith("FAIL demo")
     assert "seed 3" in line
+
+
+def test_zoo_labels_are_addresses():
+    # a failing label rebuilds its instance through --model
+    for label, h, d in zoo_instances() + zoo_instances(HOMOTOPY_MODELS):
+        desc = parse_model(label)
+        assert np.array_equal(desc.H.matrix, h.matrix), label
+        assert np.array_equal(desc.D.matrix, d.matrix), label
 
 
 def test_run_suite_rejects_unknown_name():
