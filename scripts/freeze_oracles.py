@@ -21,7 +21,7 @@ from localizer_lab.oracles import CHERN_GRID
 # each oracle is keyed by the --model address of the model it is computed on
 CHERN_MODELS = ("qwz:L=12,m=1.0", "qwz:L=16,m=1.0", "qwz:L=12,m=3.0", "qwz:L=16,m=3.0")
 KERNEL_MODELS = ("oscillator:n=40", "oscillator:n=60", "oscillator:n=100")
-PHI_REL_TOL = 5e-4
+PHI_REL_TOL = 1e-9
 
 
 def compute_oracles() -> dict:

@@ -26,6 +26,7 @@ DEFAULT_X_STEP = 1e-3
 DEFAULT_P_STEP = 1e-2
 DEFAULT_P_MAX = 200.0
 VALIDATION_STEP = 1e-3  # grid step of validate_localizing on [0, 2]
+SPLIT_BLOCK = 200  # p points per row of the split-exponential GEMM in _transform
 
 PLATEAU_EDGE = 0.75  # midpoint of the transition window of the default family
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -151,7 +152,12 @@ def _transform(evaluator, support_radius, p_max, x_step, p_step):
     phi is even, so phihat(p) = (2 pi)^(-1/2) * integral phi(x) cos(px) dx.
     The symmetric Simpson grid on [-R, R] is folded onto its nodes x >= 0,
     doubling every weight but the one at x = 0: the quadrature rule is the
-    same and the transform becomes a real matmul.
+    same.  Each p_j = j dp is split as j = a B + b with 0 <= b < B, so that
+    exp(i p_j x) = exp(i a B dp x) * exp(i b dp x).  Both factor tables are
+    exact: each entry is one np.exp of its own phase, not a power or a
+    running product, so no error accumulates along the grid.  phihat is then
+    the real part of one complex GEMM, the coarse table (weights folded in)
+    times the transposed fine table, read row by row.
     """
     R = support_radius
     nx = int(np.ceil(2.0 * R / x_step))
@@ -165,10 +171,11 @@ def _transform(evaluator, support_radius, p_max, x_step, p_step):
     np_pts = int(np.ceil(p_max / p_step))
     np_pts += np_pts % 2
     p = np.linspace(0.0, p_max, np_pts + 1)
-    ph = np.empty_like(p)
-    chunk = 2048
-    for i in range(0, len(p), chunk):
-        ph[i:i + chunk] = np.cos(np.outer(p[i:i + chunk], x)) @ fw / SQRT_2PI
+    dp = p_max / np_pts
+    n_coarse = -(-len(p) // SPLIT_BLOCK)
+    coarse = np.exp(1j * np.outer(np.arange(n_coarse) * SPLIT_BLOCK * dp, x)) * fw
+    fine = np.exp(1j * np.outer(np.arange(SPLIT_BLOCK) * dp, x))
+    ph = (coarse @ fine.T).real.ravel()[:len(p)] / SQRT_2PI
     return p, ph
 
 

@@ -140,45 +140,31 @@ def chern_number_bz(bloch, n_occupied: int, grid: int = CHERN_GRID) -> IndexResu
     The band gap is checked on the grid first and a closing fails loudly.
     """
     ks = 2.0 * np.pi * np.arange(grid) / grid
-    frames = None
-    min_gap = np.inf
-    scale = 0.0
-    for a in range(grid):
-        for b in range(grid):
-            h = np.asarray(bloch(ks[a], ks[b]), dtype=complex)
-            if frames is None:
-                nb = h.shape[0]
-                frames = np.empty((grid, grid, nb, n_occupied), dtype=complex)
-            w, v = np.linalg.eigh(h)
-            scale = max(scale, float(np.abs(w).max(initial=0.0)))
-            gap_here = w[n_occupied] - w[n_occupied - 1]
-            fermi_dist = min(abs(w[n_occupied]), abs(w[n_occupied - 1]))
-            min_gap = min(min_gap, gap_here, 2.0 * fermi_dist)
-            frames[a, b] = v[:, :n_occupied]
+    h = np.array([[np.asarray(bloch(ka, kb), dtype=complex) for kb in ks] for ka in ks])
+    w, v = np.linalg.eigh(h)
+    scale = float(np.abs(w).max(initial=0.0))
+    gap_here = w[..., n_occupied] - w[..., n_occupied - 1]
+    fermi_dist = np.minimum(np.abs(w[..., n_occupied]), np.abs(w[..., n_occupied - 1]))
+    min_gap = float(np.minimum(gap_here, 2.0 * fermi_dist).min())
     if min_gap <= GAP_TOL * max(scale, 1e-300):
         raise GaplessError(
             f"band gap {min_gap:.3e} on the {grid}x{grid} grid is below "
             f"{GAP_TOL:.1e} * ||h||; Chern number undefined"
         )
 
-    def link(f, g):
-        d = np.linalg.det(f.conj().T @ g)
-        if abs(d) < 1e-12:
-            raise GaplessError("vanishing link overlap; grid too coarse or gap closing")
-        return d
-
-    total = 0.0
-    max_angle = 0.0
-    for a in range(grid):
-        for b in range(grid):
-            a1, b1 = (a + 1) % grid, (b + 1) % grid
-            prod = (link(frames[a, b], frames[a1, b])
-                    * link(frames[a1, b], frames[a1, b1])
-                    * link(frames[a1, b1], frames[a, b1])
-                    * link(frames[a, b1], frames[a, b]))
-            ang = float(np.angle(prod))
-            max_angle = max(max_angle, abs(ang))
-            total += ang
+    # frames[a, b] and its neighbours at (a+1, b), (a+1, b+1), (a, b+1)
+    frames = v[..., :n_occupied]
+    f_a1 = np.roll(frames, -1, axis=0)
+    f_a1b1 = np.roll(frames, (-1, -1), axis=(0, 1))
+    f_b1 = np.roll(frames, -1, axis=1)
+    links = [np.linalg.det(f.conj().swapaxes(-1, -2) @ g)
+             for f, g in ((frames, f_a1), (f_a1, f_a1b1), (f_a1b1, f_b1), (f_b1, frames))]
+    if min(float(np.abs(d).min()) for d in links) < 1e-12:
+        raise GaplessError("vanishing link overlap; grid too coarse or gap closing")
+    angles = np.angle(links[0] * links[1] * links[2] * links[3]).ravel()
+    max_angle = float(np.abs(angles).max())
+    # cumsum adds in (a, b) order, one angle at a time
+    total = float(np.cumsum(angles)[-1])
     raw = total / (2.0 * np.pi)
     value = int(np.rint(raw))
     deviation = abs(raw - value)

@@ -8,9 +8,12 @@ import pytest
 from localizer_lab import RunConfig, default_localizer, validate_localizing
 from localizer_lab import localizing
 from localizer_lab.cli import main
-from localizer_lab.errors import PreconditionError
+from localizer_lab.errors import PreconditionError, ResolutionError
 from localizer_lab.localizing import (
     DEFAULT_P_MAX,
+    DEFAULT_P_STEP,
+    DEFAULT_X_STEP,
+    SPLIT_BLOCK,
     SQRT_2PI,
     _bump_cdf_table,
     _bump_derivative_l1,
@@ -18,6 +21,7 @@ from localizer_lab.localizing import (
     _simpson_weights,
     _transform,
     _weight_once,
+    fourier_weight,
 )
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
@@ -133,6 +137,39 @@ def test_fourier_weight_quadrature_stability():
                         5e-4, 5e-3)
     change = abs(fine - phi.fourier_weight) / phi.fourier_weight
     assert change < 5e-3
+
+
+def test_halved_step_gate_refuses_an_unresolved_cutoff():
+    # a ripple of period 2.2e-3 is barely sampled at the default x step:
+    # halving both steps moves the weight by about 6.3 percent
+    def ripple(x):
+        a = np.abs(np.asarray(x, dtype=float))
+        return np.where(a <= 0.75, 0.5 * (1.0 + np.cos(2.0 * np.pi * a / 2.2e-3)), 0.0)
+
+    with pytest.raises(ResolutionError, match="halved"):
+        fourier_weight(ripple, deriv3_l1=1.0, deriv4_l1=1.0)
+
+
+def test_split_exponential_transform_matches_direct_cosine_sum():
+    # the default grid: 20001 p points, so the last GEMM row holds one point
+    phi = default_localizer()
+    R = phi.support_radius
+    p, ph = _transform(phi.evaluator, R, DEFAULT_P_MAX, DEFAULT_X_STEP, DEFAULT_P_STEP)
+    assert len(p) == 20001 and len(p) % SPLIT_BLOCK == 1
+    # the folded Simpson rule summed directly over cos(p x), in row chunks
+    nx = int(np.ceil(2.0 * R / DEFAULT_X_STEP))
+    nx += nx % 2
+    half = nx // 2
+    x = np.linspace(0.0, R, half + 1)
+    wx = _simpson_weights(nx + 1, R / half)[half:]
+    wx[1:] *= 2.0
+    fw = wx * phi(x)
+    ref = np.concatenate([np.cos(np.outer(p[i:i + 2048], x)) @ fw
+                          for i in range(0, len(p), 2048)]) / SQRT_2PI
+    assert np.abs(ph - ref).max() <= 1e-13
+    h = p[1] - p[0]
+    w_ref = 2.0 * localizing._simpson_uniform(np.abs(p * ref), h)
+    assert phi.fourier_weight == pytest.approx(w_ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("x_step", [1e-2, 1.3e-2])

@@ -18,6 +18,7 @@ from localizer_lab import (
     window_signature_index,
 )
 from localizer_lab.errors import GaplessError
+from localizer_lab.models import qwz_bloch
 from localizer_lab.verification import random_odd
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
@@ -86,6 +87,26 @@ def test_chern_grid_independence():
     a = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied, grid=24)
     b = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied, grid=48)
     assert a.value == b.value == 1
+
+
+@pytest.mark.parametrize("masses, expected", [((1.0, 1.0), 2), ((1.0, 3.0), 1),
+                                               ((1.0, -1.0), 0)])
+def test_chern_adds_over_direct_sums(masses, expected):
+    # two occupied bands: each link is the determinant of a 2 x 2 overlap
+    def bloch(k1, k2):
+        h = np.zeros((4, 4), dtype=complex)
+        h[:2, :2] = qwz_bloch(k1, k2, masses[0])
+        h[2:, 2:] = qwz_bloch(k1, k2, masses[1])
+        return h
+
+    res = chern_number_bz(bloch, n_occupied=2, grid=24)
+    assert res.value == expected
+    assert res.diagnostics["integer_deviation"] < 1e-12
+
+
+def test_chern_oracle_refuses_a_closed_gap():
+    with pytest.raises(GaplessError, match="band gap"):
+        chern_number_bz(lambda k1, k2: qwz_bloch(k1, k2, 2.0), n_occupied=1)
 
 
 def test_closed_gap_refused_at_model_construction():
