@@ -154,27 +154,63 @@ def choose_params(H: GradedOperator, D: GradedOperator, phi: LocalizingFunction,
     return select_scale(*measure_constants(H, D), phi, margin=margin)
 
 
-@dataclass
 class LocalizerBundle:
-    """Assembled localizer with its windows and spectral summary.
+    """Spectrum of an assembled localizer, with L and its windows on demand.
 
-    ``outer`` is the scalar window x -> Phi_2rho(x).  For scales where both
-    windows are the identity on the spectrum of D the Phi factors are not
-    materialized and phi_identity is set.
+    ``eigenvalues`` (sorted) and ``min_abs_eigenvalue`` are computed at
+    assembly.  ``L``, ``Phi_rho`` and ``Phi_2rho`` are built when first
+    read: the windows by func_calc of D, and L from its block on the window
+    of D's eigenbasis.  ``outer`` is the scalar window x -> Phi_2rho(x).
+    For scales where both windows are the identity on the spectrum of D,
+    L is formed at assembly, the Phi factors are None and phi_identity is
+    set.
     """
 
-    L: GradedOperator
-    params: LocalizerParams
-    outer: Callable
-    Phi_rho: GradedOperator | None
-    Phi_2rho: GradedOperator | None
-    eigenvalues: np.ndarray
-    min_abs_eigenvalue: float
-    phi_identity: bool = False
+    def __init__(self, params: LocalizerParams, D: GradedOperator,
+                 inner: Callable, outer: Callable, eigenvalues: np.ndarray,
+                 L: GradedOperator | None = None,
+                 window: tuple[np.ndarray, np.ndarray] | None = None):
+        self.params = params
+        self.outer = outer
+        self.eigenvalues = eigenvalues
+        self.min_abs_eigenvalue = float(np.abs(eigenvalues).min())
+        self.phi_identity = L is not None
+        self._D = D
+        self._inner = inner
+        self._L = L
+        self._window = window
+        self._phi = {}
 
     @property
     def space(self) -> GradedSpace:
-        return self.L.space
+        return self._D.space
+
+    @property
+    def L(self) -> GradedOperator:
+        if self._L is None:
+            # U L~ U^H = U_S (L_S + gamma~_S) U_S^H - gamma, since U gamma~ U^H
+            # = gamma and L~ = -gamma~ off the window S (see _assemble)
+            support, block = self._window
+            u = self._D.eig().odd_columns(support)
+            lm = (u @ block) @ u.conj().T
+            lm[np.diag_indices_from(lm)] -= self.space.gamma_diag
+            self._L = GradedOperator(lm, self.space, parity="none", hermitian=True)
+        return self._L
+
+    @property
+    def Phi_rho(self) -> GradedOperator | None:
+        return self._window_of(self._inner)
+
+    @property
+    def Phi_2rho(self) -> GradedOperator | None:
+        return self._window_of(self.outer)
+
+    def _window_of(self, f: Callable) -> GradedOperator | None:
+        if self.phi_identity:
+            return None
+        if f not in self._phi:
+            self._phi[f] = func_calc(f, self._D)
+        return self._phi[f]
 
 
 def assemble_localizer(H: GradedOperator, D: GradedOperator,
@@ -192,46 +228,71 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     Phi_in = inner(D) and Phi_out = outer(D).  When both windows are 1 on
     every eigenvalue of D, L = gamma H + kappa D is formed directly,
     skipping all function calculus.
+
+    Otherwise L is assembled in the eigenbasis D = U diag(w) U^H as
+
+        L~ = U^H L U = F_in Gamma F_in + kappa diag(F_out^2 w) - diag(T) gamma~,
+
+    with F = inner(w), outer(w), Gamma = U^H gamma H U, gamma~ = U^H gamma U
+    (a signed permutation, see OddFrameMap) and T = (1 - F_out^4)^(1/2)
+    taken pointwise: sqrt is not Lipschitz at 0 and the plateau puts values
+    of 1 - F_out^4 exactly there, so no matrix square root is formed.  Let
+    S be the columns where a window is nonzero, with the kernel of D, closed
+    under the pairs of gamma~.  Off S, L~ = -gamma~, which gamma~ does not
+    couple to S, so L~ = L_S (+) -gamma~: each pair outside S adds the
+    eigenvalues +1 and -1, and only L_S goes to eigvalsh.  U^H H U is
+    formed once per (H, D) (SpectralDecomposition.in_frame) and shared by
+    every scale; Gamma = gamma~ U^H H U permutes its rows with signs.
     """
     gdiag = H.space.gamma_diag
-    gH = gdiag[:, None] * H.matrix
     d_eigs = D.eigenvalues()
-    phi_identity = bool(np.all(np.asarray(inner(d_eigs), dtype=float) == 1.0)
-                        and np.all(np.asarray(outer(d_eigs), dtype=float) == 1.0))
-    if phi_identity:
-        lm = gH + kappa * D.matrix
-        Phi_rho = Phi_2rho = None
+    if (np.all(np.asarray(inner(d_eigs), dtype=float) == 1.0)
+            and np.all(np.asarray(outer(d_eigs), dtype=float) == 1.0)):
+        L = GradedOperator(gdiag[:, None] * H.matrix + kappa * D.matrix, H.space,
+                           parity="none", hermitian=True)
+        bundle = LocalizerBundle(params, D, inner, outer, L.eigenvalues(), L=L)
     else:
-        # All three window operators are functions of D on one eigenbasis.
-        # The tail factor in particular must not pass through a matrix
-        # square root: sqrt is not Lipschitz at 0, and the plateau of the
-        # outer window puts eigenvalues of 1 - Phi^4 exactly there, so
-        # rebuilding the matrix first would turn 1e-16 roundoff into 1e-8
-        # error.  It is applied pointwise to the spectrum instead.
-        def tail(x):
-            return np.sqrt(np.clip(1.0 - np.asarray(outer(x), dtype=float) ** 4,
-                                   0.0, None))
-
-        Phi_rho = func_calc(inner, D)
-        Phi_2rho = func_calc(outer, D)
-        pr = Phi_rho.matrix
-        p2 = Phi_2rho.matrix
-        lm = (pr @ gH @ pr + kappa * (p2 @ D.matrix @ p2)
-              - func_calc(tail, D).matrix * gdiag[None, :])
-    L = GradedOperator(lm, H.space, parity="none", hermitian=True)
-
-    eigs = L.eigenvalues()
-    min_abs = float(np.abs(eigs).min())
+        bundle = _windowed(H, D, params, kappa, inner, outer)
+    eigs = bundle.eigenvalues
+    min_abs = bundle.min_abs_eigenvalue
     scale = float(np.abs(eigs).max(initial=0.0))
     if params.admissible and min_abs <= EPS_INV * max(scale, 1e-300):
         raise InternalConsistencyError(
             f"admissible parameters produced a numerically singular localizer "
             f"(min |eig| = {min_abs:.3e}); the certificate is violated"
         )
-    return LocalizerBundle(
-        L=L, params=params, outer=outer, Phi_rho=Phi_rho, Phi_2rho=Phi_2rho,
-        eigenvalues=eigs, min_abs_eigenvalue=min_abs, phi_identity=phi_identity,
-    )
+    return bundle
+
+
+def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
+              kappa: float, inner: Callable, outer: Callable) -> LocalizerBundle:
+    """Spectrum of the windowed localizer from its block L_S (see _assemble)."""
+    dec = D.eig()
+    h_frame = dec.in_frame(H)  # refuses a D that is not odd or an H not even
+    fm = dec.frame_map
+    w = dec.eigenvalues
+    f_in = np.asarray(inner(w), dtype=float)
+    f_out = np.asarray(outer(w), dtype=float)
+    tail = np.sqrt(np.clip(1.0 - f_out**4, 0.0, None))
+    # kernel columns stay in S, so the columns outside S come in pairs
+    inside = (f_in != 0.0) | (f_out != 0.0) | (fm.partner == np.arange(len(w)))
+    inside |= inside[fm.partner]
+    support = np.flatnonzero(inside)
+    # gamma~ on S: the entry sign[c] in row partner[c] of each column c
+    cols = np.arange(len(support))
+    rows = np.searchsorted(support, fm.partner[support])
+    sign = fm.sign[support]
+
+    f = f_in[support]
+    gamma_h = sign[:, None] * h_frame[fm.partner[support]][:, support]
+    block = f[:, None] * gamma_h * f[None, :]
+    block[cols, cols] += kappa * f_out[support] ** 2 * w[support]
+    block[rows, cols] -= tail[support][rows] * sign
+    pairs = (len(w) - len(support)) // 2
+    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(block), -np.ones(pairs),
+                                   np.ones(pairs)]))
+    block[rows, cols] += sign  # L_S + gamma~_S, all that L needs
+    return LocalizerBundle(params, D, inner, outer, eigs, window=(support, block))
 
 
 # ----------------------------------------------------------------------------

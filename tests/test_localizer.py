@@ -3,6 +3,7 @@ import pytest
 
 from localizer_lab import (
     GradedOperator,
+    GradedSpace,
     LocalizerParams,
     assemble_localizer,
     choose_params,
@@ -236,3 +237,162 @@ def test_sharp_refuses_cut_through_spectrum():
     on_eig = float(w[np.argmin(np.abs(w - np.median(w)))])
     with pytest.raises(SpectralCutError):
         sharp_localizer(osc.H, osc.D, on_eig, 1.0, PHI)
+
+
+# ---------------------------------------------------------------------------
+# eigenbasis route against the site-basis formula
+# ---------------------------------------------------------------------------
+
+
+def site_basis_localizer(H, D, kappa, inner, outer):
+    """Phi_in gamma H Phi_in + kappa Phi_out D Phi_out - (1 - Phi_out^4)^(1/2) gamma
+    in the site basis, each function of D from an independent dense eigh."""
+    w, u = np.linalg.eigh(D.matrix)
+
+    def of_d(values):
+        return (u * values) @ u.conj().T
+
+    g = H.space.gamma_diag
+    f_out = np.asarray(outer(w), dtype=float)
+    p_in, p_out = of_d(np.asarray(inner(w), dtype=float)), of_d(f_out)
+    tail = of_d(np.sqrt(np.clip(1.0 - f_out**4, 0.0, None)))
+    lm = (p_in @ (g[:, None] * H.matrix) @ p_in
+          + kappa * (p_out @ D.matrix @ p_out) - tail * g[None, :])
+    return (lm + lm.conj().T) / 2.0
+
+
+def odd_with_singular_values(space, sv, seed):
+    rng = np.random.default_rng(seed)
+    q_minus, _ = np.linalg.qr(rng.normal(size=(space.n_minus,) * 2)
+                              + 1j * rng.normal(size=(space.n_minus,) * 2))
+    q_plus, _ = np.linalg.qr(rng.normal(size=(space.n_plus,) * 2)
+                             + 1j * rng.normal(size=(space.n_plus,) * 2))
+    s = np.zeros((space.n_minus, space.n_plus))
+    s[np.diag_indices(len(sv))] = sv
+    return GradedOperator.odd_from_block(space, q_minus @ s @ q_plus.conj().T)
+
+
+def dense_sized(n_plus, n_minus, seed):
+    rng = np.random.default_rng(seed)
+    space = GradedSpace(n_plus, n_minus)
+    return random_even_invertible(rng, space), random_odd(rng, space)
+
+
+def degenerate_pair():
+    # repeated singular values 1, 1, 1, 2, 2 and a three-dimensional kernel
+    space = GradedSpace(5, 8)
+    H = random_even_invertible(np.random.default_rng(7), space)
+    return H, odd_with_singular_values(space, [2.0, 2.0, 1.0, 1.0, 1.0], 8)
+
+
+def oscillator_pair():
+    osc = oscillator_dirac(40)
+    return osc.H, osc.D
+
+
+def window_support(D, rho):
+    return np.asarray(PHI.scaled(2.0 * rho)(D.eigenvalues())) > 0.0
+
+
+ROUTE_CASES = {
+    # (H, D), kappa, rho / ||D||, whether supp Phi_2rho holds all of spec D
+    "dense_n_plus_larger": (lambda: dense_sized(9, 5, 61), 0.8, 0.2, False),
+    "dense_n_minus_larger": (lambda: dense_sized(4, 11, 62), 1.3, 0.2, False),
+    "oscillator_part": (oscillator_pair, 0.5, 1.0 / 6.3, False),
+    "oscillator_all": (oscillator_pair, 1.0, 4.0 / 6.3, True),
+    "degenerate_sigma": (degenerate_pair, 0.9, 0.3, False),
+}
+
+
+def assert_route_matches(bundle, reference):
+    ref_eigs = np.linalg.eigvalsh(reference)
+    scale = np.abs(ref_eigs).max()
+    assert not bundle.phi_identity
+    assert np.abs(bundle.eigenvalues - ref_eigs).max() <= 1e-12 * scale
+    assert signature(bundle.eigenvalues).signature == signature(ref_eigs).signature
+    assert np.abs(bundle.L.matrix - reference).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_eigenbasis_route_matches_site_basis_formula(case):
+    build, kappa, rho_rel, covers_all = ROUTE_CASES[case]
+    H, D = build()
+    rho = rho_rel * operator_norm(D)
+    assert bool(np.all(window_support(D, rho))) == covers_all
+    bundle = assemble_localizer(H, D, PHI, constant_C(kappa, rho, H, D, PHI))
+    assert_route_matches(bundle, site_basis_localizer(
+        H, D, kappa, PHI.scaled(rho), PHI.scaled(2.0 * rho)))
+
+
+def test_eigenbasis_route_matches_site_basis_formula_on_a_hard_cut():
+    osc = oscillator_dirac(40)
+    rho, kappa = 2.5, 0.5
+
+    def cut(x):
+        return (np.abs(x) < rho).astype(float)
+
+    bundle = sharp_localizer(osc.H, osc.D, rho, kappa, PHI)
+    assert_route_matches(bundle, site_basis_localizer(osc.H, osc.D, kappa, cut, cut))
+
+
+# ---------------------------------------------------------------------------
+# the block outside the window
+# ---------------------------------------------------------------------------
+
+
+FRAME_CASES = {
+    "n_plus_larger": lambda: dense_sized(9, 5, 71)[1],
+    "n_minus_larger": lambda: dense_sized(4, 11, 72)[1],
+    "balanced_rank_deficient": lambda: odd_with_singular_values(
+        GradedSpace(6, 6), [3.0, 1.0, 1.0, 0.0], 73),
+    "degenerate_sigma": lambda: degenerate_pair()[1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_gamma_in_the_odd_frame_is_the_signed_permutation(case):
+    D = FRAME_CASES[case]()
+    dec = D.eig()
+    u, fm = dec.vectors, dec.frame_map
+    n = D.space.n
+    assert np.abs(D.matrix @ u - u * dec.eigenvalues).max() <= 1e-13 * operator_norm(D)
+    exact = np.zeros((n, n))
+    exact[fm.partner, np.arange(n)] = fm.sign
+    assert np.abs(u.conj().T @ (D.space.gamma_diag[:, None] * u) - exact).max() <= 1e-14
+    H = random_even_invertible(np.random.default_rng(74), D.space)
+    expected = u.conj().T @ H.matrix @ u
+    assert np.abs(dec.in_frame(H) - expected).max() <= 1e-13 * operator_norm(H)
+
+
+@pytest.mark.parametrize("case", ["dense_n_plus_larger", "dense_n_minus_larger",
+                                  "oscillator_part", "degenerate_sigma"])
+def test_outside_the_window_the_localizer_is_minus_gamma(case):
+    build, kappa, rho_rel, _ = ROUTE_CASES[case]
+    H, D = build()
+    rho = rho_rel * operator_norm(D)
+    bundle = assemble_localizer(H, D, PHI, constant_C(kappa, rho, H, D, PHI))
+    support, _ = bundle._window
+    n_out = D.space.n - len(support)
+    assert n_out > 0 and n_out % 2 == 0
+
+    # L_S is the block of U^H L U on S; off S the block is -gamma~ exactly
+    dec = D.eig()
+    u, fm = dec.vectors, dec.frame_map
+    in_frame = u.conj().T @ bundle.L.matrix @ u
+    out = np.setdiff1d(np.arange(D.space.n), support)
+    minus_gamma = np.zeros((D.space.n,) * 2)
+    minus_gamma[fm.partner, np.arange(D.space.n)] = -fm.sign
+    scale = np.abs(bundle.eigenvalues).max()
+    assert np.abs(in_frame[np.ix_(out, out)]
+                  - minus_gamma[np.ix_(out, out)]).max() <= 1e-12 * scale
+    assert np.abs(in_frame[np.ix_(out, support)]).max() <= 1e-12 * scale
+
+    # the spectrum is that of L_S plus exactly +1 and -1, n_out / 2 times each
+    w = bundle.eigenvalues
+    for value in (1.0, -1.0):
+        at = np.flatnonzero(w == value)
+        assert len(at) >= n_out // 2
+        w = np.delete(w, at[:n_out // 2])
+    l_s = np.linalg.eigvalsh(in_frame[np.ix_(support, support)])
+    assert np.abs(w - l_s).max() <= 1e-12 * scale
+    assert bundle.min_abs_eigenvalue == min(1.0, float(np.abs(w).min()))
