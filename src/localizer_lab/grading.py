@@ -12,6 +12,9 @@ The n x n eigenframe of a graded operator is assembled only when read.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,6 +36,38 @@ EPS_EDGE_REL = 1e-8
 TAU_SIG = 1e-8
 
 _PARITIES = ("even", "odd", "none")
+
+
+@functools.cache
+def _blas_threads_setter():
+    """OpenBLAS's setter of the calling thread's BLAS thread count, looked up
+    through numpy.linalg's LAPACK module; None for any other BLAS."""
+    try:
+        from numpy.linalg import _umath_linalg
+        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the calling thread's numpy.linalg calls on one BLAS thread.
+
+    Restores the previous count on exit.  Does nothing when numpy's BLAS is
+    not an OpenBLAS with a per-thread setting (0.3.27 and later).
+    """
+    setter = _blas_threads_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def eigenvalue_at_cut(w: np.ndarray, rho: float):

@@ -176,6 +176,25 @@ def test_sweep_constant_signature(capsys):
     assert float(slack_min.group(1)) >= -1e-9
 
 
+def test_sweep_cells_run_on_one_blas_thread(capsys, monkeypatch):
+    from localizer_lab.grading import _blas_threads_setter
+
+    setter = _blas_threads_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS has no per-thread OpenBLAS thread count")
+    counts = []
+
+    def recording_map(fn, items):
+        counts.append(setter(1))
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli, "parallel_map", recording_map)
+    code, out, err = run(capsys, "sweep", "--model", "oscillator:n=20",
+                         "--kappa", "0.5", "--rho", "2.0")
+    assert code == 0
+    assert counts == [1]
+
+
 def test_sweep_requires_both_grids(capsys):
     code, out, err = run(capsys, "sweep", "--model", "oscillator:n=20",
                          "--kappa", "0.5")

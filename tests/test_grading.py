@@ -16,7 +16,11 @@ from localizer_lab import (
     positive_projection,
 )
 from localizer_lab.errors import NotInvertibleError, ParityError
-from localizer_lab.grading import _frame_defects
+from localizer_lab.grading import (
+    _blas_threads_setter,
+    _frame_defects,
+    one_blas_thread,
+)
 
 
 def random_even(space, rng, hermitian=True):
@@ -179,6 +183,19 @@ def test_lipschitz_derivative_vanishes_for_functions_of_d():
     d = random_odd(space, rng)
     f = func_calc(lambda x: x**2, d)
     assert operator_norm(lipschitz_derivative(d, f)) < 1e-12
+
+
+def test_one_blas_thread_sets_one_and_restores_the_count():
+    setter = _blas_threads_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS has no per-thread OpenBLAS thread count")
+    before = setter(1)  # the setter returns the count it replaces
+    setter(before)
+    with one_blas_thread():
+        assert setter(1) == 1
+        x = np.diag(np.arange(5.0))
+        assert np.array_equal(np.linalg.eigvalsh(x), np.arange(5.0))
+    assert setter(before) == before
 
 
 def test_gap_of_diagonal():
