@@ -5,7 +5,8 @@ involution gamma = diag(+1, ..., +1, -1, ..., -1).  Operators carry an optional
 parity label: even operators commute with gamma (block diagonal), odd operators
 anticommute (block off-diagonal).  Parity is enforced at the level of exact
 block sparsity, not up to rounding.  Even and odd operators are diagonalized
-through their blocks (one eigh per sector, or one SVD of the odd block), and
+through their blocks (one eigh per sector, or one SVD of the odd block; the
+values of an exactly diagonal odd block are read off its diagonal), and
 func_calc forms f(T) block by block from that data: the blocks the parity of
 f(T) forbids are never computed, so no result needs snapping to a parity.
 The n x n eigenframe of a graded operator is assembled only when read.
@@ -311,12 +312,35 @@ class GradedOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _built(cls, m: np.ndarray, space: GradedSpace, parity: str,
+               hermitian: bool) -> "GradedOperator":
+        """Wrap a complex matrix that has, by construction, the exact block
+        sparsity and hermiticity its labels claim: no copy, no
+        symmetrization, no scan of the forbidden blocks."""
+        op = cls.__new__(cls)
+        op.matrix = m
+        op.space = space
+        op.parity = parity
+        op.hermitian = hermitian
+        op._eig = None
+        op._eigvals_cache = None
+        return op
+
+    @classmethod
     def even_from_blocks(cls, space: GradedSpace, top, bottom, hermitian=False):
+        """Even operator with diagonal blocks top and bottom.
+
+        A hermitian one symmetrizes each block: the off-diagonal blocks are
+        zero, so this gives the full-size (m + m^H) / 2 bit for bit.
+        """
         m = np.zeros((space.n, space.n), dtype=complex)
         k = space.n_plus
         m[:k, :k] = top
         m[k:, k:] = bottom
-        return cls(m, space, parity="even", hermitian=hermitian)
+        if hermitian:
+            m[:k, :k] = _hermitize(m[:k, :k])
+            m[k:, k:] = _hermitize(m[k:, k:])
+        return cls._built(m, space, "even", bool(hermitian))
 
     @classmethod
     def odd_from_block(cls, space: GradedSpace, lower):
@@ -332,7 +356,8 @@ class GradedOperator:
         k = space.n_plus
         m[k:, :k] = lower
         m[:k, k:] = lower.conj().T
-        return cls(m, space, parity="odd", hermitian=True)
+        # exactly hermitian already: (m + m^H) / 2 would return it unchanged
+        return cls._built(m, space, "odd", True)
 
     # -- block access ------------------------------------------------------
 
@@ -443,7 +468,8 @@ class GradedOperator:
 
         Even operators take one eigvalsh per sector.  An odd hermitian
         [[0, B^H], [B, 0]] has spectrum +-sigma(B) plus |n_+ - n_-| zeros,
-        read off one SVD of its odd block B.  The values never come from a
+        read off one SVD of its odd block B, or off |B_ii| when B is square
+        and exactly diagonal.  The values never come from a
         cached eig(), so they are the same bits whichever of the two ran first.
         """
         if self._eigvals_cache is None:
@@ -453,13 +479,30 @@ class GradedOperator:
                 w = np.concatenate([np.linalg.eigvalsh(self.block(s, s))
                                     for s in "+-"])
             elif self.parity == "odd":
-                sv = np.linalg.svd(self.odd_block, compute_uv=False)
+                z = _odd_diagonal(self)
+                if z is None:
+                    sv = np.linalg.svd(self.odd_block, compute_uv=False)
+                else:
+                    sv = np.hypot(z.real, z.imag)
                 zeros = np.zeros(abs(self.space.n_plus - self.space.n_minus))
                 w = np.concatenate([-sv, zeros, sv])
             else:
                 w = np.linalg.eigvalsh(self.matrix)
             self._eigvals_cache = np.sort(w)
         return self._eigvals_cache
+
+
+def _odd_diagonal(op: GradedOperator) -> np.ndarray | None:
+    """Diagonal z of the odd block of an odd hermitian operator whose odd
+    block is square and exactly diagonal; None for any other operator.
+
+    Such an operator is diag(z) below and diag(conj z) above the diagonal.
+    """
+    if op.parity != "odd" or not op.hermitian or op.space.n_plus != op.space.n_minus:
+        return None
+    b = op.odd_block
+    z = np.diagonal(b)
+    return z if np.count_nonzero(b) == np.count_nonzero(z) else None
 
 
 def _mul_parity(a: str, b: str) -> str:
@@ -585,7 +628,8 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
     For parity-labelled D and T only the blocks the product parity allows
     are formed, each from the one nonzero block of D and of T it involves.
     When both are hermitian the commutator is anti-hermitian, so an odd one
-    takes its upper block as -(lower block)^H.
+    takes its upper block as -(lower block)^H.  An odd hermitian D with an
+    exactly diagonal square block multiplies entrywise, with no GEMM.
     """
     if d_op.space != op.space:
         raise ValueError("operators live on different graded spaces")
@@ -597,6 +641,9 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
     k = op.space.n_plus
     rows = {"+": slice(0, k), "-": slice(k, op.space.n)}
     other = {"+": "-", "-": "+"}
+    z = _odd_diagonal(d_op)
+    # the diagonal of D's block in row sector s
+    d_diag = None if z is None else {"-": z, "+": z.conj()}
     m = np.zeros((op.space.n, op.space.n), dtype=complex)
     cells = [("+", "+"), ("-", "-")] if parity == "even" else [("-", "+"), ("+", "-")]
     for r, c in cells:
@@ -605,8 +652,12 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
             continue
         via_d = r if d_op.parity == "even" else other[r]
         via_t = r if op.parity == "even" else other[r]
-        m[rows[r], rows[c]] = (d_op.block(r, via_d) @ op.block(via_d, c)
-                               - op.block(r, via_t) @ d_op.block(via_t, c))
+        if d_diag is None:
+            m[rows[r], rows[c]] = (d_op.block(r, via_d) @ op.block(via_d, c)
+                                   - op.block(r, via_t) @ d_op.block(via_t, c))
+        else:
+            m[rows[r], rows[c]] = (d_diag[r][:, None] * op.block(via_d, c)
+                                   - op.block(r, via_t) * d_diag[via_t][None, :])
     return GradedOperator(m, op.space, parity=parity, hermitian=False)
 
 

@@ -29,6 +29,9 @@ from .localizer import (
 )
 from .localizing import LocalizingFunction
 
+# largest ||eig H| - 1| for which positive_projection tries P = (1 + H) / 2
+FLAT_EIG_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Inertia:
@@ -92,13 +95,29 @@ def half_signature_class(h_ref, h_var) -> int:
 
 
 def positive_projection(H: GradedOperator) -> GradedOperator:
-    """Spectral projection onto the positive part of an invertible hermitian H."""
+    """Spectral projection onto the positive part of an invertible hermitian H.
+
+    An even H whose eigenvalues (already read by signature) are +-1 within
+    FLAT_EIG_TOL takes P = (1 + H) / 2 sector by sector, with no eigensolve,
+    when its measured defect ||P^2 - P|| = ||H^2 - 1|| / 4 passes the gate;
+    any other H, or a failed gate, takes func_calc.
+    """
     s = signature(H)
     if not s.invertible:
         raise NotInvertibleError(
             f"{s.n_zero} eigenvalues inside the zero band; positive projection "
             "is ill-defined"
         )
+    if (H.parity == "even"
+            and np.abs(np.abs(H.eigenvalues()) - 1.0).max() <= FLAT_EIG_TOL):
+        top, bottom = ((np.eye(len(b)) + b) / 2.0
+                       for b in (H.block("+", "+"), H.block("-", "-")))
+        proj = GradedOperator.even_from_blocks(H.space, top, bottom, hermitian=True)
+        try:
+            check_defect(_idempotency_residual(proj), 1e-10, "projection defect")
+            return proj
+        except InternalConsistencyError:
+            pass
     proj = func_calc(lambda x: (x > 0).astype(float), H)
     check_defect(_idempotency_residual(proj), 1e-10, "projection defect")
     return proj

@@ -24,10 +24,15 @@ BOUNDARY_WEIGHT_TOL = 1e-6
 QWZ_GAP_GRID = 257  # Brillouin-zone grid on which the Bloch gap is scanned
 RANDOM_GAP_FLOOR = 0.1  # random_lipschitz redraws until gap(H) >= this * ||H||
 RANDOM_MAX_TRIES = 20
+# bound on ||hflat^2 - 1||_F and on ||[h, hflat]||_F / max(1, ||h||_F)
+FLAT_TOL = 1e-12
 
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
+# hops of the two-band lattice along e_1 and e_2
+QWZ_HOP_1 = PAULI_1 / 2j - PAULI_3 / 2.0
+QWZ_HOP_2 = PAULI_2 / 2j - PAULI_3 / 2.0
 
 
 @dataclass
@@ -125,15 +130,101 @@ def _qwz_gap(m: float) -> float:
     return float(np.sqrt(s1**2 + s2**2 + mz**2).min())
 
 
+def _qwz_kernel(L: int, m: float) -> np.ndarray:
+    """Translation kernel of the lattice h: K[dx, dy] is the 2 x 2 block from
+    a site to the site (dx, dy) away, indices mod L."""
+    kernel = np.zeros((L, L, 2, 2), dtype=complex)
+    kernel[0, 0] = m * PAULI_3
+    for hop, shift in ((QWZ_HOP_1, (1, 0)), (QWZ_HOP_2, (0, 1))):
+        kernel[shift] = hop
+        kernel[-shift[0], -shift[1]] = hop.conj().T
+    return kernel
+
+
+def _spread(kernel: np.ndarray) -> np.ndarray:
+    """Dense matrix of a translation-invariant operator on the L x L torus.
+
+    Site (x, y) is basis pair 2 (x L + y) + (0, 1), and the block from site
+    (x', y') to site (x, y) is kernel[(x - x') mod L, (y - y') mod L].
+    """
+    L = kernel.shape[0]
+    d = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
+    full = kernel[d[:, None, :, None], d[None, :, None, :]]  # (x, y, x', y', a, b)
+    return full.transpose(0, 1, 4, 2, 3, 5).reshape(2 * L * L, 2 * L * L)
+
+
+def _qwz_hopping_loop(L: int, m: float) -> np.ndarray:
+    """The lattice h summed hop by hop, site by site: the reference that the
+    spread kernel must reproduce entry by entry."""
+    npb = L * L
+    h = np.zeros((2 * npb, 2 * npb), dtype=complex)
+
+    def site(x, y):
+        return (x % L) * L + (y % L)
+
+    for x in range(L):
+        for y in range(L):
+            i = site(x, y)
+            h[2*i:2*i+2, 2*i:2*i+2] += m * PAULI_3
+            for hop, (dx, dy) in ((QWZ_HOP_1, (1, 0)), (QWZ_HOP_2, (0, 1))):
+                j = site(x + dx, y + dy)
+                h[2*j:2*j+2, 2*i:2*i+2] += hop
+                h[2*i:2*i+2, 2*j:2*j+2] += hop.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+def _flat_kernel(kernel: np.ndarray) -> np.ndarray:
+    """Kernel of -sign(h) = -h(k) / |E(k)| for a traceless two-band kernel.
+
+    h(k) = sum_d K(d) e^{-i k.d} is fft2 over the two lattice axes, and a
+    traceless hermitian 2 x 2 h(k) squares to |E(k)|^2 times the identity,
+    with |E(k)|^2 half the sum of its squared moduli.
+    """
+    hk = np.fft.fft2(kernel, axes=(0, 1))
+    energy = np.sqrt(np.sum(np.abs(hk) ** 2, axis=(-2, -1)) / 2.0)
+    return np.fft.ifft2(-hk / energy[..., None, None], axes=(0, 1))
+
+
+def check_flat_band(h: np.ndarray, hflat: np.ndarray) -> None:
+    """Check that hflat is the flattened Hamiltonian -sign(h) at half filling.
+
+    Flatness ||hflat^2 - 1||_F and the commutator ||[h, hflat]||_F (one
+    GEMM each; [h, hflat] = A - A^H with A = h hflat for hermitian h and
+    hflat) must vanish to FLAT_TOL, the second relative to max(1, ||h||_F);
+    the commutator catches a Fourier sign slip, which flatness and filling
+    do not.  |tr hflat| < 1/2 makes the +1 and -1 eigenspaces equally large.
+    """
+    n = h.shape[0]
+    flat = float(np.linalg.norm(hflat @ hflat - np.eye(n)))
+    if flat > FLAT_TOL:
+        raise InternalConsistencyError(f"flattened h is not an involution: "
+                                       f"||hflat^2 - 1||_F = {flat:.3e}")
+    a = h @ hflat
+    comm = float(np.linalg.norm(a - a.conj().T))
+    if comm > FLAT_TOL * max(1.0, float(np.linalg.norm(h))):
+        raise InternalConsistencyError(f"flattened h does not commute with h: "
+                                       f"||[h, hflat]||_F = {comm:.3e}")
+    trace = float(np.trace(hflat).real)
+    if abs(trace) >= 0.5:
+        raise InternalConsistencyError(
+            f"half filling violated: tr hflat = {trace:.3e} on {n} states")
+
+
 def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     """Flattened two-band Chern insulator paired with the lattice position Dirac.
 
-    The lattice Hamiltonian lives on an L x L torus with two orbitals per
-    site; H is its flattened Fermi projection doubled onto both sectors, and
-    D is the odd operator built from the complex position x1 + i x2 with
-    coordinates centered at the lattice middle.  The periodic seam makes
-    [D, H] grow linearly with L, which the descriptor reports rather than
-    hides.
+    The lattice Hamiltonian h lives on an L x L torus with two orbitals per
+    site.  It is translation invariant, so the discrete Fourier transform
+    diagonalizes it: hflat = -sign(h) comes from the kernel
+    ifft2(-h(k) / |E(k)|) with h(k) = fft2(K) of its translation kernel K,
+    and no eigensolve runs.  Each build checks what this route relies on:
+    K spread to a dense matrix equals the hopping-loop h entry by entry,
+    and hflat passes check_flat_band (flat, commuting with h, half filled).
+    H is hflat on both sectors, and its spectrum (+-1, half each) is set,
+    not solved for.  D is the odd operator built from the complex position
+    x1 + i x2 with coordinates centered at the lattice middle.  The periodic
+    seam makes [D, H] grow linearly with L, which the descriptor reports
+    rather than hides.
     """
     if L < 8:
         raise ModelArgumentError("lattice extent must be at least 8")
@@ -150,48 +241,16 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
         )
 
     npb = L * L
-    h = np.zeros((2 * npb, 2 * npb), dtype=complex)
-    hop1 = PAULI_1 / 2j - PAULI_3 / 2.0
-    hop2 = PAULI_2 / 2j - PAULI_3 / 2.0
-
-    def site(x, y):
-        return (x % L) * L + (y % L)
-
-    for x in range(L):
-        for y in range(L):
-            i = site(x, y)
-            h[2*i:2*i+2, 2*i:2*i+2] += m * PAULI_3
-            for hop, (dx, dy) in ((hop1, (1, 0)), (hop2, (0, 1))):
-                j = site(x + dx, y + dy)
-                h[2*j:2*j+2, 2*i:2*i+2] += hop
-                h[2*i:2*i+2, 2*j:2*j+2] += hop.conj().T
-    h = (h + h.conj().T) / 2.0
-    ew, ev = np.linalg.eigh(h)
-
-    # real-space spectrum must reproduce the Bloch spectrum on the L-grid
-    ks = 2.0 * np.pi * np.arange(L) / L
-    bloch_spec = []
-    for a in range(L):
-        for b in range(L):
-            bloch_spec.extend(np.linalg.eigvalsh(qwz_bloch(ks[a], ks[b], m)))
-    bloch_spec = np.sort(np.asarray(bloch_spec))
-    if np.abs(np.sort(ew) - bloch_spec).max() > 1e-8 * max(1.0, np.abs(ew).max()):
-        raise InternalConsistencyError("lattice spectrum disagrees with Bloch spectrum")
-
-    n_occ = int((ew < 0).sum())
-    if n_occ != npb:
-        raise InternalConsistencyError(
-            f"half filling violated: {n_occ} negative-energy states out of {2 * npb}"
-        )
-    occ = ev[:, :n_occ]
-    hflat = 2.0 * (occ @ occ.conj().T) - np.eye(2 * npb)
-    hflat = (hflat + hflat.conj().T) / 2.0
-
+    kernel = _qwz_kernel(L, m)
+    h = _spread(kernel)
+    if not np.array_equal(h, _qwz_hopping_loop(L, m)):
+        raise InternalConsistencyError("lattice kernel disagrees with the hopping loop")
+    hflat = _spread(_flat_kernel(kernel))
     space = GradedSpace(2 * npb, 2 * npb)
     H = GradedOperator.even_from_blocks(space, hflat, hflat, hermitian=True)
-    flat_vals = np.concatenate([np.repeat(-1.0, n_occ), np.repeat(1.0, n_occ),
-                                np.repeat(-1.0, n_occ), np.repeat(1.0, n_occ)])
-    H._eigvals_cache = np.sort(flat_vals)
+    check_flat_band(h, H.block("+", "+"))
+    # by check_flat_band: eigenvalues +-1, npb of each sign in each sector
+    H._eigvals_cache = np.repeat([-1.0, 1.0], 2 * npb)
 
     xs = np.arange(L) - (L - 1) / 2.0
     z = np.repeat((xs[:, None] + 1j * xs[None, :]).ravel(), 2)

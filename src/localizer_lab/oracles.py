@@ -93,7 +93,7 @@ def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
     value is the difference of the ranks of Q's sectors and does not depend
     on D: the singular values of the compressed block feed only
     rank_tolerance and reliable.  When both sectors of Q are equal the value
-    is 0 for every D.
+    is 0 for every D, and one eigh gives the frame of both.
     """
     if Q.parity != "even":
         raise PreconditionError("compression projection must be even")
@@ -105,6 +105,9 @@ def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
     for blk in (Q.matrix[:k, :k], Q.matrix[k:, k:]):
         if blk.shape[0] == 0:
             frames.append(np.zeros((0, 0), dtype=complex))
+            continue
+        if frames and np.array_equal(blk, Q.matrix[:k, :k]):
+            frames.append(frames[0])  # identical sectors: one eigh serves both
             continue
         w, v = np.linalg.eigh(blk)
         near_one = np.abs(w - 1.0) <= 0.5

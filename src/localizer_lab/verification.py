@@ -259,7 +259,8 @@ def suite_identities(phi: LocalizingFunction,
             "support": (label, support_residual(bundle, d)),
         }
         if params.admissible:
-            rows["certificate"] = (label, -certificate_residual(bundle))
+            # 0.0 - x, not -x: an exact 0.0 residual is reported as +0.0
+            rows["certificate"] = (label, 0.0 - certificate_residual(bundle))
         if bundle.Phi_rho is not None:
             prod = bundle.Phi_rho.matrix @ bundle.Phi_2rho.matrix
             rows["window_product"] = (

@@ -429,3 +429,77 @@ def test_one_block_commutator_norm_equals_two_block_norm():
     two_block = max(np.linalg.svd(lower, compute_uv=False)[0],
                     np.linalg.svd(upper, compute_uv=False)[0])
     assert operator_norm(der) == pytest.approx(two_block, rel=1e-13)
+
+
+def diagonal_odd(n, rng):
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return GradedOperator.odd_from_block(GradedSpace(n, n), np.diag(z))
+
+
+def test_diagonal_odd_block_spectrum_matches_block_svd():
+    d = diagonal_odd(9, np.random.default_rng(310))
+    sv = np.linalg.svd(d.odd_block, compute_uv=False)
+    svd_route = np.sort(np.concatenate([-sv, sv]))
+    w = d.eigenvalues()
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - svd_route).max() <= 1e-15 * np.linalg.norm(d.odd_block, 2)
+
+
+@pytest.mark.parametrize("t_parity", ["even", "odd"])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_diagonal_odd_block_commutator_matches_dense(t_parity, hermitian):
+    rng = np.random.default_rng(311)
+    d = diagonal_odd(6, rng)
+    if t_parity == "even":
+        t = random_even(d.space, rng, hermitian=hermitian)
+    elif hermitian:
+        t = random_odd(d.space, rng)
+    else:
+        m = np.zeros((12, 12), dtype=complex)
+        m[6:, :6] = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        m[:6, 6:] = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        t = GradedOperator(m, d.space, parity="odd")
+    dense = d.matrix @ t.matrix - t.matrix @ d.matrix
+    der = lipschitz_derivative(d, t)
+    assert der.parity == ("even" if t_parity == "odd" else "odd")
+    assert np.abs(der.matrix - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_ladder_block_keeps_the_svd_and_gemm_routes():
+    # the ladder's block is (n - 1) x n: neither structured route may take it
+    osc = oscillator_dirac(40)
+    b = osc.D.odd_block
+    sv = np.linalg.svd(b, compute_uv=False)
+    assert np.array_equal(osc.D.eigenvalues(),
+                          np.sort(np.concatenate([-sv, [0.0], sv])))
+    h = random_even(osc.space, np.random.default_rng(312))
+    der = lipschitz_derivative(osc.D, h)
+    lower = b @ h.block("+", "+") - h.block("-", "-") @ b
+    assert np.array_equal(der.block("-", "+"), lower)
+    assert np.array_equal(der.block("+", "-"), -lower.conj().T)
+    assert not np.any(der.block("+", "+")) and not np.any(der.block("-", "-"))
+
+
+@pytest.mark.parametrize("n_plus,n_minus", [(5, 3), (4, 4), (1, 6), (6, 0)])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_structured_constructors_match_the_full_route(n_plus, n_minus, hermitian):
+    rng = np.random.default_rng(313 + 10 * n_plus + n_minus)
+    space = GradedSpace(n_plus, n_minus)
+    top = rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus))
+    bottom = rng.normal(size=(n_minus, n_minus)) \
+        + 1j * rng.normal(size=(n_minus, n_minus))
+    full = np.zeros((space.n, space.n), dtype=complex)
+    full[:n_plus, :n_plus] = top
+    full[n_plus:, n_plus:] = bottom
+    even = GradedOperator.even_from_blocks(space, top, bottom, hermitian=hermitian)
+    ref = GradedOperator(full, space, parity="even", hermitian=hermitian)
+    assert np.array_equal(even.matrix, ref.matrix)
+    assert even.hermitian == ref.hermitian and even.parity == "even"
+
+    lower = rng.normal(size=(n_minus, n_plus)) + 1j * rng.normal(size=(n_minus, n_plus))
+    full = np.zeros((space.n, space.n), dtype=complex)
+    full[n_plus:, :n_plus] = lower
+    full[:n_plus, n_plus:] = lower.conj().T
+    odd = GradedOperator.odd_from_block(space, lower)
+    assert np.array_equal(odd.matrix, GradedOperator(full, space, parity="odd",
+                                                     hermitian=True).matrix)

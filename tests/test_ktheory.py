@@ -9,6 +9,7 @@ from localizer_lab import (
     constant_C,
     default_localizer,
     dirac_path,
+    func_calc,
     dirac_path_stability,
     half_signature_class,
     homotopy_stability,
@@ -17,6 +18,7 @@ from localizer_lab import (
     oscillator_dirac,
     phase_path,
     positive_projection,
+    qwz_chern_model,
     signature,
 )
 from localizer_lab.ktheory import check_defect, index_from_bundle
@@ -71,6 +73,47 @@ def test_positive_projection_is_spectral():
     assert np.allclose(q.matrix, np.diag([1.0, 0.0, 1.0, 0.0]))
     with pytest.raises(NotInvertibleError):
         positive_projection(diag_even([1.0, 0.0]))
+
+
+def spectral_projection(h):
+    return func_calc(lambda x: (x > 0).astype(float), h)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(np.linalg, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1.0, 3.0])
+def test_flat_h_projects_without_an_eigensolve(monkeypatch, m):
+    h = qwz_chern_model(8, m).H
+    eighs = count_calls(monkeypatch, "eigh")
+    q = positive_projection(h)
+    assert eighs == []
+    assert q.parity == "even" and q.hermitian
+    assert np.abs(q.matrix - spectral_projection(h).matrix).max() <= 1e-14
+
+
+def test_non_flat_h_keeps_the_func_calc_projection():
+    rng = np.random.default_rng(41)
+    h = random_even_invertible(rng, random_space(rng))
+    assert np.array_equal(positive_projection(h).matrix,
+                          spectral_projection(h).matrix)
+
+
+def test_flat_projection_is_kept_only_when_its_defect_passes():
+    # eigenvalues that claim +-1 do not decide: the measured ||P^2 - P|| does
+    rng = np.random.default_rng(42)
+    h = random_even_invertible(rng, random_space(rng))
+    h._eigvals_cache = np.sign(h.eigenvalues())
+    assert np.array_equal(positive_projection(h).matrix,
+                          spectral_projection(h).matrix)
 
 
 # ---------------------------------------------------------------------------

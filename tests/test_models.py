@@ -13,7 +13,15 @@ from localizer_lab import (
     mk_block_example,
     random_lipschitz,
 )
-from localizer_lab.models import _rho_max_from_guard
+from localizer_lab.errors import InternalConsistencyError
+from localizer_lab.models import (
+    _flat_kernel,
+    _qwz_hopping_loop,
+    _qwz_kernel,
+    _rho_max_from_guard,
+    _spread,
+    check_flat_band,
+)
 
 
 def spectral_width(D):
@@ -185,3 +193,48 @@ def test_random_lipschitz_draw_is_pinned(draw, expected):
     # the draw is built on D's eigenframe, so it moves if the frame's phases do
     _, dh_norm, _, _, _ = measure_constants(*draw())
     assert dh_norm == pytest.approx(expected, rel=1e-12)
+
+
+def eigh_hflat(L, m):
+    """-sign(h) from the eigenframe of the hopping-loop h: 2 P_occ - 1."""
+    ew, ev = np.linalg.eigh(_qwz_hopping_loop(L, m))
+    n_occ = int((ew < 0).sum())
+    assert n_occ == L * L
+    occ = ev[:, :n_occ]
+    hflat = 2.0 * (occ @ occ.conj().T) - np.eye(2 * L * L)
+    return (hflat + hflat.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("L", [8, 9, 12])
+@pytest.mark.parametrize("m", [1.0, -1.0, 3.0])
+def test_fft_hflat_matches_the_eigenframe_route(L, m):
+    desc = qwz_chern_model(L, m)
+    ref = eigh_hflat(L, m)
+    assert np.abs(desc.H.block("+", "+") - ref).max() <= 1e-13
+    assert np.array_equal(desc.H.block("+", "+"), desc.H.block("-", "-"))
+    assert np.array_equal(desc.H.eigenvalues(),
+                          np.repeat([-1.0, 1.0], 2 * L * L))
+
+
+def test_kernel_spread_is_the_hopping_loop():
+    for L, m in ((8, 1.0), (9, -2.5)):
+        assert np.array_equal(_spread(_qwz_kernel(L, m)), _qwz_hopping_loop(L, m))
+
+
+def test_flat_band_check_refuses_each_failure():
+    L, m = 8, 1.0
+    kernel = _qwz_kernel(L, m)
+    h = _spread(kernel)
+    good = _spread(_flat_kernel(kernel))
+    check_flat_band(h, (good + good.conj().T) / 2.0)
+    # the forward transform in place of the inverse: the kernel at -d, still
+    # flat and half filled, but not a function of h
+    hk = np.fft.fft2(kernel, axes=(0, 1))
+    energy = np.sqrt(np.sum(np.abs(hk) ** 2, axis=(-2, -1)) / 2.0)
+    slip = _spread(np.fft.fft2(-hk / energy[..., None, None], axes=(0, 1)) / L**2)
+    with pytest.raises(InternalConsistencyError, match="commute"):
+        check_flat_band(h, (slip + slip.conj().T) / 2.0)
+    with pytest.raises(InternalConsistencyError, match="involution"):
+        check_flat_band(h, h)
+    with pytest.raises(InternalConsistencyError, match="half filling"):
+        check_flat_band(h, np.eye(len(h), dtype=complex))
