@@ -260,7 +260,10 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     config = _resolve_config(args)
     phi = config.phi()
-    results = run_suite(args.suite, phi, base_seed=config.seed)
+    # every matrix of the suites has dimension <= 200, too small for a
+    # second BLAS thread to pay for itself
+    with one_blas_thread():
+        results = run_suite(args.suite, phi, base_seed=config.seed)
     lines = [r.line() for r in results]
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"suite {args.suite}: {len(results)} checks, {failed} failed")

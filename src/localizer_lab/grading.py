@@ -9,7 +9,11 @@ through their blocks (one eigh per sector, or one SVD of the odd block; the
 values of an exactly diagonal odd block are read off its diagonal), and
 func_calc forms f(T) block by block from that data: the blocks the parity of
 f(T) forbids are never computed, so no result needs snapping to a parity.
-The n x n eigenframe of a graded operator is assembled only when read.
+For an odd T = [[0, B^H], [B, 0]] with B = W S V^H, the sector basis
+diag(V, W) keeps gamma diagonal, every even operator block diagonal and
+every even function of T diagonal; in_frame gives an even H in it as the
+two sector products V^H H_+ V and W^H H_- W.  The n x n eigenframe of a
+graded operator is assembled only when read.
 """
 from __future__ import annotations
 
@@ -120,64 +124,15 @@ def _dead_blocks_zero(m: np.ndarray, space: GradedSpace, parity: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OddFrameMap:
-    """Where the sorted eigenframe U of an odd operator comes from in its SVD.
-
-    With B = W S V^H the odd block, column c of U is
-    (top_coef[c] V[:, top[c]]; bottom_coef[c] W[:, bottom[c]]), a zero
-    coefficient meaning that sector part is zero.  The pair +-sigma_i has
-    columns (v_i; +-w_i) / sqrt(2), and the unpaired columns of V or of W
-    span the kernel.  gamma U[:, c] = sign[c] U[:, partner[c]], so
-    U^H gamma U is the signed permutation (partner, sign): it swaps the
-    columns of each pair and is +1 on kernel columns of V, -1 on those of W.
-    """
-
-    top: np.ndarray
-    top_coef: np.ndarray
-    bottom: np.ndarray
-    bottom_coef: np.ndarray
-    partner: np.ndarray
-    sign: np.ndarray
-
-
-def _odd_frame_map(n_plus: int, n_minus: int, r: int,
-                   order: np.ndarray) -> OddFrameMap:
-    """OddFrameMap of an odd frame whose unsorted eigenvalues are -sigma,
-    the kernel, then +sigma, sorted by ``order``.
-
-    Pair partners are read from the unsorted positions, so degenerate
-    singular values keep each column with its own partner.
-    """
-    n = n_plus + n_minus
-    z = n - 2 * r
-    s = 1.0 / np.sqrt(2.0)
-    pairs, kernel = np.arange(r), np.arange(r, r + z)
-    in_v = n_plus > n_minus
-    # an absent sector part points at column 0 with coefficient 0
-    top = np.concatenate([pairs, kernel if in_v else np.zeros(z, int), pairs])
-    bottom = np.concatenate([pairs, np.zeros(z, int) if in_v else kernel, pairs])
-    top_coef = np.concatenate([np.full(r, s), np.full(z, float(in_v)), np.full(r, s)])
-    bottom_coef = np.concatenate([np.full(r, -s), np.full(z, float(not in_v)),
-                                  np.full(r, s)])
-    partner = np.concatenate([pairs + r + z, kernel, pairs])
-    sign = np.concatenate([np.ones(r), np.full(z, 1.0 if in_v else -1.0), np.ones(r)])
-    position = np.empty_like(order)
-    position[order] = np.arange(n)
-    return OddFrameMap(top[order], top_coef[order], bottom[order],
-                       bottom_coef[order], position[partner[order]], sign[order])
-
-
 @dataclass
 class SpectralDecomposition:
     """Validated eigendecomposition T = U diag(w) U^H of a hermitian operator.
 
     Eigenvalues are sorted.  An even operator is decomposed sector by sector:
     ``sectors`` holds the (w, U) pair of each diagonal block.  An odd one
-    keeps the SVD (V, W, sigma) of its odd block in ``svd``, and
-    ``frame_map`` reads the layout of U off it.  Either way ``order`` sorts
-    the unsorted eigenvalues, and the n x n U is only assembled when
-    ``vectors`` is read.
+    keeps the SVD (V, W, sigma) of its odd block in ``svd``.  Either way
+    ``order`` sorts the unsorted eigenvalues, and the n x n U is only
+    assembled when ``vectors`` is read.
     """
 
     eigenvalues: np.ndarray
@@ -187,74 +142,56 @@ class SpectralDecomposition:
     sectors: tuple | None = None
     svd: tuple | None = None
     order: np.ndarray | None = None
-    _frame_map: OddFrameMap | None = field(default=None, repr=False)
     _in_frame: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False)
 
     @property
     def vectors(self) -> np.ndarray:
+        """U, sorted by ``order`` from the unsorted frame.
+
+        Even operators stack their sector frames.  For an odd operator the
+        unsorted eigenvalues are -sigma, the kernel, then +sigma: the pair
+        -+sigma_i has columns (v_i; -+w_i) / sqrt(2), and the unpaired
+        columns of V or of W span the kernel.
+        """
         if self.frame is None:
             n = len(self.eigenvalues)
+            u = np.zeros((n, n), dtype=complex)
             if self.sectors is not None:
-                u = np.zeros((n, n), dtype=complex)
                 (w_plus, u_plus), (_, u_minus) = self.sectors
                 k = len(w_plus)
                 u[:k, :k] = u_plus
                 u[k:, k:] = u_minus
-                self.frame = u[:, self.order]
             else:
-                self.frame = self.odd_columns(np.arange(n))
+                v, w_left, sv = self.svd
+                k, r = v.shape[0], len(sv)
+                s = 1.0 / np.sqrt(2.0)
+                u[:k, :r] = u[:k, n - r:] = v[:, :r] * s
+                u[k:, :r] = w_left[:, :r] * -s
+                u[k:, n - r:] = w_left[:, :r] * s
+                # only the larger sector has kernel columns, past its r paired ones
+                u[:k, r:k] = v[:, r:]
+                u[k:, r:n - k] = w_left[:, r:]
+            self.frame = u[:, self.order]
         return self.frame
 
-    def odd_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Columns ``cols`` of the sorted eigenframe of an odd operator,
-        built from (V, W) and not kept."""
-        u = np.zeros((len(self.eigenvalues), len(cols)), dtype=complex)
-        for rows, basis, idx, coef in self._odd_parts():
-            c = coef[cols]
-            nz = np.flatnonzero(c)
-            u[rows, nz] = basis[:, idx[cols][nz]] * c[nz]
-        return u
+    def in_frame(self, op: "GradedOperator") -> tuple[np.ndarray, np.ndarray]:
+        """(V^H T_+ V, W^H T_- W) for an even hermitian T and an odd operator
+        with odd block W S V^H: T in the sector basis diag(V, W).
 
-    @property
-    def frame_map(self) -> OddFrameMap | None:
-        """Layout of the eigenframe of an odd operator; None otherwise."""
-        if self._frame_map is None and self.svd is not None:
-            v, w_left, sv = self.svd
-            self._frame_map = _odd_frame_map(v.shape[0], w_left.shape[0],
-                                             len(sv), self.order)
-        return self._frame_map
-
-    def _odd_parts(self):
-        """(rows of U, basis, frame_map index, coefficient) for each sector."""
-        v, w_left, _ = self.svd
-        fm = self.frame_map
-        k = v.shape[0]
-        return ((slice(0, k), v, fm.top, fm.top_coef),
-                (slice(k, None), w_left, fm.bottom, fm.bottom_coef))
-
-    def in_frame(self, op: "GradedOperator") -> np.ndarray:
-        """U^H T U for an even hermitian T and an odd frame U.
-
-        Each column of U lies in one sector of V or W (see OddFrameMap), so
-        the result is read entry by entry off V^H T_+ V and W^H T_- W: two
-        sector-sized products and no n x n one.  The sector products are
-        hermitized, so the result is hermitian bit-exactly.  The result for
-        the last T is kept while T lives, so repeated calls with one T (the
-        cells of a sweep) form it once.
+        Both products are hermitized, so each is hermitian bit-exactly.  The
+        pair for the last T is kept while T lives, so repeated calls with one
+        T (the cells of a sweep) form it once.
         """
-        if self.frame_map is None:
-            raise ParityError("in_frame needs the eigenframe of an odd operator")
+        if self.svd is None:
+            raise ParityError("in_frame needs the eigendecomposition of an odd operator")
         if op.parity != "even" or not op.hermitian:
             raise ParityError("in_frame needs an even hermitian operator")
         out = self._in_frame.get(op)
         if out is None:
-            n = op.space.n
-            out = np.zeros((n, n), dtype=complex)
-            for (_, basis, idx, coef), s in zip(self._odd_parts(), "+-"):
-                if basis.shape[1]:
-                    block = _hermitize(basis.conj().T @ op.block(s, s) @ basis)
-                    out += np.outer(coef, coef) * block[idx][:, idx]
+            v, w_left, _ = self.svd
+            out = tuple(_hermitize(basis.conj().T @ op.block(s, s) @ basis)
+                        for basis, s in ((v, "+"), (w_left, "-")))
             self._in_frame.clear()
             self._in_frame[op] = out
         return out
@@ -420,7 +357,9 @@ class GradedOperator:
     def _odd_eig(self):
         """Eigendecomposition of an odd operator [[0, B^H], [B, 0]] from B = W S V^H.
 
-        The eigenframe (see OddFrameMap) is kept as (V, W, sigma).  Phases are
+        The eigendata is kept as (V, W, sigma): ``in_frame`` and the windowed
+        localizer work in the sector basis diag(V, W), and the sorted
+        eigenframe is built from it only when ``vectors`` is read.  Phases are
         pinned: the largest-magnitude entry of every column of V, and of
         every unpaired column of W, is real and positive, and each paired w_i
         takes the phase of its v_i.  The defects ||B V - W S|| and

@@ -124,9 +124,12 @@ def positive_projection(H: GradedOperator) -> GradedOperator:
 
 
 def _idempotency_residual(p: GradedOperator):
-    """P^2 - P, formed sector by sector when P is even."""
+    """P^2 - P, formed sector by sector when P is even, and once when its
+    two sectors are equal (the lattice's flat band)."""
     if p.parity == "even":
-        top, bottom = (b @ b - b for b in (p.block("+", "+"), p.block("-", "-")))
+        b_plus, b_minus = p.block("+", "+"), p.block("-", "-")
+        top = b_plus @ b_plus - b_plus
+        bottom = top if np.array_equal(b_plus, b_minus) else b_minus @ b_minus - b_minus
         return GradedOperator.even_from_blocks(p.space, top, bottom)
     return p.matrix @ p.matrix - p.matrix
 

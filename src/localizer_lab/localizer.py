@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     AdmissibilityError,
     InternalConsistencyError,
+    ParityError,
     PreconditionError,
     SpectralCutError,
 )
@@ -160,7 +161,7 @@ class LocalizerBundle:
     ``eigenvalues`` (sorted) and ``min_abs_eigenvalue`` are computed at
     assembly.  ``L``, ``Phi_rho`` and ``Phi_2rho`` are built when first
     read: the windows by func_calc of D, and L from its block on the window
-    of D's eigenbasis.  ``outer`` is the scalar window x -> Phi_2rho(x).
+    of D's sector basis.  ``outer`` is the scalar window x -> Phi_2rho(x).
     For scales where both windows are the identity on the spectrum of D,
     L is formed at assembly, the Phi factors are None and phi_identity is
     set.
@@ -169,7 +170,7 @@ class LocalizerBundle:
     def __init__(self, params: LocalizerParams, D: GradedOperator,
                  inner: Callable, outer: Callable, eigenvalues: np.ndarray,
                  L: GradedOperator | None = None,
-                 window: tuple[np.ndarray, np.ndarray] | None = None):
+                 window: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
         self.params = params
         self.outer = outer
         self.eigenvalues = eigenvalues
@@ -188,10 +189,15 @@ class LocalizerBundle:
     @property
     def L(self) -> GradedOperator:
         if self._L is None:
-            # U L~ U^H = U_S (L_S + gamma~_S) U_S^H - gamma, since U gamma~ U^H
-            # = gamma and L~ = -gamma~ off the window S (see _assemble)
-            support, block = self._window
-            u = self._D.eig().odd_columns(support)
+            # L = U_S (L_S + gamma_S) U_S^H - gamma with U = diag(V, W), since
+            # U gamma U^H = gamma and U^H L U = -gamma off the window S
+            # (see _windowed)
+            s_plus, s_minus, block = self._window
+            v, w_left, _ = self._D.eig().svd
+            k, a = self.space.n_plus, len(s_plus)
+            u = np.zeros((self.space.n, len(block)), dtype=complex)
+            u[:k, :a] = v[:, s_plus]
+            u[k:, a:] = w_left[:, s_minus]
             lm = (u @ block) @ u.conj().T
             lm[np.diag_indices_from(lm)] -= self.space.gamma_diag
             self._L = GradedOperator(lm, self.space, parity="none", hermitian=True)
@@ -217,42 +223,33 @@ def assemble_localizer(H: GradedOperator, D: GradedOperator,
                        phi: LocalizingFunction,
                        params: LocalizerParams) -> LocalizerBundle:
     """Build L and its spectrum; admissible parameters must yield invertibility."""
-    return _assemble(H, D, params, params.kappa, phi.scaled(params.rho),
+    return _assemble(H, D, params, phi.scaled(params.rho),
                      phi.scaled(2.0 * params.rho))
 
 
 def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
-              kappa: float, inner: Callable, outer: Callable) -> LocalizerBundle:
+              inner: Callable, outer: Callable) -> LocalizerBundle:
     """L = Phi_in gamma H Phi_in + kappa Phi_out D Phi_out - (1 - Phi_out^4)^(1/2) gamma.
 
-    Phi_in = inner(D) and Phi_out = outer(D).  When both windows are 1 on
-    every eigenvalue of D, L = gamma H + kappa D is formed directly,
-    skipping all function calculus.
-
-    Otherwise L is assembled in the eigenbasis D = U diag(w) U^H as
-
-        L~ = U^H L U = F_in Gamma F_in + kappa diag(F_out^2 w) - diag(T) gamma~,
-
-    with F = inner(w), outer(w), Gamma = U^H gamma H U, gamma~ = U^H gamma U
-    (a signed permutation, see OddFrameMap) and T = (1 - F_out^4)^(1/2)
-    taken pointwise: sqrt is not Lipschitz at 0 and the plateau puts values
-    of 1 - F_out^4 exactly there, so no matrix square root is formed.  Let
-    S be the columns where a window is nonzero, with the kernel of D, closed
-    under the pairs of gamma~.  Off S, L~ = -gamma~, which gamma~ does not
-    couple to S, so L~ = L_S (+) -gamma~: each pair outside S adds the
-    eigenvalues +1 and -1, and only L_S goes to eigvalsh.  U^H H U is
-    formed once per (H, D) (SpectralDecomposition.in_frame) and shared by
-    every scale; Gamma = gamma~ U^H H U permutes its rows with signs.
+    Phi_in = inner(D), Phi_out = outer(D) and kappa = params.kappa; both
+    windows are even functions.  H must be even and D odd, both hermitian.
+    When both windows are 1 on every eigenvalue of D, L = gamma H + kappa D
+    is formed directly, skipping all function calculus; it is hermitian
+    bit-exactly, since gamma H is the even hermitian H with its negative
+    sector negated and kappa D only fills the blocks H leaves zero.
+    Otherwise _windowed assembles L in D's sector basis.
     """
-    gdiag = H.space.gamma_diag
+    if H.parity != "even" or D.parity != "odd" or not (H.hermitian and D.hermitian):
+        raise ParityError("the localizer needs an even hermitian H and an odd "
+                          "hermitian D")
     d_eigs = D.eigenvalues()
     if (np.all(np.asarray(inner(d_eigs), dtype=float) == 1.0)
             and np.all(np.asarray(outer(d_eigs), dtype=float) == 1.0)):
-        L = GradedOperator(gdiag[:, None] * H.matrix + kappa * D.matrix, H.space,
-                           parity="none", hermitian=True)
+        L = GradedOperator._built(H.space.gamma_diag[:, None] * H.matrix
+                                  + params.kappa * D.matrix, H.space, "none", True)
         bundle = LocalizerBundle(params, D, inner, outer, L.eigenvalues(), L=L)
     else:
-        bundle = _windowed(H, D, params, kappa, inner, outer)
+        bundle = _windowed(H, D, params, inner, outer)
     eigs = bundle.eigenvalues
     min_abs = bundle.min_abs_eigenvalue
     scale = float(np.abs(eigs).max(initial=0.0))
@@ -265,34 +262,60 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
 
 
 def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
-              kappa: float, inner: Callable, outer: Callable) -> LocalizerBundle:
-    """Spectrum of the windowed localizer from its block L_S (see _assemble)."""
-    dec = D.eig()
-    h_frame = dec.in_frame(H)  # refuses a D that is not odd or an H not even
-    fm = dec.frame_map
-    w = dec.eigenvalues
-    f_in = np.asarray(inner(w), dtype=float)
-    f_out = np.asarray(outer(w), dtype=float)
-    tail = np.sqrt(np.clip(1.0 - f_out**4, 0.0, None))
-    # kernel columns stay in S, so the columns outside S come in pairs
-    inside = (f_in != 0.0) | (f_out != 0.0) | (fm.partner == np.arange(len(w)))
-    inside |= inside[fm.partner]
-    support = np.flatnonzero(inside)
-    # gamma~ on S: the entry sign[c] in row partner[c] of each column c
-    cols = np.arange(len(support))
-    rows = np.searchsorted(support, fm.partner[support])
-    sign = fm.sign[support]
+              inner: Callable, outer: Callable) -> LocalizerBundle:
+    """Spectrum of the windowed localizer from its block L_S in D's sector basis.
 
+    With D = [[0, B^H], [B, 0]] and B = W S V^H, the basis U = diag(V, W)
+    leaves gamma unchanged, makes H block diagonal (V^H H_+ V, W^H H_- W)
+    and makes every even function f of D diagonal: F_+ = f(sigma, 0, ...)
+    on the columns of V and F_- = f(sigma, 0, ...) on those of W, the
+    argument 0 standing on a sector's kernel columns.  With
+    T = (1 - F_out^4)^(1/2) taken pointwise (sqrt is not Lipschitz at 0 and
+    the plateau puts values of 1 - F_out^4 exactly there, so no matrix
+    square root is formed), U^H L U is the graded 2 x 2 block matrix
+
+        [[F_in+ V^H H_+ V F_in+ - diag(T_+),  kappa F_out^2 S^T],
+         [kappa F_out^2 S,  -F_in- W^H H_- W F_in- + diag(T_-)]],
+
+    whose odd block couples only v_i and w_i, by kappa F_out(sigma_i)^2 sigma_i.
+    Let S_+ and S_- be the columns where a window is nonzero.  Off them
+    U^H L U = -gamma, uncoupled from the rest, so it adds n_+ - |S_+|
+    eigenvalues -1 and n_- - |S_-| eigenvalues +1, and only the block on
+    S goes to eigvalsh.  The sector products are formed once per (H, D)
+    (SpectralDecomposition.in_frame) and shared by every scale.
+    """
+    dec = D.eig()
+    h_plus, h_minus = dec.in_frame(H)
+    sv = dec.svd[2]
+    n_plus, n_minus = D.space.n_plus, D.space.n_minus
+    r = len(sv)
+    x = np.concatenate([sv, np.zeros(max(n_plus, n_minus) - r)])
+    f_in = np.asarray(inner(x), dtype=float)
+    f_out = np.asarray(outer(x), dtype=float)
+    tail = np.sqrt(np.clip(1.0 - f_out**4, 0.0, None))
+    inside = (f_in != 0.0) | (f_out != 0.0)
+    s_plus = np.flatnonzero(inside[:n_plus])
+    s_minus = np.flatnonzero(inside[:n_minus])
+    a, b = len(s_plus), len(s_minus)
+    support = np.concatenate([s_plus, s_minus])
+    g = np.concatenate([np.ones(a), -np.ones(b)])  # gamma on S
+
+    block = np.zeros((a + b, a + b), dtype=complex)
+    block[:a, :a] = h_plus[np.ix_(s_plus, s_plus)]
+    block[a:, a:] = h_minus[np.ix_(s_minus, s_minus)]
     f = f_in[support]
-    gamma_h = sign[:, None] * h_frame[fm.partner[support]][:, support]
-    block = f[:, None] * gamma_h * f[None, :]
-    block[cols, cols] += kappa * f_out[support] ** 2 * w[support]
-    block[rows, cols] -= tail[support][rows] * sign
-    pairs = (len(w) - len(support)) // 2
-    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(block), -np.ones(pairs),
-                                   np.ones(pairs)]))
-    block[rows, cols] += sign  # L_S + gamma~_S, all that L needs
-    return LocalizerBundle(params, D, inner, outer, eigs, window=(support, block))
+    block *= (g * f)[:, None]
+    block *= f
+    block[np.diag_indices(a + b)] -= g * tail[support]
+    # the pairs i < r in S lead both S_+ and S_-: they hold the same sigma_i
+    pairs = s_plus[s_plus < r]
+    i = np.arange(len(pairs))
+    block[a + i, i] = block[i, a + i] = params.kappa * f_out[pairs] ** 2 * sv[pairs]
+    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(block), -np.ones(n_plus - a),
+                                   np.ones(n_minus - b)]))
+    block[np.diag_indices(a + b)] += g  # L_S + gamma_S, all that L needs
+    return LocalizerBundle(params, D, inner, outer, eigs,
+                           window=(s_plus, s_minus, block))
 
 
 # ----------------------------------------------------------------------------
@@ -429,4 +452,4 @@ def sharp_localizer(H: GradedOperator, D: GradedOperator, rho: float,
     def cut(x):
         return (np.abs(x) < rho).astype(float)
 
-    return _assemble(H, D, constant_C(kappa, rho, H, D, phi), kappa, cut, cut)
+    return _assemble(H, D, constant_C(kappa, rho, H, D, phi), cut, cut)

@@ -186,6 +186,7 @@ def test_sweep_cells_run_on_one_blas_thread(capsys, monkeypatch):
 
     def recording_map(fn, items):
         counts.append(setter(1))
+        setter(counts[-1])
         return [fn(x) for x in items]
 
     monkeypatch.setattr(cli, "parallel_map", recording_map)
@@ -193,6 +194,26 @@ def test_sweep_cells_run_on_one_blas_thread(capsys, monkeypatch):
                          "--kappa", "0.5", "--rho", "2.0")
     assert code == 0
     assert counts == [1]
+
+
+def test_verify_suites_run_on_one_blas_thread(capsys, monkeypatch):
+    from localizer_lab import verification
+    from localizer_lab.grading import _blas_threads_setter
+
+    setter = _blas_threads_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS has no per-thread OpenBLAS thread count")
+    counts = []
+
+    def recording_map(fn, items):
+        counts.append(setter(1))
+        setter(counts[-1])
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(verification, "parallel_map", recording_map)
+    code, out, err = run(capsys, "verify", "bounds", "--seed", "0")
+    assert code == 0
+    assert counts == [1, 1]
 
 
 def test_sweep_requires_both_grids(capsys):

@@ -22,7 +22,7 @@ from localizer_lab.localizer import (
     square_identity_residual,
     support_residual,
 )
-from localizer_lab.errors import AdmissibilityError, SpectralCutError
+from localizer_lab.errors import AdmissibilityError, ParityError, SpectralCutError
 from localizer_lab.verification import random_even_invertible, random_odd, random_space
 
 PHI = default_localizer()
@@ -239,6 +239,17 @@ def test_sharp_refuses_cut_through_spectrum():
         sharp_localizer(osc.H, osc.D, on_eig, 1.0, PHI)
 
 
+@pytest.mark.parametrize("rho", [2.5, 100.0])
+def test_assembly_refuses_an_h_that_is_not_even(rho):
+    # rho = 2.5 takes the windowed branch, rho = 100 the identity-window one
+    osc = oscillator_dirac(20)
+    h = GradedOperator(osc.H.matrix, osc.H.space, parity="none", hermitian=True)
+    params = constant_C(1.0, rho, osc.H, osc.D, PHI)
+    assert assemble_localizer(osc.H, osc.D, PHI, params).phi_identity == (rho > 50)
+    with pytest.raises(ParityError):
+        assemble_localizer(h, osc.D, PHI, params)
+
+
 # ---------------------------------------------------------------------------
 # eigenbasis route against the site-basis formula
 # ---------------------------------------------------------------------------
@@ -349,50 +360,91 @@ FRAME_CASES = {
 }
 
 
+def sector_basis(D):
+    """U = diag(V, W) from the SVD W S V^H of D's odd block."""
+    v, w_left, _ = D.eig().svd
+    k = D.space.n_plus
+    u = np.zeros((D.space.n,) * 2, dtype=complex)
+    u[:k, :k] = v
+    u[k:, k:] = w_left
+    return u
+
+
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
-def test_gamma_in_the_odd_frame_is_the_signed_permutation(case):
+def test_odd_frame_pairs_and_sector_products(case):
     D = FRAME_CASES[case]()
     dec = D.eig()
-    u, fm = dec.vectors, dec.frame_map
-    n = D.space.n
+    v, w_left, sv = dec.svd
+    k, n, r = D.space.n_plus, D.space.n, len(sv)
+    u = dec.vectors
     assert np.abs(D.matrix @ u - u * dec.eigenvalues).max() <= 1e-13 * operator_norm(D)
-    exact = np.zeros((n, n))
-    exact[fm.partner, np.arange(n)] = fm.sign
-    assert np.abs(u.conj().T @ (D.space.gamma_diag[:, None] * u) - exact).max() <= 1e-14
+    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-14
+
+    # unsorted: the pair -+sigma_i is (v_i; -+w_i) / sqrt(2) at columns i and
+    # n - r + i; the kernel between them is the unpaired columns of V or W
+    unsorted = np.empty_like(u)
+    unsorted[:, dec.order] = u
+    pair = np.vstack([v[:, :r], w_left[:, :r]]) / np.sqrt(2.0)
+    g = D.space.gamma_diag
+    assert np.abs(unsorted[:, n - r:] - pair).max() <= 1e-15
+    assert np.abs(unsorted[:, :r] - g[:, None] * pair).max() <= 1e-15
+    kernel = np.zeros((n, n - 2 * r), dtype=complex)
+    kernel[:k, :k - r] = v[:, r:]
+    kernel[k:, :n - k - r] = w_left[:, r:]
+    assert np.array_equal(unsorted[:, r:n - r], kernel)
+
+    # an even H in the sector basis is the two sector products
     H = random_even_invertible(np.random.default_rng(74), D.space)
-    expected = u.conj().T @ H.matrix @ u
-    assert np.abs(dec.in_frame(H) - expected).max() <= 1e-13 * operator_norm(H)
+    h_plus, h_minus = dec.in_frame(H)
+    scale = operator_norm(H)
+    assert np.abs(h_plus - v.conj().T @ H.block("+", "+") @ v).max() <= 1e-13 * scale
+    assert np.abs(h_minus - w_left.conj().T @ H.block("-", "-") @ w_left).max() \
+        <= 1e-13 * scale
+    assert np.array_equal(h_plus, h_plus.conj().T)
+    assert np.array_equal(h_minus, h_minus.conj().T)
+    # gamma stays diagonal: diag(V, W) is block diagonal and unitary
+    ut = sector_basis(D)
+    assert np.abs(ut.conj().T @ (g[:, None] * ut) - np.diag(g)).max() <= 1e-14
+    assert dec.in_frame(H)[0] is h_plus
 
 
-@pytest.mark.parametrize("case", ["dense_n_plus_larger", "dense_n_minus_larger",
-                                  "oscillator_part", "degenerate_sigma"])
+WINDOW_CASES = {
+    **{case: ROUTE_CASES[case] for case in (
+        "dense_n_plus_larger", "dense_n_minus_larger", "oscillator_part",
+        "degenerate_sigma")},
+    "balanced_rank_deficient": (lambda: (
+        random_even_invertible(np.random.default_rng(75), GradedSpace(6, 6)),
+        FRAME_CASES["balanced_rank_deficient"]()), 0.7, 0.2, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_outside_the_window_the_localizer_is_minus_gamma(case):
-    build, kappa, rho_rel, _ = ROUTE_CASES[case]
+    build, kappa, rho_rel, _ = WINDOW_CASES[case]
     H, D = build()
     rho = rho_rel * operator_norm(D)
     bundle = assemble_localizer(H, D, PHI, constant_C(kappa, rho, H, D, PHI))
-    support, _ = bundle._window
-    n_out = D.space.n - len(support)
-    assert n_out > 0 and n_out % 2 == 0
+    s_plus, s_minus, _ = bundle._window
+    k, n = D.space.n_plus, D.space.n
+    support = np.concatenate([s_plus, k + s_minus])
+    out = np.setdiff1d(np.arange(n), support)
+    assert len(out) > 0
 
-    # L_S is the block of U^H L U on S; off S the block is -gamma~ exactly
-    dec = D.eig()
-    u, fm = dec.vectors, dec.frame_map
-    in_frame = u.conj().T @ bundle.L.matrix @ u
-    out = np.setdiff1d(np.arange(D.space.n), support)
-    minus_gamma = np.zeros((D.space.n,) * 2)
-    minus_gamma[fm.partner, np.arange(D.space.n)] = -fm.sign
+    # in diag(V, W), L + gamma vanishes off S, so it does not couple S to the rest
+    ut = sector_basis(D)
+    g = D.space.gamma_diag
+    lt = ut.conj().T @ (bundle.L.matrix + np.diag(g)) @ ut
     scale = np.abs(bundle.eigenvalues).max()
-    assert np.abs(in_frame[np.ix_(out, out)]
-                  - minus_gamma[np.ix_(out, out)]).max() <= 1e-12 * scale
-    assert np.abs(in_frame[np.ix_(out, support)]).max() <= 1e-12 * scale
+    assert np.abs(lt[out]).max() <= 1e-12 * scale
+    assert np.abs(lt[:, out]).max() <= 1e-12 * scale
 
-    # the spectrum is that of L_S plus exactly +1 and -1, n_out / 2 times each
+    # the spectrum is that of L_S plus exactly n_+ - |S_+| copies of -1 and
+    # n_- - |S_-| copies of +1
     w = bundle.eigenvalues
-    for value in (1.0, -1.0):
+    for value, count in ((-1.0, k - len(s_plus)), (1.0, n - k - len(s_minus))):
         at = np.flatnonzero(w == value)
-        assert len(at) >= n_out // 2
-        w = np.delete(w, at[:n_out // 2])
-    l_s = np.linalg.eigvalsh(in_frame[np.ix_(support, support)])
-    assert np.abs(w - l_s).max() <= 1e-12 * scale
+        assert len(at) >= count
+        w = np.delete(w, at[:count])
+    l_s = lt[np.ix_(support, support)] - np.diag(g[support])
+    assert np.abs(w - np.linalg.eigvalsh(l_s)).max() <= 1e-12 * scale
     assert bundle.min_abs_eigenvalue == min(1.0, float(np.abs(w).min()))
