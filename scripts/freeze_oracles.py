@@ -29,7 +29,8 @@ def compute_oracles() -> dict:
     chern = {}
     for address in CHERN_MODELS:
         desc = parse_model(address)
-        chern[address] = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied).value
+        chern[address] = chern_number_bz(desc.bloch, desc.n_occupied,
+                                          desc.bloch_lipschitz).value
     graded = {address: graded_kernel_index(parse_model(address).D).value
               for address in KERNEL_MODELS}
     return {

@@ -35,7 +35,7 @@ def study_mass(L: int, m: float, kappas, phi) -> None:
     desc = qwz_chern_model(L, m)
     H, D = desc.H, desc.D
     gap_h, dh, h_norm, _, d_norm = measure_constants(H, D)
-    chern = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied)
+    chern = chern_number_bz(desc.bloch, desc.n_occupied, desc.bloch_lipschitz)
     Q = positive_projection(H)
     comp = compressed_index(Q, D)
     print(f"\n=== qwz L={L} m={m} (n={H.matrix.shape[0]}) ===")

@@ -137,7 +137,7 @@ def _model_oracles(desc: ModelDescriptor, params: LocalizerParams) -> dict:
             oracles["window_formula"] = {"value": None, "reliable": False,
                                          "skipped": str(exc)}
     elif desc.name == "qwz":
-        ch = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied)
+        ch = chern_number_bz(desc.bloch, desc.n_occupied, desc.bloch_lipschitz)
         oracles["chern_bz"] = {
             "value": ch.value, "reliable": ch.reliable,
             "integer_deviation": ch.diagnostics["integer_deviation"],

@@ -14,6 +14,13 @@ diag(V, W) keeps gamma diagonal, every even operator block diagonal and
 every even function of T diagonal; in_frame gives an even H in it as the
 two sector products V^H H_+ V and W^H H_- W.  The n x n eigenframe of a
 graded operator is assembled only when read.
+
+A space may carry a symmetry S, a phased permutation that maps each sector
+to itself.  symmetry_blocks compresses an operator, a sector block of it,
+or its odd block, to the eigenspaces of S in the orbit basis, whose vectors
+have at most N entries for S^N a scalar.  It measures ||S M S^-1 - M||_F on
+the way and returns nothing unless the Weyl bound that this gives is far
+below the zero band of a signature; the callers then take the full route.
 """
 from __future__ import annotations
 
@@ -39,6 +46,9 @@ EPS_INV = 1e-10
 EPS_EDGE_REL = 1e-8
 # half-width of the zero band of a signature, relative to ||T||
 TAU_SIG = 1e-8
+# largest Weyl bound of a symmetry block route, relative to ||M||_2: a
+# thousandth of the zero band
+SYM_TOL = 1e-3 * TAU_SIG
 
 _PARITIES = ("even", "odd", "none")
 
@@ -85,18 +95,100 @@ def eigenvalue_at_cut(w: np.ndarray, rho: float):
     return w[int(np.argmin(dist))], eps
 
 
+@dataclass(frozen=True, eq=False)
+class PhasedPermutation:
+    """The unitary S e_j = phase[j] e_perm[j] on C^n, with S^order = power.
+
+    Its eigenvalues are the order-th roots of the scalar power.  The orbit
+    basis of its eigenspaces is built on first use and kept.
+    """
+
+    perm: np.ndarray
+    phase: np.ndarray
+    order: int
+    power: complex
+
+    def __post_init__(self):
+        n = len(self.perm)
+        if not np.array_equal(np.sort(self.perm), np.arange(n)) or len(self.phase) != n:
+            raise ValueError("perm must be a permutation with one phase per index")
+        if np.abs(np.abs(self.phase) - 1.0).max(initial=0.0) > 1e-12 \
+                or abs(abs(self.power) - 1.0) > 1e-12 or self.order < 1:
+            raise ValueError("phases and power must have modulus 1, order at least 1")
+
+    @functools.cached_property
+    def orbits(self) -> "_Orbits":
+        return _Orbits(self)
+
+
+class _Orbits:
+    """The orbit basis of a phased permutation S of order N.
+
+    An orbit is walked from its smallest index r: I_k = perm^k(r) and
+    S^k e_r = Phi_k e_(I_k) for k < N, the walk of an orbit of size m < N
+    repeating itself.  For each eigenvalue mu of S the orbit gives the unit
+    vector w sum_k mu^(-k) Phi_k e_(I_k), w = sqrt(m) / N, which is zero
+    unless mu^m = Phi_m; so every basis vector has at most N entries, and
+    every orbit of size N gives one vector to each eigenvalue.
+    """
+
+    def __init__(self, sym: PhasedPermutation):
+        n, order = len(sym.perm), sym.order
+        walk = np.empty((n, order), dtype=np.intp)
+        walk[:, 0] = np.arange(n)
+        cum = np.ones((n, order + 1), dtype=complex)
+        for k in range(order):
+            cum[:, k + 1] = cum[:, k] * sym.phase[walk[:, k]]
+            if k + 1 < order:
+                walk[:, k + 1] = sym.perm[walk[:, k]]
+        if (not np.array_equal(sym.perm[walk[:, -1]], walk[:, 0])
+                or np.abs(cum[:, order] - sym.power).max(initial=0.0) > 1e-12):
+            raise ValueError(f"S^{order} is not {sym.power} times the identity")
+        reps = np.flatnonzero(walk.min(axis=1) == walk[:, 0])
+        hits = walk[reps, 1:] == reps[:, None]
+        size = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, order)
+        root = np.exp(1j * np.angle(sym.power) / order)
+        self.mu = root * np.exp(2j * np.pi * np.arange(order) / order)
+        self.order, self.power = order, complex(sym.power)
+        self.index = walk[reps]
+        self.phi = cum[reps, :order]
+        self.size = size
+        self.allowed = np.abs(self.mu[None, :] ** size[:, None]
+                              - cum[reps, size][:, None]) < 1e-6
+        self._parts = {}
+
+    def part(self, lo: int, hi: int):
+        """(index - lo, Phi, size, allowed) of the orbits inside [lo, hi)."""
+        if (lo, hi) not in self._parts:
+            keep = (self.index[:, 0] >= lo) & (self.index[:, 0] < hi)
+            self._parts[lo, hi] = (self.index[keep] - lo, self.phi[keep],
+                                   self.size[keep], self.allowed[keep])
+        return self._parts[lo, hi]
+
+
 @dataclass(frozen=True)
 class GradedSpace:
-    """Dimensions of the positive and negative sector of a graded C^n."""
+    """Dimensions of the positive and negative sector of a graded C^n.
+
+    A space may carry a symmetry S that maps each sector to itself; it is
+    left out of == and hash, and symmetry_blocks uses it.
+    """
 
     n_plus: int
     n_minus: int
+    symmetry: PhasedPermutation | None = field(default=None, compare=False,
+                                               repr=False)
 
     def __post_init__(self):
         if self.n_plus < 0 or self.n_minus < 0:
             raise ValueError("sector dimensions must be nonnegative")
         if self.n_plus + self.n_minus < 1:
             raise ValueError("graded space must have dimension at least 1")
+        if self.symmetry is not None:
+            if len(self.symmetry.perm) != self.n:
+                raise ValueError("symmetry acts on a space of another dimension")
+            if np.any(self.symmetry.perm[:self.n_plus] >= self.n_plus):
+                raise ValueError("the symmetry does not preserve the sectors")
 
     @property
     def n(self) -> int:
@@ -431,6 +523,85 @@ class GradedOperator:
         return self._eigvals_cache
 
 
+@dataclass
+class SymmetryBlocks:
+    """Compressions V_mu^H M V_mu of M to the eigenspaces of a symmetry S,
+    one per eigenvalue mu, and the Weyl bound of the route.
+
+    They are the diagonal blocks of the pinching M_sym = (1/N) sum_k
+    S^k M S^-k.  With delta = ||S M S^-1 - M||_F, telescoping gives
+    ||M - M_sym||_2 <= (N - 1) delta / 2 = weyl, so each eigenvalue or
+    singular value of M lies within weyl of the blocks' values.
+    """
+
+    blocks: list
+    weyl: float
+
+
+def symmetry_blocks(op: GradedOperator, row: str | None = None,
+                    col: str | None = None) -> SymmetryBlocks | None:
+    """Blocks of op.block(row, col), or of op.matrix without sectors, in the
+    orbit basis of the space's symmetry S; None when the space has no S or
+    weyl exceeds SYM_TOL times ||M||_F / sqrt(min(shape)), a lower bound
+    of ||M||_2.
+
+    Everything comes from N^2 phased gathers of M, one per pair of orbit
+    steps (k, l), each with one entry per pair of orbits, so the work is
+    O(n^2) and no full-size copy of M is made.  Along d = k - l the
+    gathers X_l = sqrt(m_p m_q) conj(Phi_(l+d)) Phi_l M[I_(l+d), I_l] / N
+    (orbit sizes m, Phi extended by Phi_(k+N) = power Phi_k) close a cycle.
+    S M S^-1 - M is, entry by entry and up to phases and the repeats of
+    short orbits, X_(l+1) - X_l, so delta^2 = sum ||X_(l+1) - X_l||_F^2;
+    and the block of mu is sum_d mu^d A_d / N with A_d = sum_l X_l.
+    """
+    sym = op.space.symmetry
+    if sym is None:
+        return None
+    k, n = op.space.n_plus, op.space.n
+    span = {None: (0, n), "+": (0, k), "-": (k, n)}
+    rows, cols = span[row], span[col]
+    m = op.matrix[rows[0]:rows[1], cols[0]:cols[1]]
+    orbits = sym.orbits
+    r_idx, r_phi, r_size, r_ok = orbits.part(*rows)
+    c_idx, c_phi, c_size, c_ok = orbits.part(*cols)
+    order = orbits.order
+    r_phi = r_phi * np.sqrt(r_size)[:, None] / order
+    c_phi = c_phi * np.sqrt(c_size)[:, None]
+    acc, delta2, norm2 = [], 0.0, 0.0
+    for d in range(order):
+        total = first = prev = None
+        for l in range(order):
+            j = (l + d) % order
+            lead = r_phi[:, j] if l + d < order else orbits.power * r_phi[:, j]
+            x = m[np.ix_(r_idx[:, j], c_idx[:, l])]
+            x *= np.outer(lead.conj(), c_phi[:, l])
+            norm2 += _sum_sq(x)
+            if prev is None:
+                total = first = x
+            else:
+                delta2 += _sum_sq(x - prev)
+                total = total + x
+            prev = x
+        delta2 += _sum_sq(first - prev)
+        acc.append(total)
+    weyl = (order - 1) / 2.0 * float(np.sqrt(delta2))
+    if weyl > SYM_TOL * np.sqrt(norm2 / max(1, min(m.shape))):
+        return None
+    blocks = []
+    for i, mu in enumerate(orbits.mu):
+        b = sum(mu**d * a for d, a in enumerate(acc)) / order
+        if not (r_ok[:, i].all() and c_ok[:, i].all()):
+            b = b[np.ix_(r_ok[:, i], c_ok[:, i])]
+        blocks.append(b)
+    return SymmetryBlocks(blocks, weyl)
+
+
+def _sum_sq(x: np.ndarray) -> float:
+    """Squared Frobenius norm of a C-contiguous complex array, by one dot."""
+    v = x.reshape(-1).view(np.float64)
+    return float(v @ v)
+
+
 def _odd_diagonal(op: GradedOperator) -> np.ndarray | None:
     """Diagonal z of the odd block of an odd hermitian operator whose odd
     block is square and exactly diagonal; None for any other operator.
@@ -469,18 +640,27 @@ def operator_norm(op) -> float:
         lower, upper = op.block("-", "+"), op.block("+", "-")
         adjoint = lower.conj().T
         if np.array_equal(upper, -adjoint) or np.array_equal(upper, adjoint):
-            blocks = (lower,)
+            cells = (("-", "+"),)
         else:
-            blocks = (lower, upper)
+            cells = (("-", "+"), ("+", "-"))
     elif op.parity == "even":
-        blocks = (op.block("+", "+"), op.block("-", "-"))
+        cells = (("+", "+"), ("-", "-"))
     else:
-        blocks = (op.matrix,)
-    best = 0.0
-    for b in blocks:
-        if b.size:
-            best = max(best, float(np.linalg.svd(b, compute_uv=False)[0]))
-    return best
+        cells = ((None, None),)
+    return max(_top_singular_value(op, row, col) for row, col in cells)
+
+
+def _top_singular_value(op: GradedOperator, row: str | None, col: str | None) -> float:
+    """Largest singular value of op.block(row, col), or of op.matrix: one
+    SVD per block of symmetry_blocks plus their Weyl bound when the space's
+    symmetry applies, else one SVD of the whole."""
+    split = symmetry_blocks(op, row, col)
+    if split is None:
+        blocks, slack = (op.matrix if row is None else op.block(row, col),), 0.0
+    else:
+        blocks, slack = split.blocks, split.weyl
+    return max((float(np.linalg.svd(b, compute_uv=False)[0]) for b in blocks if b.size),
+               default=0.0) + slack
 
 
 def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,

@@ -7,6 +7,7 @@ admissibility certificate makes a well-defined integer.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,27 +125,32 @@ def positive_projection(H: GradedOperator) -> GradedOperator:
 
 
 def _idempotency_residual(p: GradedOperator):
-    """P^2 - P, formed sector by sector when P is even, and once when its
-    two sectors are equal (the lattice's flat band)."""
+    """P^2 - P; for an even P its two sector blocks, the second formed only
+    when the sectors differ (the lattice's flat band has equal ones)."""
     if p.parity == "even":
         b_plus, b_minus = p.block("+", "+"), p.block("-", "-")
         top = b_plus @ b_plus - b_plus
         bottom = top if np.array_equal(b_plus, b_minus) else b_minus @ b_minus - b_minus
-        return GradedOperator.even_from_blocks(p.space, top, bottom)
+        return [top, bottom]
     return p.matrix @ p.matrix - p.matrix
 
 
 def check_defect(residual, limit: float, what: str) -> None:
     """Fail unless the operator norm of a residual is at most limit.
 
-    ||R||_2 <= ||R||_F, so a Frobenius norm within the limit passes on O(n^2)
-    work.  Otherwise the exact operator norm decides, and it is the value the
-    error reports, so every verdict matches a gate on the exact norm.
+    The residual is a matrix, a GradedOperator, or the list of diagonal
+    blocks of a block-diagonal one.  ||R||_2 <= ||R||_F, so a Frobenius
+    norm (the root sum of squares of the block norms) within the limit
+    passes on O(n^2) work.  Otherwise the exact operator norm decides, the
+    largest over the blocks, and it is the value the error reports, so
+    every verdict matches a gate on the exact norm.
     """
-    matrix = residual.matrix if isinstance(residual, GradedOperator) else residual
-    if np.linalg.norm(matrix) <= limit:
+    blocks = residual if isinstance(residual, list) else [residual]
+    frobenius = functools.reduce(np.hypot, (
+        np.linalg.norm(b.matrix if isinstance(b, GradedOperator) else b) for b in blocks))
+    if frobenius <= limit:
         return
-    value = operator_norm(residual)
+    value = max(operator_norm(b) for b in blocks)
     if value > limit:
         raise InternalConsistencyError(f"{what} {value:.3e} exceeds {limit:.0e}")
 
@@ -194,19 +200,22 @@ def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
     """Index extraction for an already assembled (smooth or sharp) localizer.
 
     The class is half_signature_class of the pair (-gamma, L), with the
-    exact spectrum -gamma_diag as the reference.
+    exact spectrum -gamma_diag as the reference.  An eigenvalue counts as
+    zero when |eigenvalue| less the bundle's eig_error is within the zero
+    band, so a Weyl bound never lets an eigenvalue of L change sign unseen.
     """
     params = bundle.params
     params.require_admissible()
     space = bundle.space
-    try:
-        value = half_signature_class(-space.gamma_diag, bundle.eigenvalues)
-    except NotInvertibleError:
+    eigs = bundle.eigenvalues
+    tau = TAU_SIG * float(np.abs(eigs).max(initial=0.0))
+    n_zero = int(np.count_nonzero(np.abs(eigs) - bundle.eig_error <= tau))
+    if n_zero:
         raise NotInvertibleError(
-            f"localizer has {signature(bundle.eigenvalues).n_zero} eigenvalues "
-            "in the zero band despite an admissibility certificate; numerical "
-            "contradiction"
-        ) from None
+            f"localizer has {n_zero} eigenvalues in the zero band despite an "
+            "admissibility certificate; numerical contradiction"
+        )
+    value = half_signature_class(-space.gamma_diag, eigs)
     if check_support:
         defect = support_residual(bundle, D)
         if defect > 1e-9:

@@ -38,6 +38,7 @@ from .grading import (
     gap,
     lipschitz_derivative,
     operator_norm,
+    symmetry_blocks,
 )
 from .localizing import LocalizingFunction
 
@@ -164,17 +165,21 @@ class LocalizerBundle:
     of D's sector basis.  ``outer`` is the scalar window x -> Phi_2rho(x).
     For scales where both windows are the identity on the spectrum of D,
     L is formed at assembly, the Phi factors are None and phi_identity is
-    set.
+    set.  ``eig_error`` bounds how far each listed eigenvalue may lie from
+    one of L's (the Weyl bound of a symmetry block route, else 0), and
+    ``min_abs_eigenvalue`` is the smallest |eigenvalue| less eig_error.
     """
 
     def __init__(self, params: LocalizerParams, D: GradedOperator,
                  inner: Callable, outer: Callable, eigenvalues: np.ndarray,
                  L: GradedOperator | None = None,
-                 window: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+                 window: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                 eig_error: float = 0.0):
         self.params = params
         self.outer = outer
         self.eigenvalues = eigenvalues
-        self.min_abs_eigenvalue = float(np.abs(eigenvalues).min())
+        self.eig_error = eig_error
+        self.min_abs_eigenvalue = max(0.0, float(np.abs(eigenvalues).min()) - eig_error)
         self.phi_identity = L is not None
         self._D = D
         self._inner = inner
@@ -236,8 +241,10 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     When both windows are 1 on every eigenvalue of D, L = gamma H + kappa D
     is formed directly, skipping all function calculus; it is hermitian
     bit-exactly, since gamma H is the even hermitian H with its negative
-    sector negated and kappa D only fills the blocks H leaves zero.
-    Otherwise _windowed assembles L in D's sector basis.
+    sector negated and kappa D only fills the blocks H leaves zero.  On a
+    space with a symmetry that L passes, its spectrum comes from one
+    eigvalsh per block of symmetry_blocks, with their Weyl bound as
+    eig_error.  Otherwise _windowed assembles L in D's sector basis.
     """
     if H.parity != "even" or D.parity != "odd" or not (H.hermitian and D.hermitian):
         raise ParityError("the localizer needs an even hermitian H and an odd "
@@ -247,7 +254,13 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
             and np.all(np.asarray(outer(d_eigs), dtype=float) == 1.0)):
         L = GradedOperator._built(H.space.gamma_diag[:, None] * H.matrix
                                   + params.kappa * D.matrix, H.space, "none", True)
-        bundle = LocalizerBundle(params, D, inner, outer, L.eigenvalues(), L=L)
+        split = symmetry_blocks(L)
+        if split is None:
+            bundle = LocalizerBundle(params, D, inner, outer, L.eigenvalues(), L=L)
+        else:
+            eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in split.blocks]))
+            bundle = LocalizerBundle(params, D, inner, outer, eigs, L=L,
+                                     eig_error=split.weyl)
     else:
         bundle = _windowed(H, D, params, inner, outer)
     eigs = bundle.eigenvalues
@@ -389,7 +402,10 @@ def lower_bound_residual(bundle: LocalizerBundle, H: GradedOperator,
 
 
 def certificate_residual(bundle: LocalizerBundle) -> float:
-    """min |eig(L)|^2 minus the certified floor; admissible data keep this >= -1e-9."""
+    """min |eig(L)|^2 minus the certified floor; admissible data keep this >= -1e-9.
+
+    min |eig(L)| is the bundle's lower bound, min_abs_eigenvalue.
+    """
     return float(bundle.min_abs_eigenvalue**2 - bundle.params.certified_lower_bound())
 
 

@@ -18,7 +18,7 @@ from .errors import (
     InternalConsistencyError,
     ModelArgumentError,
 )
-from .grading import GradedOperator, GradedSpace
+from .grading import GradedOperator, GradedSpace, PhasedPermutation
 
 BOUNDARY_WEIGHT_TOL = 1e-6
 QWZ_GAP_GRID = 257  # Brillouin-zone grid on which the Bloch gap is scanned
@@ -45,6 +45,7 @@ class ModelDescriptor:
     truncation_fraction: float
     gap_bound: float
     bloch: object = None
+    bloch_lipschitz: float | None = None  # sup over k of each ||dh/dk_i||
     n_occupied: int | None = None
     expected_class: int | None = None
 
@@ -210,6 +211,20 @@ def check_flat_band(h: np.ndarray, hflat: np.ndarray) -> None:
             f"half filling violated: tr hflat = {trace:.3e} on {n} states")
 
 
+def _quarter_turn(L: int) -> PhasedPermutation:
+    """S = diag(R, i R) on the two sectors, R the quarter turn of the torus.
+
+    R sends orbital a of site (x, y) to orbital a of site (L-1-y, x) with
+    the phase diag(e^(-i pi/4), e^(i pi/4))[a]; S^4 = -1.
+    """
+    x, y = np.divmod(np.arange(L * L), L)
+    site = (L - 1 - y) * L + x
+    perm = (2 * site[:, None] + np.arange(2)).ravel()
+    phase = np.tile(np.exp([-0.25j * np.pi, 0.25j * np.pi]), L * L)
+    return PhasedPermutation(np.concatenate([perm, perm + 2 * L * L]),
+                             np.concatenate([phase, 1j * phase]), 4, -1.0)
+
+
 def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     """Flattened two-band Chern insulator paired with the lattice position Dirac.
 
@@ -224,7 +239,13 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     not solved for.  D is the odd operator built from the complex position
     x1 + i x2 with coordinates centered at the lattice middle.  The periodic
     seam makes [D, H] grow linearly with L, which the descriptor reports
-    rather than hides.
+    rather than hides.  The space carries the quarter turn S = diag(R, i R)
+    (_quarter_turn), which commutes with H and D: a rotation about the
+    lattice middle maps the torus, its seam included, to itself and sends
+    x1 + i x2 to i (x1 + i x2).  The lattice kernels split into its four
+    eigenspaces (grading.symmetry_blocks), each operator only after its
+    own measured commutator with S passes.  The Bloch family's derivatives
+    have norm at most 1 in each k_i, which bounds the Chern oracle's gap.
     """
     if L < 8:
         raise ModelArgumentError("lattice extent must be at least 8")
@@ -246,7 +267,7 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     if not np.array_equal(h, _qwz_hopping_loop(L, m)):
         raise InternalConsistencyError("lattice kernel disagrees with the hopping loop")
     hflat = _spread(_flat_kernel(kernel))
-    space = GradedSpace(2 * npb, 2 * npb)
+    space = GradedSpace(2 * npb, 2 * npb, symmetry=_quarter_turn(L))
     H = GradedOperator.even_from_blocks(space, hflat, hflat, hermitian=True)
     check_flat_band(h, H.block("+", "+"))
     # by check_flat_band: eigenvalues +-1, npb of each sign in each sector
@@ -267,7 +288,8 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     return ModelDescriptor(
         name="qwz", parameters={"L": L, "m": m}, D=D, H=H,
         rho_max=rho_max, truncation_fraction=fraction, gap_bound=bloch_gap,
-        bloch=lambda k1, k2, mm=m: qwz_bloch(k1, k2, mm), n_occupied=1,
+        bloch=lambda k1, k2, mm=m: qwz_bloch(k1, k2, mm), bloch_lipschitz=1.0,
+        n_occupied=1,
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassInconsistencyError, GaplessError, PreconditionError, SpectralCutError
-from .grading import GradedOperator, eigenvalue_at_cut
+from .grading import GradedOperator, eigenvalue_at_cut, symmetry_blocks
 from .ktheory import signature
 
 # singular values at most TAU_RANK_REL * sigma_max count as kernel
@@ -93,36 +93,35 @@ def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
     value is the difference of the ranks of Q's sectors and does not depend
     on D: the singular values of the compressed block feed only
     rank_tolerance and reliable.  When both sectors of Q are equal the value
-    is 0 for every D, and one eigh gives the frame of both.
+    is 0 for every D, and one eigh gives the frame of both.  On a space with
+    a symmetry that Q's sectors and D's odd block pass, each sector is
+    solved block by block (symmetry_blocks) and the compressed block splits
+    into one block per eigenvalue of the symmetry.
     """
     if Q.parity != "even":
         raise PreconditionError("compression projection must be even")
     if D.parity != "odd":
         raise PreconditionError("compressed index needs an odd operator")
-    space = Q.space
-    k = space.n_plus
-    frames = []
-    for blk in (Q.matrix[:k, :k], Q.matrix[k:, k:]):
-        if blk.shape[0] == 0:
-            frames.append(np.zeros((0, 0), dtype=complex))
-            continue
-        if frames and np.array_equal(blk, Q.matrix[:k, :k]):
-            frames.append(frames[0])  # identical sectors: one eigh serves both
-            continue
-        w, v = np.linalg.eigh(blk)
-        near_one = np.abs(w - 1.0) <= 0.5
-        # eigenvalues must cluster at 0 and 1 for a genuine projection
-        bad = np.minimum(np.abs(w), np.abs(w - 1.0)).max(initial=0.0)
-        if bad > TAU_PROJ:
-            raise PreconditionError(
-                f"Q is not a projection: eigenvalue {bad:.3e} away from {{0,1}}"
-            )
-        frames.append(v[:, near_one])
-    v_plus, v_minus = frames
-    block = v_minus.conj().T @ D.odd_block @ v_plus
-    r_minus, r_plus = block.shape
-    rank, tau, diags = _kernel_counts(np.linalg.svd(block, compute_uv=False),
-                                      block.shape)
+    k = Q.space.n_plus
+    q_split = [symmetry_blocks(Q, s, s) for s in "+-"]
+    d_split = symmetry_blocks(D, "-", "+")
+    if None in q_split or d_split is None:
+        sectors = ([Q.matrix[:k, :k]], [Q.matrix[k:, k:]])
+        lowers, slack = [D.odd_block], 0.0
+    else:
+        sectors = tuple(part.blocks for part in q_split)
+        lowers, slack = d_split.blocks, max(part.weyl for part in q_split)
+    solved = []
+    svs, r_plus, r_minus = [], 0, 0
+    for top, bottom, lower in zip(*sectors, lowers):
+        v_plus = _range_frame(top, slack, solved)
+        v_minus = _range_frame(bottom, slack, solved)
+        block = v_minus.conj().T @ lower @ v_plus
+        svs.append(np.linalg.svd(block, compute_uv=False))
+        r_minus, r_plus = r_minus + block.shape[0], r_plus + block.shape[1]
+    # the whole block's singular values that rectangular blocks lack are
+    # exact zeros, which move no rank datum
+    rank, tau, diags = _kernel_counts(np.concatenate(svs), (r_minus, r_plus))
     value = (r_plus - rank) - (r_minus - rank)
     diags["rank_Q_plus"] = r_plus
     diags["rank_Q_minus"] = r_minus
@@ -130,17 +129,45 @@ def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
                        diagnostics=diags)
 
 
+def _range_frame(blk: np.ndarray, slack: float, solved: list) -> np.ndarray:
+    """Eigenvectors of a block of a projection at its eigenvalues near 1.
+
+    Every eigenvalue must lie within TAU_PROJ of {0, 1} once slack, a Weyl
+    bound, is added.  A block equal to one already in solved reuses its
+    frame, and each solved block is added there.
+    """
+    if blk.shape[0] == 0:
+        return np.zeros((0, 0), dtype=complex)
+    for done, frame in solved:
+        if np.array_equal(done, blk):
+            return frame
+    w, v = np.linalg.eigh(blk)
+    bad = np.minimum(np.abs(w), np.abs(w - 1.0)).max(initial=0.0) + slack
+    if bad > TAU_PROJ:
+        raise PreconditionError(
+            f"Q is not a projection: eigenvalue {bad:.3e} away from {{0,1}}"
+        )
+    frame = v[:, np.abs(w - 1.0) <= 0.5]
+    solved.append((blk, frame))
+    return frame
+
+
 # ----------------------------------------------------------------------------
 # Brillouin-zone Chern number
 # ----------------------------------------------------------------------------
 
 
-def chern_number_bz(bloch, n_occupied: int, grid: int = CHERN_GRID) -> IndexResult:
+def chern_number_bz(bloch, n_occupied: int, lipschitz: float,
+                    grid: int = CHERN_GRID) -> IndexResult:
     """Chern number of the occupied bands of a Bloch family on a 2-torus.
 
     Plaquette construction: overlaps of occupied frames around each grid
     plaquette multiply to a phase; the angles sum to 2 pi times an integer.
-    The band gap is checked on the grid first and a closing fails loudly.
+    The band gap must be certified open first.  With lipschitz the sup of
+    each ||dh/dk_i||, every k lies within pi / grid of a grid point in each
+    coordinate, so by Weyl every eigenvalue moves by at most
+    eps = 2 pi lipschitz / grid off the grid, and the gap by at most 2 eps:
+    the grid minimum less 2 eps must stay open, or the result fails loudly.
     """
     ks = 2.0 * np.pi * np.arange(grid) / grid
     h = np.array([[np.asarray(bloch(ka, kb), dtype=complex) for kb in ks] for ka in ks])
@@ -149,10 +176,12 @@ def chern_number_bz(bloch, n_occupied: int, grid: int = CHERN_GRID) -> IndexResu
     gap_here = w[..., n_occupied] - w[..., n_occupied - 1]
     fermi_dist = np.minimum(np.abs(w[..., n_occupied]), np.abs(w[..., n_occupied - 1]))
     min_gap = float(np.minimum(gap_here, 2.0 * fermi_dist).min())
-    if min_gap <= GAP_TOL * max(scale, 1e-300):
+    gap_floor = min_gap - 4.0 * np.pi * lipschitz / grid
+    if gap_floor <= GAP_TOL * max(scale, 1e-300):
         raise GaplessError(
-            f"band gap {min_gap:.3e} on the {grid}x{grid} grid is below "
-            f"{GAP_TOL:.1e} * ||h||; Chern number undefined"
+            f"band gap {min_gap:.3e} on the {grid}x{grid} grid, {gap_floor:.3e} "
+            f"after the half-cell bound, is not above {GAP_TOL:.1e} * ||h||; "
+            "Chern number undefined"
         )
 
     # frames[a, b] and its neighbours at (a+1, b), (a+1, b+1), (a, b+1)
@@ -180,6 +209,7 @@ def chern_number_bz(bloch, n_occupied: int, grid: int = CHERN_GRID) -> IndexResu
         diagnostics={
             "grid": grid,
             "min_gap": float(min_gap),
+            "gap_floor": float(gap_floor),
             "max_plaquette_angle": max_angle,
             "integer_deviation": deviation,
             "cut_ratio": 0.0,

@@ -185,8 +185,8 @@ def test_08_index_triangle_chern_model():
     for m in (3.0, 1.0):
         for L in (12, 16):
             desc = qwz_chern_model(L, m)
-            chern = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied,
-                                    grid=grid)
+            chern = chern_number_bz(desc.bloch, desc.n_occupied,
+                                    desc.bloch_lipschitz, grid=grid)
             assert chern.value == frozen[f"qwz:L={L},m={m}"]
             report = localizer_index(desc.H, desc.D, PHI)
             q = positive_projection(desc.H)

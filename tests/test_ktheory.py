@@ -311,3 +311,21 @@ def test_defect_gate_falls_back_to_exact_norm():
     failing = np.diag([3e-10, 1e-11, 0.0, 0.0])
     with pytest.raises(InternalConsistencyError, match=r"defect 3\.000e-10 exceeds"):
         check_defect(failing, 1e-10, "defect")
+
+
+def test_defect_gate_on_sector_blocks_matches_the_whole():
+    # Frobenius of the blocks is their root sum of squares and the exact
+    # norm their largest, so each verdict is the block-diagonal matrix's
+    for diag, passes in (([0.9e-10] * 4, True), ([3e-10, 1e-11, 0.0, 0.0], False),
+                         ([1e-12] * 4, True)):
+        whole = np.diag(diag).astype(complex)
+        blocks = [whole[:2, :2], whole[2:, 2:]]
+        verdicts = []
+        for residual in (whole, blocks):
+            try:
+                check_defect(residual, 1e-10, "defect")
+                verdicts.append(True)
+            except InternalConsistencyError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+        assert (verdicts[0] is True) == passes

@@ -97,6 +97,23 @@ def test_weight_below_cited_bound():
     assert phi.fourier_weight + phi.tail_bound <= 8.0 * math.sqrt(2.0 * math.pi)
 
 
+@pytest.mark.parametrize("w", [0.25, 0.1])
+def test_weight_below_the_quadrature_free_cap(w):
+    # Plancherel and Cauchy-Schwarz: ||p phihat||_1 <= sqrt(2 pi ||phi'||_2
+    # ||phi''||_2).  On the transition s = (3/4 - |x|) / w, phi' = -sign(x)
+    # b(s) / (Z w) and phi'' = b'(s) / (Z w^2), b the bump and Z its
+    # integral, so both norms come from x-space sums with no p grid.
+    t = np.linspace(-1.0, 1.0, 400_001)[1:-1]
+    dt = t[1] - t[0]
+    b = np.exp(-1.0 / (1.0 - t * t))
+    db = b * (-2.0 * t / (1.0 - t * t) ** 2)
+    z = b.sum() * dt
+    d1 = math.sqrt(2.0 * (b * b).sum() * dt / (z * z * w))
+    d2 = math.sqrt(2.0 * (db * db).sum() * dt / (z * z * w**3))
+    phi = default_localizer(w)
+    assert phi.fourier_weight + phi.tail_bound <= math.sqrt(2.0 * math.pi * d1 * d2)
+
+
 def test_validation_report_passes():
     rep = validate_localizing(default_localizer())
     assert rep.plateau and rep.support and rep.monotone and rep.even and rep.range_ok

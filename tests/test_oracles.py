@@ -19,6 +19,7 @@ from localizer_lab import (
 )
 from localizer_lab.errors import GaplessError
 from localizer_lab.models import qwz_bloch
+from localizer_lab.oracles import CHERN_GRID
 from localizer_lab.verification import random_odd
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
@@ -75,7 +76,8 @@ def test_chern_matches_frozen_values():
     grid = ORACLES["chern_bz"]["grid"]
     for L, m in ((12, 1.0), (12, 3.0)):
         desc = qwz_chern_model(L, m)
-        res = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied, grid=grid)
+        res = chern_number_bz(desc.bloch, desc.n_occupied, desc.bloch_lipschitz,
+                              grid=grid)
         assert res.value == frozen[f"qwz:L={L},m={m}"]
         assert res.reliable
         assert res.diagnostics["grid"] == grid
@@ -84,8 +86,8 @@ def test_chern_matches_frozen_values():
 
 def test_chern_grid_independence():
     desc = qwz_chern_model(8, 1.0)
-    a = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied, grid=24)
-    b = chern_number_bz(desc.bloch, n_occupied=desc.n_occupied, grid=48)
+    a = chern_number_bz(desc.bloch, desc.n_occupied, desc.bloch_lipschitz, grid=24)
+    b = chern_number_bz(desc.bloch, desc.n_occupied, desc.bloch_lipschitz, grid=48)
     assert a.value == b.value == 1
 
 
@@ -99,14 +101,26 @@ def test_chern_adds_over_direct_sums(masses, expected):
         h[2:, 2:] = qwz_bloch(k1, k2, masses[1])
         return h
 
-    res = chern_number_bz(bloch, n_occupied=2, grid=24)
+    # each block has ||dh/dk_i|| <= 1, and so has their direct sum
+    res = chern_number_bz(bloch, 2, 1.0, grid=24)
     assert res.value == expected
     assert res.diagnostics["integer_deviation"] < 1e-12
 
 
 def test_chern_oracle_refuses_a_closed_gap():
     with pytest.raises(GaplessError, match="band gap"):
-        chern_number_bz(lambda k1, k2: qwz_bloch(k1, k2, 2.0), n_occupied=1)
+        chern_number_bz(lambda k1, k2: qwz_bloch(k1, k2, 2.0), 1, 1.0)
+
+
+@pytest.mark.parametrize("m", [2.0, 0.0])
+def test_chern_oracle_refuses_a_gap_closing_off_the_grid(m):
+    # shifted by half a cell, the family closes its gap between grid points,
+    # where the grid minimum alone (0.185 at m = 2) looks open
+    def bloch(k1, k2):
+        return qwz_bloch(k1 + np.pi / CHERN_GRID, k2 + np.pi / CHERN_GRID, m)
+
+    with pytest.raises(GaplessError, match="band gap"):
+        chern_number_bz(bloch, 1, 1.0)
 
 
 def test_closed_gap_refused_at_model_construction():

@@ -1,0 +1,150 @@
+"""The C4 block route: symmetry_blocks and its three lattice consumers."""
+import numpy as np
+import pytest
+
+from localizer_lab import (
+    GradedOperator,
+    GradedSpace,
+    assemble_localizer,
+    choose_params,
+    compressed_index,
+    default_localizer,
+    operator_norm,
+    parse_model,
+    positive_projection,
+)
+from localizer_lab.grading import (
+    PhasedPermutation,
+    lipschitz_derivative,
+    symmetry_blocks,
+)
+from localizer_lab.ktheory import signature
+
+PHI = default_localizer()
+
+
+def _plain(op: GradedOperator) -> GradedOperator:
+    """op on a space without a symmetry, so every kernel takes the full route."""
+    space = GradedSpace(op.space.n_plus, op.space.n_minus)
+    return GradedOperator(op.matrix, space, parity=op.parity, hermitian=op.hermitian)
+
+
+def _eigvalsh_shapes(monkeypatch) -> list:
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(m):
+        shapes.append(m.shape)
+        return eigvalsh(m)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return shapes
+
+
+def _dense(sym: PhasedPermutation) -> np.ndarray:
+    n = len(sym.perm)
+    s = np.zeros((n, n), dtype=complex)
+    s[sym.perm, np.arange(n)] = sym.phase
+    return s
+
+
+@pytest.mark.parametrize("L", [8, 9])
+def test_quarter_turn_is_a_symmetry_of_the_lattice_pair(L):
+    desc = parse_model(f"qwz:L={L},m=1.0")
+    s = _dense(desc.space.symmetry)
+    n = desc.space.n
+    assert np.abs(np.linalg.matrix_power(s, 4) + np.eye(n)).max() < 1e-14
+    assert np.abs(s @ desc.D.matrix - desc.D.matrix @ s).max() < 1e-15
+    assert np.abs(s @ desc.H.matrix - desc.H.matrix @ s).max() < 1e-15
+
+
+@pytest.mark.parametrize("L, sizes", [(8, [32] * 4), (9, [41, 40, 40, 41])])
+def test_orbit_basis_splits_each_sector_four_ways(L, sizes):
+    # odd L: the centre site is an orbit of one, with one orbital in each
+    # of two eigenspaces
+    desc = parse_model(f"qwz:L={L},m=3.0")
+    split = symmetry_blocks(desc.H, "+", "+")
+    assert [b.shape for b in split.blocks] == [(k, k) for k in sizes]
+    assert 0.0 <= split.weyl < 1e-13
+
+
+def test_symmetry_is_left_out_of_equality_and_its_power_is_checked():
+    desc = parse_model("qwz:L=8,m=1.0")
+    plain = GradedSpace(desc.space.n_plus, desc.space.n_minus)
+    assert desc.space == plain and hash(desc.space) == hash(plain)
+    with pytest.raises(ValueError, match="S\\^4"):
+        bad = PhasedPermutation(desc.space.symmetry.perm, desc.space.symmetry.phase,
+                                4, 1.0)
+        bad.orbits
+
+
+@pytest.mark.parametrize("address", ["qwz:L=8,m=1.0", "qwz:L=8,m=3.0",
+                                     "qwz:L=9,m=1.0", "qwz:L=9,m=3.0"])
+def test_block_route_matches_the_full_route(address, monkeypatch):
+    desc = parse_model(address)
+    H, D = desc.H, desc.D
+    h_full, d_full = _plain(H), _plain(D)
+    n = desc.space.n
+
+    params = choose_params(h_full, d_full, PHI)
+    shapes = _eigvalsh_shapes(monkeypatch)
+    blocked = assemble_localizer(H, D, PHI, params)
+    assert blocked.phi_identity and max(shape[0] for shape in shapes) < n
+    full = assemble_localizer(h_full, d_full, PHI, params)
+    assert full.eig_error == 0.0 and 0.0 <= blocked.eig_error < 1e-12
+    tol = 1e-12 * float(np.abs(full.eigenvalues).max())
+    assert np.abs(blocked.eigenvalues - full.eigenvalues).max() <= tol
+    assert abs(blocked.min_abs_eigenvalue - full.min_abs_eigenvalue) <= tol
+    assert signature(blocked.eigenvalues).signature == signature(full.eigenvalues).signature
+    # the Weyl bound is taken off, so min_abs_eigenvalue stays a lower bound
+    assert blocked.min_abs_eigenvalue == \
+        np.abs(blocked.eigenvalues).min() - blocked.eig_error
+    assert np.array_equal(blocked.L.matrix, full.L.matrix)
+
+    comm, comm_full = lipschitz_derivative(D, H), lipschitz_derivative(d_full, h_full)
+    split = symmetry_blocks(comm, "-", "+")
+    sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in split.blocks])
+    sv_full = np.linalg.svd(comm_full.odd_block, compute_uv=False)
+    sv = np.sort(np.concatenate([sv, np.zeros(len(sv_full) - len(sv))]))
+    assert np.abs(sv - np.sort(sv_full)).max() <= 1e-12 * sv_full.max()
+    # the block maximum plus the Weyl bound is an upper bound
+    assert operator_norm(comm) == max(b.max() for b in
+                                      (np.linalg.svd(b, compute_uv=False)
+                                       for b in split.blocks)) + split.weyl
+    assert operator_norm(comm) == pytest.approx(sv_full.max(), rel=1e-12)
+
+    got = compressed_index(positive_projection(H), D)
+    want = compressed_index(positive_projection(h_full), d_full)
+    assert got.value == want.value and got.reliable == want.reliable
+    for key in ("rank", "rank_Q_plus", "rank_Q_minus", "shape"):
+        assert got.diagnostics[key] == want.diagnostics[key]
+    assert got.rank_tolerance == pytest.approx(want.rank_tolerance, rel=1e-10)
+    assert got.diagnostics["cut_ratio"] == pytest.approx(want.diagnostics["cut_ratio"],
+                                                         rel=1e-6, abs=1e-12)
+
+
+def test_broken_symmetry_takes_the_full_route_bit_for_bit(monkeypatch):
+    desc = parse_model("qwz:L=8,m=3.0")
+    # a random on-site potential, drawn for each sector: [D, H] breaks S too
+    rng = np.random.default_rng(17)
+    site = np.repeat(rng.uniform(-0.2, 0.2, size=desc.space.n // 2), 2)
+    hm = desc.H.matrix + np.diag(site)
+    H = GradedOperator(hm, desc.space, parity="even", hermitian=True)
+    D = desc.D
+    h_full, d_full = _plain(H), _plain(D)
+    n = desc.space.n
+    assert symmetry_blocks(H, "+", "+") is None
+    assert symmetry_blocks(D, "-", "+") is not None  # D alone still passes
+
+    shapes = _eigvalsh_shapes(monkeypatch)
+    params = choose_params(H, D, PHI)
+    bundle = assemble_localizer(H, D, PHI, params)
+    assert (n, n) in shapes and bundle.eig_error == 0.0
+    assert symmetry_blocks(lipschitz_derivative(D, H), "-", "+") is None
+    assert params == choose_params(h_full, d_full, PHI)
+    assert np.array_equal(bundle.eigenvalues,
+                          assemble_localizer(h_full, d_full, PHI, params).eigenvalues)
+
+    got = compressed_index(positive_projection(H), D)
+    want = compressed_index(positive_projection(h_full), d_full)
+    assert (got.value, got.rank_tolerance, got.diagnostics) == \
+        (want.value, want.rank_tolerance, want.diagnostics)
