@@ -222,8 +222,10 @@ def cmd_sweep(args) -> int:
         return (params, bundle.min_abs_eigenvalue, inert.signature,
                 certificate_residual(bundle))
 
-    # Two BLAS threads speed the largest cells by ~1.3x, but make a sweep's
-    # wall time swing with any other load on the second core.
+    # A ladder cell solves only 2 x 2 pair blocks; on 2 vCPUs two BLAS
+    # threads sped a whole oscillator:n=400 sweep by ~1.1x (the first
+    # cell's sector products), but make its wall time swing with any other
+    # load on the second core.
     with one_blas_thread():
         rows = parallel_map(one_cell, cells)
     lines = ["kappa,rho,C_kr,admissible,min_abs_eig,signature"]

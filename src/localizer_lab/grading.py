@@ -5,10 +5,11 @@ involution gamma = diag(+1, ..., +1, -1, ..., -1).  Operators carry an optional
 parity label: even operators commute with gamma (block diagonal), odd operators
 anticommute (block off-diagonal).  Parity is enforced at the level of exact
 block sparsity, not up to rounding.  Even and odd operators are diagonalized
-through their blocks (one eigh per sector, or one SVD of the odd block; the
-values of an exactly diagonal odd block are read off its diagonal), and
-func_calc forms f(T) block by block from that data: the blocks the parity of
-f(T) forbids are never computed, so no result needs snapping to a parity.
+through their blocks (one eigh per sector, or one SVD of the odd block; an
+exactly diagonal sector and a monomial odd block, with at most one nonzero
+per row and per column, need neither), and func_calc forms f(T) block by
+block from that data: the blocks the parity of f(T) forbids are never
+computed, so no result needs snapping to a parity.
 For an odd T = [[0, B^H], [B, 0]] with B = W S V^H, the sector basis
 diag(V, W) keeps gamma diagonal, every even operator block diagonal and
 every even function of T diagonal; in_frame gives an even H in it as the
@@ -454,28 +455,58 @@ class GradedOperator:
         eigenframe is built from it only when ``vectors`` is read.  Phases are
         pinned: the largest-magnitude entry of every column of V, and of
         every unpaired column of W, is real and positive, and each paired w_i
-        takes the phase of its v_i.  The defects ||B V - W S|| and
-        ||B^H W - V S^T||, and ||V^H V - 1|| and ||W^H W - 1||, combine as a
-        root sum of squares to the full-matrix Frobenius defects.
+        takes the phase of its v_i.  A monomial B (at most one nonzero per
+        row and per column, _odd_monomial) needs no SVD: V and W are phased
+        permutation matrices, v_i = e_(col_i) and w_i = (z_i / |z_i|) e_(row_i)
+        for the entries z_i = B[row_i, col_i] sorted by |z_i| descending (a
+        stable sort), and the unused columns and rows, in index order, give
+        the zero singular values and the kernel.  Every other B takes one
+        SVD.  The defects ||B V - W S|| and ||B^H W - V S^T||, and
+        ||V^H V - 1|| and ||W^H W - 1||, combine as a root sum of squares to
+        the full-matrix Frobenius defects; for the monomial frame the
+        products are formed by gathers, since V and W have one nonzero per
+        column.
         """
         b = self.odd_block
         n_minus, n_plus = b.shape
-        w_left, sv, vh = np.linalg.svd(b)
+        mono = _odd_monomial(self)
+        if mono is None:
+            w_left, sv, vh = np.linalg.svd(b)
+            r = len(sv)
+            v = vh.conj().T
+            w_left = np.hstack([_pin_phases(w_left[:, :r], v[:, :r]),
+                                _pin_phases(w_left[:, r:], w_left[:, r:])])
+            v = _pin_phases(v, v)
+            bv = b @ v
+            bhw = b.conj().T @ w_left
+            gram_v = v.conj().T @ v
+            gram_w = w_left.conj().T @ w_left
+        else:
+            rows, cols, z = mono
+            mod = np.hypot(z.real, z.imag)
+            top = np.argsort(-mod, kind="stable")
+            sv = np.concatenate([mod[top], np.zeros(min(n_plus, n_minus) - len(z))])
+            v_idx = np.concatenate([cols[top], _unused(cols, n_plus)])
+            w_idx = np.concatenate([rows[top], _unused(rows, n_minus)])
+            v_val = np.ones(n_plus, dtype=complex)
+            w_val = np.ones(n_minus, dtype=complex)
+            w_val[:len(z)] = z[top] / mod[top]
+            v = _monomial_matrix(v_idx, v_val)
+            w_left = _monomial_matrix(w_idx, w_val)
+            # column j of V is v_val[j] e_(v_idx[j]): B V = B[:, v_idx] v_val
+            # and (V^H V)[j, :] = conj(v_val[j]) V[v_idx[j], :]
+            bv = b[:, v_idx] * v_val
+            bhw = b.conj().T[:, w_idx] * w_val
+            gram_v = v_val.conj()[:, None] * v[v_idx]
+            gram_w = w_val.conj()[:, None] * w_left[w_idx]
         r = len(sv)
-        v = vh.conj().T
-        w_left = np.hstack([_pin_phases(w_left[:, :r], v[:, :r]),
-                            _pin_phases(w_left[:, r:], w_left[:, r:])])
-        v = _pin_phases(v, v)
-
         ws = np.zeros((n_minus, n_plus), dtype=complex)
         ws[:, :r] = w_left[:, :r] * sv
         vs = np.zeros((n_plus, n_minus), dtype=complex)
         vs[:, :r] = v[:, :r] * sv
-        residual = float(np.hypot(np.linalg.norm(b @ v - ws),
-                                  np.linalg.norm(b.conj().T @ w_left - vs)))
-        orth = float(np.hypot(np.linalg.norm(v.conj().T @ v - np.eye(n_plus)),
-                              np.linalg.norm(w_left.conj().T @ w_left
-                                             - np.eye(n_minus))))
+        residual = float(np.hypot(np.linalg.norm(bv - ws), np.linalg.norm(bhw - vs)))
+        orth = float(np.hypot(np.linalg.norm(gram_v - np.eye(n_plus)),
+                              np.linalg.norm(gram_w - np.eye(n_minus))))
         self._check_frame(residual, orth)
         w_all = np.concatenate([-sv, np.zeros(abs(n_plus - n_minus)), sv])
         order = np.argsort(w_all, kind="stable")
@@ -497,30 +528,46 @@ class GradedOperator:
     def eigenvalues(self) -> np.ndarray:
         """Sorted spectrum; cheaper than eig() when vectors are not needed.
 
-        Even operators take one eigvalsh per sector.  An odd hermitian
+        Even operators take one eigvalsh per sector, or read an exactly
+        diagonal sector's spectrum off its real diagonal.  An odd hermitian
         [[0, B^H], [B, 0]] has spectrum +-sigma(B) plus |n_+ - n_-| zeros,
-        read off one SVD of its odd block B, or off |B_ii| when B is square
-        and exactly diagonal.  The values never come from a
+        read off one SVD of its odd block B, or, when B is monomial (at most
+        one nonzero per row and per column), off the moduli |z| of its
+        nonzero entries padded with zeros.  The values never come from a
         cached eig(), so they are the same bits whichever of the two ran first.
         """
         if self._eigvals_cache is None:
             if not self.hermitian:
                 raise DomainError("eigenvalues require a hermitian operator")
             if self.parity == "even":
-                w = np.concatenate([np.linalg.eigvalsh(self.block(s, s))
-                                    for s in "+-"])
+                w = np.concatenate([_sector_eigvalsh(self.block(s, s)) for s in "+-"])
             elif self.parity == "odd":
-                z = _odd_diagonal(self)
-                if z is None:
+                mono = _odd_monomial(self)
+                if mono is None:
                     sv = np.linalg.svd(self.odd_block, compute_uv=False)
                 else:
-                    sv = np.hypot(z.real, z.imag)
+                    z = mono[2]
+                    r = min(self.space.n_plus, self.space.n_minus)
+                    sv = np.concatenate([np.hypot(z.real, z.imag), np.zeros(r - len(z))])
                 zeros = np.zeros(abs(self.space.n_plus - self.space.n_minus))
                 w = np.concatenate([-sv, zeros, sv])
             else:
                 w = np.linalg.eigvalsh(self.matrix)
             self._eigvals_cache = np.sort(w)
         return self._eigvals_cache
+
+
+def is_diagonal(m: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square m is exactly zero."""
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+
+
+def _sector_eigvalsh(block: np.ndarray) -> np.ndarray:
+    """Spectrum of a hermitian sector block: its real diagonal when the block
+    is exactly diagonal, else one eigvalsh."""
+    if is_diagonal(block):
+        return np.diagonal(block).real.copy()
+    return np.linalg.eigvalsh(block)
 
 
 @dataclass
@@ -602,17 +649,48 @@ def _sum_sq(x: np.ndarray) -> float:
     return float(v @ v)
 
 
-def _odd_diagonal(op: GradedOperator) -> np.ndarray | None:
-    """Diagonal z of the odd block of an odd hermitian operator whose odd
-    block is square and exactly diagonal; None for any other operator.
+def _odd_monomial(op: GradedOperator):
+    """(rows, cols, z) for an odd hermitian operator whose odd block B is
+    monomial, with at most one nonzero entry per row and per column: z are
+    those entries, B[rows, cols] = z, in row order.  None for any other
+    operator.
 
-    Such an operator is diag(z) below and diag(conj z) above the diagonal.
+    The test counts nonzeros, in all and then along each axis, with no
+    sort, so a dense B is rejected in O(n^2), by the first count.  The
+    lattice's diag(z) and the ladder's shifted diagonal are monomial.
     """
-    if op.parity != "odd" or not op.hermitian or op.space.n_plus != op.space.n_minus:
+    if op.parity != "odd" or not op.hermitian:
         return None
     b = op.odd_block
-    z = np.diagonal(b)
-    return z if np.count_nonzero(b) == np.count_nonzero(z) else None
+    nz = b != 0
+    if (np.count_nonzero(nz) > min(b.shape)
+            or np.count_nonzero(nz, axis=1).max(initial=0) > 1
+            or np.count_nonzero(nz, axis=0).max(initial=0) > 1):
+        return None
+    rows, cols = np.nonzero(nz)
+    return rows, cols, b[rows, cols]
+
+
+def _as_run(idx: np.ndarray):
+    """idx as a slice when it is a run of consecutive indices, so that
+    indexing with it takes a view, not a gather; else idx itself."""
+    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        return slice(idx[0], idx[0] + len(idx))
+    return idx
+
+
+def _unused(idx: np.ndarray, n: int) -> np.ndarray:
+    """The indices in range(n) missing from idx, in increasing order."""
+    free = np.ones(n, dtype=bool)
+    free[idx] = False
+    return np.flatnonzero(free)
+
+
+def _monomial_matrix(idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose column j is vals[j] e_(idx[j])."""
+    m = np.zeros((len(idx), len(idx)), dtype=complex)
+    m[idx, np.arange(len(idx))] = vals
+    return m
 
 
 def _mul_parity(a: str, b: str) -> str:
@@ -624,9 +702,13 @@ def _mul_parity(a: str, b: str) -> str:
 def operator_norm(op) -> float:
     """Largest singular value, exploiting hermiticity and block sparsity.
 
-    An odd operator whose upper block is exactly +-(lower block)^H, such as
+    A hermitian operator reads it off eigenvalues(), so it inherits that
+    method's structure routes (diagonal sectors, monomial odd blocks).  An
+    odd operator whose upper block is exactly +-(lower block)^H, such as
     the commutator of two hermitian operators, has the singular values of its
     lower block alone; that exact O(n^2) check saves the second block SVD.
+    A block with no nonzero entry, such as the odd block of a commutator
+    that vanishes exactly, has top singular value 0 and takes no SVD.
     """
     if not isinstance(op, GradedOperator):
         m = np.asarray(op)
@@ -653,14 +735,15 @@ def operator_norm(op) -> float:
 def _top_singular_value(op: GradedOperator, row: str | None, col: str | None) -> float:
     """Largest singular value of op.block(row, col), or of op.matrix: one
     SVD per block of symmetry_blocks plus their Weyl bound when the space's
-    symmetry applies, else one SVD of the whole."""
+    symmetry applies, else one SVD of the whole.  A block with no nonzero
+    entry contributes 0 with no SVD."""
     split = symmetry_blocks(op, row, col)
     if split is None:
         blocks, slack = (op.matrix if row is None else op.block(row, col),), 0.0
     else:
         blocks, slack = split.blocks, split.weyl
-    return max((float(np.linalg.svd(b, compute_uv=False)[0]) for b in blocks if b.size),
-               default=0.0) + slack
+    return max((float(np.linalg.svd(b, compute_uv=False)[0]) for b in blocks
+                if np.any(b)), default=0.0) + slack
 
 
 def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,
@@ -747,8 +830,11 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
     For parity-labelled D and T only the blocks the product parity allows
     are formed, each from the one nonzero block of D and of T it involves.
     When both are hermitian the commutator is anti-hermitian, so an odd one
-    takes its upper block as -(lower block)^H.  An odd hermitian D with an
-    exactly diagonal square block multiplies entrywise, with no GEMM.
+    takes its upper block as -(lower block)^H.  An odd hermitian D with a
+    monomial odd block B[rows, cols] = z (_odd_monomial: the lattice's
+    diag(z), the ladder's shifted diagonal) multiplies entrywise, with no
+    GEMM: B X puts z_j X[cols_j, :] in row rows_j and X B puts
+    X[:, rows_j] z_j in column cols_j.
     """
     if d_op.space != op.space:
         raise ValueError("operators live on different graded spaces")
@@ -760,9 +846,14 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
     k = op.space.n_plus
     rows = {"+": slice(0, k), "-": slice(k, op.space.n)}
     other = {"+": "-", "-": "+"}
-    z = _odd_diagonal(d_op)
-    # the diagonal of D's block in row sector s
-    d_diag = None if z is None else {"-": z, "+": z.conj()}
+    mono = _odd_monomial(d_op)
+    d_entries = None
+    if mono is not None:
+        # the nonzero entries (i, j, value) of D's block in row sector s; the
+        # lattice's and the ladder's i and j are runs, and index as views
+        # (gathered, they raised a lattice pass's peak RSS by 10 MB)
+        i, j, z = _as_run(mono[0]), _as_run(mono[1]), mono[2]
+        d_entries = {"-": (i, j, z), "+": (j, i, z.conj())}
     m = np.zeros((op.space.n, op.space.n), dtype=complex)
     cells = [("+", "+"), ("-", "-")] if parity == "even" else [("-", "+"), ("+", "-")]
     for r, c in cells:
@@ -771,12 +862,15 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
             continue
         via_d = r if d_op.parity == "even" else other[r]
         via_t = r if op.parity == "even" else other[r]
-        if d_diag is None:
+        if d_entries is None:
             m[rows[r], rows[c]] = (d_op.block(r, via_d) @ op.block(via_d, c)
                                    - op.block(r, via_t) @ d_op.block(via_t, c))
         else:
-            m[rows[r], rows[c]] = (d_diag[r][:, None] * op.block(via_d, c)
-                                   - op.block(r, via_t) * d_diag[via_t][None, :])
+            out = m[rows[r], rows[c]]
+            i, j, val = d_entries[r]
+            out[i] = val[:, None] * op.block(via_d, c)[j]
+            i, j, val = d_entries[via_t]
+            out[:, j] -= op.block(r, via_t)[:, i] * val[None, :]
     return GradedOperator(m, op.space, parity=parity, hermitian=False)
 
 

@@ -36,6 +36,7 @@ from .grading import (
     eigenvalue_at_cut,
     func_calc,
     gap,
+    is_diagonal,
     lipschitz_derivative,
     operator_norm,
     symmetry_blocks,
@@ -293,9 +294,15 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     whose odd block couples only v_i and w_i, by kappa F_out(sigma_i)^2 sigma_i.
     Let S_+ and S_- be the columns where a window is nonzero.  Off them
     U^H L U = -gamma, uncoupled from the rest, so it adds n_+ - |S_+|
-    eigenvalues -1 and n_- - |S_-| eigenvalues +1, and only the block on
-    S goes to eigvalsh.  The sector products are formed once per (H, D)
-    (SpectralDecomposition.in_frame) and shared by every scale.
+    eigenvalues -1 and n_- - |S_-| eigenvalues +1, and only the block L_S
+    on S is solved.  When H[S_+, S_+] and H[S_-, S_-] in the sector basis
+    have exactly zero off-diagonals (H diagonal in D's sector basis, as
+    H = 1 is), L_S is exactly a direct sum of the 2 x 2 blocks of the pairs
+    (v_i, w_i) and the 1 x 1 blocks of the unpaired columns: its spectrum
+    is one stacked eigvalsh of the pair blocks plus those diagonal entries.
+    Every other L_S goes whole to eigvalsh.  The sector products are
+    formed once per (H, D) (SpectralDecomposition.in_frame) and shared by
+    every scale.
     """
     dec = D.eig()
     h_plus, h_minus = dec.in_frame(H)
@@ -316,15 +323,26 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     block = np.zeros((a + b, a + b), dtype=complex)
     block[:a, :a] = h_plus[np.ix_(s_plus, s_plus)]
     block[a:, a:] = h_minus[np.ix_(s_minus, s_minus)]
+    paired = is_diagonal(block[:a, :a]) and is_diagonal(block[a:, a:])
     f = f_in[support]
     block *= (g * f)[:, None]
     block *= f
     block[np.diag_indices(a + b)] -= g * tail[support]
     # the pairs i < r in S lead both S_+ and S_-: they hold the same sigma_i
     pairs = s_plus[s_plus < r]
-    i = np.arange(len(pairs))
+    p = len(pairs)
+    i = np.arange(p)
     block[a + i, i] = block[i, a + i] = params.kappa * f_out[pairs] ** 2 * sv[pairs]
-    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(block), -np.ones(n_plus - a),
+    if paired:
+        two = np.empty((p, 2, 2), dtype=complex)
+        two[:, 0, 0], two[:, 0, 1] = block[i, i], block[i, a + i]
+        two[:, 1, 0], two[:, 1, 1] = block[a + i, i], block[a + i, a + i]
+        diag = np.diagonal(block).real
+        inner_eigs = np.concatenate([np.linalg.eigvalsh(two).ravel(),
+                                     diag[p:a], diag[a + p:]])
+    else:
+        inner_eigs = np.linalg.eigvalsh(block)
+    eigs = np.sort(np.concatenate([inner_eigs, -np.ones(n_plus - a),
                                    np.ones(n_minus - b)]))
     block[np.diag_indices(a + b)] += g  # L_S + gamma_S, all that L needs
     return LocalizerBundle(params, D, inner, outer, eigs,

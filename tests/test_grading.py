@@ -15,10 +15,16 @@ from localizer_lab import (
     oscillator_dirac,
     positive_projection,
 )
-from localizer_lab.errors import NotInvertibleError, ParityError
+from localizer_lab import grading
+from localizer_lab.errors import (
+    InternalConsistencyError,
+    NotInvertibleError,
+    ParityError,
+)
 from localizer_lab.grading import (
     _blas_threads_setter,
     _frame_defects,
+    _odd_monomial,
     one_blas_thread,
 )
 
@@ -362,19 +368,25 @@ def test_odd_frame_of_structured_blocks(build):
     assert_odd_frame(build())
 
 
-def test_odd_eig_takes_one_block_svd(monkeypatch):
+def count_linalg(monkeypatch, names=("svd", "eigh", "eigvalsh")):
+    """Record (name, shape) of every call to the named numpy.linalg routines."""
     calls = []
 
     def counted(name):
         fn = getattr(np.linalg, name)
 
         def wrapped(m, *args, **kwargs):
-            calls.append((name, m.shape))
+            calls.append((name, np.shape(m)))
             return fn(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, wrapped)
 
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in names:
         counted(name)
+    return calls
+
+
+def test_odd_eig_takes_one_block_svd(monkeypatch):
+    calls = count_linalg(monkeypatch)
     d = random_odd(GradedSpace(5, 3), np.random.default_rng(9))
     d.eig()
     assert calls == [("svd", (3, 5))]
@@ -445,19 +457,16 @@ def test_diagonal_odd_block_spectrum_matches_block_svd():
     assert np.abs(w - svd_route).max() <= 1e-15 * np.linalg.norm(d.odd_block, 2)
 
 
-@pytest.mark.parametrize("t_parity", ["even", "odd"])
-@pytest.mark.parametrize("hermitian", [True, False])
-def test_diagonal_odd_block_commutator_matches_dense(t_parity, hermitian):
-    rng = np.random.default_rng(311)
-    d = diagonal_odd(6, rng)
+def assert_commutator_matches_dense(d, t_parity, hermitian, rng):
+    k, n = d.space.n_plus, d.space.n
     if t_parity == "even":
         t = random_even(d.space, rng, hermitian=hermitian)
     elif hermitian:
         t = random_odd(d.space, rng)
     else:
-        m = np.zeros((12, 12), dtype=complex)
-        m[6:, :6] = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        m[:6, 6:] = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        m = np.zeros((n, n), dtype=complex)
+        m[k:, :k] = rng.normal(size=(n - k, k)) + 1j * rng.normal(size=(n - k, k))
+        m[:k, k:] = rng.normal(size=(k, n - k)) + 1j * rng.normal(size=(k, n - k))
         t = GradedOperator(m, d.space, parity="odd")
     dense = d.matrix @ t.matrix - t.matrix @ d.matrix
     der = lipschitz_derivative(d, t)
@@ -465,9 +474,29 @@ def test_diagonal_odd_block_commutator_matches_dense(t_parity, hermitian):
     assert np.abs(der.matrix - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
-def test_ladder_block_keeps_the_svd_and_gemm_routes():
-    # the ladder's block is (n - 1) x n: neither structured route may take it
+@pytest.mark.parametrize("t_parity", ["even", "odd"])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_diagonal_odd_block_commutator_matches_dense(t_parity, hermitian):
+    rng = np.random.default_rng(311)
+    assert_commutator_matches_dense(diagonal_odd(6, rng), t_parity, hermitian, rng)
+
+
+@pytest.mark.parametrize("t_parity", ["even", "odd"])
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("n_plus,n_minus,zeros", [(7, 5, 1), (4, 6, 0)])
+def test_scattered_monomial_commutator_matches_dense(n_plus, n_minus, zeros,
+                                                     t_parity, hermitian):
+    # rows and columns that are no runs take the gather route
+    d = monomial_odd(n_plus, n_minus, 314 + n_plus, zeros)
+    assert_commutator_matches_dense(d, t_parity, hermitian, np.random.default_rng(315))
+
+
+def test_ladder_block_monomial_routes_give_the_svd_and_gemm_bits():
+    # the ladder's (n - 1) x n shifted diagonal is monomial: its spectrum
+    # and commutator take the entrywise routes, which reproduce the block
+    # SVD and the GEMMs bit for bit, so rho does not move
     osc = oscillator_dirac(40)
+    assert _odd_monomial(osc.D) is not None
     b = osc.D.odd_block
     sv = np.linalg.svd(b, compute_uv=False)
     assert np.array_equal(osc.D.eigenvalues(),
@@ -478,6 +507,142 @@ def test_ladder_block_keeps_the_svd_and_gemm_routes():
     assert np.array_equal(der.block("-", "+"), lower)
     assert np.array_equal(der.block("+", "-"), -lower.conj().T)
     assert not np.any(der.block("+", "+")) and not np.any(der.block("-", "-"))
+
+
+def monomial_odd(n_plus, n_minus, seed, zeros=1, tie=False):
+    """Odd operator whose odd block has one nonzero complex entry in all but
+    `zeros` of min(n_+, n_-) rows, at scattered rows and columns."""
+    rng = np.random.default_rng(seed)
+    m = min(n_plus, n_minus) - zeros
+    rows = rng.permutation(n_minus)[:m]
+    cols = rng.permutation(n_plus)[:m]
+    z = rng.uniform(0.5, 3.0, size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    if tie and m > 1:
+        z[1] = z[0] * np.exp(0.7j)
+    b = np.zeros((n_minus, n_plus), dtype=complex)
+    b[rows, cols] = z
+    return GradedOperator.odd_from_block(GradedSpace(n_plus, n_minus), b)
+
+
+MONOMIAL_SHAPES = [(6, 4), (4, 6), (5, 5), (7, 1), (1, 3), (4, 0)]
+
+
+@pytest.mark.parametrize("n_plus,n_minus", MONOMIAL_SHAPES)
+@pytest.mark.parametrize("zeros,tie", [(0, False), (1, False), (1, True)])
+def test_monomial_frame_matches_the_svd_route(n_plus, n_minus, zeros, tie, monkeypatch):
+    zeros = min(zeros, min(n_plus, n_minus))
+    d = monomial_odd(n_plus, n_minus, 500 + 10 * n_plus + n_minus, zeros, tie)
+    assert _odd_monomial(d) is not None
+    calls = count_linalg(monkeypatch)
+    dec = d.eig()
+    w = d.eigenvalues()
+    assert calls == []
+    ref = GradedOperator.odd_from_block(d.space, d.odd_block)
+    monkeypatch.setattr(grading, "_odd_monomial", lambda op: None)
+    ref_dec = ref.eig()
+    assert calls == [("svd", (n_minus, n_plus))]
+
+    scale = max(1.0, np.abs(d.odd_block).max(initial=0.0))
+    assert np.array_equal(dec.eigenvalues, w)
+    assert np.abs(dec.eigenvalues - ref_dec.eigenvalues).max(initial=0.0) <= 1e-14 * scale
+    # the defects are measured, and sit at roundoff
+    assert dec.residual <= 1e-14 * scale and dec.orth_defect <= 1e-14
+    assert_odd_frame(d)
+    # V and W are phased permutations, V real
+    v, w_left, sv = dec.svd
+    for frame in (v, w_left):
+        assert np.all(np.count_nonzero(frame, axis=0) == 1)
+        assert np.all(np.count_nonzero(frame, axis=1) == 1)
+    assert np.array_equal(v, v.real)
+    assert np.all(np.diff(sv) <= 0)
+    for f, _ in ODD_FUNCTIONS.values():
+        out, want = func_calc(f, d), func_calc(f, ref)
+        assert out.parity == want.parity
+        assert np.abs(out.matrix - want.matrix).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_monomial_frame_pairs_sorted_by_modulus_with_stable_ties():
+    # entries at (row, col) = (0, 2), (1, 0), (2, 3) with |z| = 1, 2, 2
+    b = np.zeros((3, 4), dtype=complex)
+    b[0, 2], b[1, 0], b[2, 3] = 1j, -2.0, 2j
+    d = GradedOperator.odd_from_block(GradedSpace(4, 3), b)
+    v, w_left, sv = d.eig().svd
+    assert np.array_equal(sv, [2.0, 2.0, 1.0])
+    assert np.array_equal(np.argmax(np.abs(v), axis=0), [0, 3, 2, 1])
+    assert np.array_equal(np.argmax(np.abs(w_left), axis=0), [1, 2, 0])
+    # w_i = B v_i / sigma_i carries the phase of z_i
+    assert np.array_equal(w_left[[1, 2, 0], [0, 1, 2]], [-1.0, 1j, 1j])
+
+
+def test_monomial_frame_keeps_row_order_among_equal_moduli():
+    # three moduli, each on many rows: a sort that is not stable reorders them
+    rng = np.random.default_rng(535)
+    n = 40
+    cols = rng.permutation(n)
+    mod = rng.choice([1.0, 2.0, 3.0], size=n)
+    b = np.zeros((n, n), dtype=complex)
+    b[np.arange(n), cols] = mod * rng.choice([1.0, -1.0, 1j, -1j], size=n)
+    v, w_left, sv = GradedOperator.odd_from_block(GradedSpace(n, n), b).eig().svd
+    rows = np.concatenate([np.flatnonzero(mod == m) for m in (3.0, 2.0, 1.0)])
+    assert np.array_equal(sv, mod[rows])
+    assert np.array_equal(np.argmax(np.abs(v), axis=0), cols[rows])
+    assert np.array_equal(np.argmax(np.abs(w_left), axis=0), rows)
+
+
+@pytest.mark.parametrize("n_plus,n_minus", [(6, 4), (4, 6)])
+@pytest.mark.parametrize("target", ["V", "W"])
+def test_monomial_frame_defects_are_measured(n_plus, n_minus, target, monkeypatch):
+    # stretch the last column of V or of W, a zero pair or kernel column
+    # that B or B^H sends to 0: only the orthonormality defect sees it
+    size = n_plus if target == "V" else n_minus
+    build = grading._monomial_matrix
+
+    def stretched(idx, vals):
+        m = build(idx, vals)
+        if len(idx) == size:
+            m[:, -1] *= 1.0 + 1e-6
+        return m
+    monkeypatch.setattr(grading, "_monomial_matrix", stretched)
+    d = monomial_odd(n_plus, n_minus, 540, zeros=1)
+    with pytest.raises(InternalConsistencyError, match="orthonormality"):
+        d.eig()
+
+
+def test_monomial_check_counts_entries_per_row_and_column():
+    space = GradedSpace(3, 3)
+    b = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    assert _odd_monomial(GradedOperator.odd_from_block(space, b)) is not None
+    col = np.zeros((3, 3), dtype=complex)
+    col[0, 0] = col[1, 0] = 1.0  # two entries in column 0, at most one per row
+    assert _odd_monomial(GradedOperator.odd_from_block(space, col)) is None
+    wide = np.zeros((3, 3), dtype=complex)
+    wide[0, 0] = wide[0, 1] = 1.0  # two entries in row 0, at most one per column
+    assert _odd_monomial(GradedOperator.odd_from_block(space, wide)) is None
+    rng = np.random.default_rng(520)
+    assert _odd_monomial(random_odd(space, rng)) is None
+    assert _odd_monomial(random_even(space, rng)) is None
+
+
+def test_diagonal_even_sector_reads_its_diagonal(monkeypatch):
+    rng = np.random.default_rng(530)
+    space = GradedSpace(5, 4)
+    top = np.diag(rng.normal(size=5)).astype(complex)
+    bottom = random_even(GradedSpace(4, 4), rng).block("+", "+")
+    h = GradedOperator.even_from_blocks(space, top, bottom, hermitian=True)
+    calls = count_linalg(monkeypatch)
+    w = h.eigenvalues()
+    assert calls == [("eigvalsh", (4, 4))]
+    assert np.array_equal(w, np.sort(np.concatenate(
+        [np.diagonal(top).real, np.linalg.eigvalsh(bottom)])))
+
+
+def test_exactly_vanishing_commutator_takes_no_svd(monkeypatch):
+    osc = oscillator_dirac(30)
+    der = lipschitz_derivative(osc.D, osc.H)
+    assert not np.any(der.matrix)
+    calls = count_linalg(monkeypatch)
+    assert operator_norm(der) == 0.0
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_plus,n_minus", [(5, 3), (4, 4), (1, 6), (6, 0)])

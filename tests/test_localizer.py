@@ -13,12 +13,14 @@ from localizer_lab import (
     lipschitz_derivative,
     operator_norm,
     oscillator_dirac,
+    parse_model,
     sharp_localizer,
     signature,
 )
 from localizer_lab.localizer import (
     certificate_residual,
     lower_bound_residual,
+    measure_constants,
     square_identity_residual,
     support_residual,
 )
@@ -448,3 +450,90 @@ def test_outside_the_window_the_localizer_is_minus_gamma(case):
     l_s = lt[np.ix_(support, support)] - np.diag(g[support])
     assert np.abs(w - np.linalg.eigvalsh(l_s)).max() <= 1e-12 * scale
     assert bundle.min_abs_eigenvalue == min(1.0, float(np.abs(w).min()))
+
+
+# ---------------------------------------------------------------------------
+# pair blocks of an H that is diagonal in D's sector basis
+# ---------------------------------------------------------------------------
+
+
+def spy_eigvalsh(monkeypatch):
+    """Record (argument, result) of every numpy.linalg.eigvalsh call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def wrapped(m, *args, **kwargs):
+        out = eigvalsh(m, *args, **kwargs)
+        calls.append((np.array(m), out))
+        return out
+    monkeypatch.setattr(np.linalg, "eigvalsh", wrapped)
+    return calls
+
+
+def monomial_pair(n_plus, n_minus, seed):
+    """A monomial D with a zero entry and an H that is diagonal, both signs,
+    so diagonal in D's sector basis too: unpaired columns on both sides."""
+    rng = np.random.default_rng(seed)
+    space = GradedSpace(n_plus, n_minus)
+    m = min(n_plus, n_minus) - 1
+    b = np.zeros((n_minus, n_plus), dtype=complex)
+    b[rng.permutation(n_minus)[:m], rng.permutation(n_plus)[:m]] = \
+        rng.uniform(0.5, 6.0, size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    h = rng.choice([-1.0, 1.0], size=space.n) * rng.uniform(0.5, 2.0, size=space.n)
+    H = GradedOperator(np.diag(h), space, parity="even", hermitian=True)
+    return H, GradedOperator.odd_from_block(space, b)
+
+
+def ladder_pair(n):
+    osc = oscillator_dirac(n)
+    return osc.H, osc.D
+
+
+PAIR_CASES = {
+    # (H, D), the rho of a sweep grid; kappa runs over 0.5, 1, 2
+    "ladder40": (lambda: ladder_pair(40), (1.0, 2.0, 4.0)),
+    "ladder120": (lambda: ladder_pair(120), (2.0, 4.0, 8.0)),
+    "n_minus_larger": (lambda: monomial_pair(14, 20, 81), (0.5, 1.0, 2.0)),
+    "n_plus_larger": (lambda: monomial_pair(20, 14, 82), (0.5, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_pair_route_matches_dense_eigvalsh_of_L(case, monkeypatch):
+    build, rhos = PAIR_CASES[case]
+    H, D = build()
+    gap_h, dh, h_norm, _, _ = measure_constants(H, D)
+    calls = spy_eigvalsh(monkeypatch)
+    for kappa in (0.5, 1.0, 2.0):
+        for rho in rhos:
+            calls.clear()
+            params = LocalizerParams(kappa, rho, gap_h, dh, PHI.c_phi, h_norm)
+            bundle = assemble_localizer(H, D, PHI, params)
+            assert not bundle.phi_identity and bundle.eig_error == 0.0
+            # one stacked call on the (|pairs|, 2, 2) blocks, nothing dense
+            (arg, _), = calls
+            assert arg.ndim == 3 and arg.shape[1:] == (2, 2)
+            ref = np.linalg.eigvalsh(bundle.L.matrix)
+            scale = np.abs(ref).max()
+            assert np.abs(bundle.eigenvalues - ref).max() <= 1e-12 * scale
+            assert signature(bundle.eigenvalues).signature == signature(ref).signature
+
+
+def test_non_commuting_h_on_the_ladder_takes_the_dense_route(monkeypatch):
+    desc = parse_model("random:n=40,seed=1")
+    H, D = desc.H, desc.D
+    h_plus, _ = D.eig().in_frame(H)
+    assert np.count_nonzero(h_plus) > np.count_nonzero(np.diagonal(h_plus))
+    params = constant_C(0.5, 2.0, H, D, PHI)
+    calls = spy_eigvalsh(monkeypatch)
+    bundle = assemble_localizer(H, D, PHI, params)
+    (block, values), = calls
+    s_plus, s_minus, l_s_plus_gamma = bundle._window
+    a, b = len(s_plus), len(s_minus)
+    assert block.shape == (a + b, a + b)
+    # the block sent to eigvalsh is L_S: the window keeps L_S + gamma_S
+    block[np.diag_indices(a + b)] += np.concatenate([np.ones(a), -np.ones(b)])
+    assert np.array_equal(block, l_s_plus_gamma)
+    k, n = D.space.n_plus, D.space.n
+    expected = np.sort(np.concatenate([values, -np.ones(k - a), np.ones(n - k - b)]))
+    assert np.array_equal(bundle.eigenvalues, expected)
