@@ -20,8 +20,10 @@ A space may carry a symmetry S, a phased permutation that maps each sector
 to itself.  symmetry_blocks compresses an operator, a sector block of it,
 or its odd block, to the eigenspaces of S in the orbit basis, whose vectors
 have at most N entries for S^N a scalar.  It measures ||S M S^-1 - M||_F on
-the way and returns nothing unless the Weyl bound that this gives is far
-below the zero band of a signature; the callers then take the full route.
+the way, and keeps the blocks only when the Weyl bound that this gives is
+far below the zero band of a signature.  A space without a symmetry, or a
+matrix that fails that bound, gives the matrix itself as one whole block
+with Weyl bound 0, so every caller takes one route.
 """
 from __future__ import annotations
 
@@ -156,15 +158,11 @@ class _Orbits:
         self.size = size
         self.allowed = np.abs(self.mu[None, :] ** size[:, None]
                               - cum[reps, size][:, None]) < 1e-6
-        self._parts = {}
 
     def part(self, lo: int, hi: int):
         """(index - lo, Phi, size, allowed) of the orbits inside [lo, hi)."""
-        if (lo, hi) not in self._parts:
-            keep = (self.index[:, 0] >= lo) & (self.index[:, 0] < hi)
-            self._parts[lo, hi] = (self.index[keep] - lo, self.phi[keep],
-                                   self.size[keep], self.allowed[keep])
-        return self._parts[lo, hi]
+        keep = (self.index[:, 0] >= lo) & (self.index[:, 0] < hi)
+        return self.index[keep] - lo, self.phi[keep], self.size[keep], self.allowed[keep]
 
 
 @dataclass(frozen=True)
@@ -578,7 +576,8 @@ class SymmetryBlocks:
     They are the diagonal blocks of the pinching M_sym = (1/N) sum_k
     S^k M S^-k.  With delta = ||S M S^-1 - M||_F, telescoping gives
     ||M - M_sym||_2 <= (N - 1) delta / 2 = weyl, so each eigenvalue or
-    singular value of M lies within weyl of the blocks' values.
+    singular value of M lies within weyl of the blocks' values.  Without
+    the symmetry, blocks is [M] and weyl is 0.
     """
 
     blocks: list
@@ -586,11 +585,11 @@ class SymmetryBlocks:
 
 
 def symmetry_blocks(op: GradedOperator, row: str | None = None,
-                    col: str | None = None) -> SymmetryBlocks | None:
-    """Blocks of op.block(row, col), or of op.matrix without sectors, in the
-    orbit basis of the space's symmetry S; None when the space has no S or
-    weyl exceeds SYM_TOL times ||M||_F / sqrt(min(shape)), a lower bound
-    of ||M||_2.
+                    col: str | None = None) -> SymmetryBlocks:
+    """Blocks of M = op.block(row, col), or of M = op.matrix without
+    sectors, in the orbit basis of the space's symmetry S.  When the space
+    has no S, or weyl exceeds SYM_TOL times ||M||_F / sqrt(min(shape)), a
+    lower bound of ||M||_2, the one block is M itself and weyl is 0.
 
     Everything comes from N^2 phased gathers of M, one per pair of orbit
     steps (k, l), each with one entry per pair of orbits, so the work is
@@ -601,13 +600,14 @@ def symmetry_blocks(op: GradedOperator, row: str | None = None,
     short orbits, X_(l+1) - X_l, so delta^2 = sum ||X_(l+1) - X_l||_F^2;
     and the block of mu is sum_d mu^d A_d / N with A_d = sum_l X_l.
     """
+    m = op.matrix if row is None else op.block(row, col)
+    whole = SymmetryBlocks([m], 0.0)
     sym = op.space.symmetry
     if sym is None:
-        return None
+        return whole
     k, n = op.space.n_plus, op.space.n
     span = {None: (0, n), "+": (0, k), "-": (k, n)}
     rows, cols = span[row], span[col]
-    m = op.matrix[rows[0]:rows[1], cols[0]:cols[1]]
     orbits = sym.orbits
     r_idx, r_phi, r_size, r_ok = orbits.part(*rows)
     c_idx, c_phi, c_size, c_ok = orbits.part(*cols)
@@ -633,7 +633,7 @@ def symmetry_blocks(op: GradedOperator, row: str | None = None,
         acc.append(total)
     weyl = (order - 1) / 2.0 * float(np.sqrt(delta2))
     if weyl > SYM_TOL * np.sqrt(norm2 / max(1, min(m.shape))):
-        return None
+        return whole
     blocks = []
     for i, mu in enumerate(orbits.mu):
         b = sum(mu**d * a for d, a in enumerate(acc)) / order
@@ -734,16 +734,12 @@ def operator_norm(op) -> float:
 
 def _top_singular_value(op: GradedOperator, row: str | None, col: str | None) -> float:
     """Largest singular value of op.block(row, col), or of op.matrix: one
-    SVD per block of symmetry_blocks plus their Weyl bound when the space's
-    symmetry applies, else one SVD of the whole.  A block with no nonzero
+    SVD per block of symmetry_blocks plus their Weyl bound (one SVD of the
+    whole when the symmetry is missing or fails).  A block with no nonzero
     entry contributes 0 with no SVD."""
     split = symmetry_blocks(op, row, col)
-    if split is None:
-        blocks, slack = (op.matrix if row is None else op.block(row, col),), 0.0
-    else:
-        blocks, slack = split.blocks, split.weyl
-    return max((float(np.linalg.svd(b, compute_uv=False)[0]) for b in blocks
-                if np.any(b)), default=0.0) + slack
+    return max((float(np.linalg.svd(b, compute_uv=False)[0]) for b in split.blocks
+                if np.any(b)), default=0.0) + split.weyl
 
 
 def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,

@@ -17,6 +17,7 @@ admissible when C < min(gap(H)^2, kappa^2 rho^2 / 4), which certifies
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -49,7 +50,8 @@ class LocalizerParams:
     """A scale (kappa, rho) with the measured constants it is certified against.
 
     C_kr and admissible are derived from the six fields, which are coerced
-    to Python floats.
+    to Python floats.  A scale whose kappa, rho, C_kr or kappa^2 rho^2 / 4
+    is not a finite float is refused with AdmissibilityError.
     """
 
     kappa: float
@@ -64,6 +66,14 @@ class LocalizerParams:
             raise ValueError("kappa and rho must be positive")
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        try:
+            scales = (self.kappa, self.rho, self.C_kr, self.kappa**2 * self.rho**2 / 4.0)
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(math.isfinite(x) for x in scales):
+            raise AdmissibilityError(
+                f"kappa = {self.kappa!r}, rho = {self.rho!r} is out of range: kappa, "
+                "rho, C and kappa^2 rho^2 / 4 must be finite floats")
 
     @property
     def C_kr(self) -> float:
@@ -242,10 +252,11 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     When both windows are 1 on every eigenvalue of D, L = gamma H + kappa D
     is formed directly, skipping all function calculus; it is hermitian
     bit-exactly, since gamma H is the even hermitian H with its negative
-    sector negated and kappa D only fills the blocks H leaves zero.  On a
-    space with a symmetry that L passes, its spectrum comes from one
-    eigvalsh per block of symmetry_blocks, with their Weyl bound as
-    eig_error.  Otherwise _windowed assembles L in D's sector basis.
+    sector negated and kappa D only fills the blocks H leaves zero.  Its
+    spectrum comes from one eigvalsh per block of symmetry_blocks, with
+    their Weyl bound as eig_error (one whole block and 0 when the symmetry
+    is missing or fails).  Otherwise _windowed assembles L in D's sector
+    basis.
     """
     if H.parity != "even" or D.parity != "odd" or not (H.hermitian and D.hermitian):
         raise ParityError("the localizer needs an even hermitian H and an odd "
@@ -256,12 +267,9 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
         L = GradedOperator._built(H.space.gamma_diag[:, None] * H.matrix
                                   + params.kappa * D.matrix, H.space, "none", True)
         split = symmetry_blocks(L)
-        if split is None:
-            bundle = LocalizerBundle(params, D, inner, outer, L.eigenvalues(), L=L)
-        else:
-            eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in split.blocks]))
-            bundle = LocalizerBundle(params, D, inner, outer, eigs, L=L,
-                                     eig_error=split.weyl)
+        eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in split.blocks]))
+        bundle = LocalizerBundle(params, D, inner, outer, eigs, L=L,
+                                 eig_error=split.weyl)
     else:
         bundle = _windowed(H, D, params, inner, outer)
     eigs = bundle.eigenvalues

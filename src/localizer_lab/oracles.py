@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassInconsistencyError, GaplessError, PreconditionError, SpectralCutError
-from .grading import GradedOperator, eigenvalue_at_cut, symmetry_blocks
+from .grading import GradedOperator, SymmetryBlocks, eigenvalue_at_cut, symmetry_blocks
 from .ktheory import signature
 
 # singular values at most TAU_RANK_REL * sigma_max count as kernel
@@ -92,30 +92,27 @@ def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
     of any r_- x r_+ matrix is (r_+ - rank) - (r_- - rank) = r_+ - r_-, so the
     value is the difference of the ranks of Q's sectors and does not depend
     on D: the singular values of the compressed block feed only
-    rank_tolerance and reliable.  When both sectors of Q are equal the value
-    is 0 for every D, and one eigh gives the frame of both.  On a space with
-    a symmetry that Q's sectors and D's odd block pass, each sector is
-    solved block by block (symmetry_blocks) and the compressed block splits
-    into one block per eigenvalue of the symmetry.
+    rank_tolerance and reliable.  Each sector is solved block by block
+    (symmetry_blocks) and the compressed block splits into one block per
+    eigenvalue of the symmetry; unless Q's sectors and D's odd block all
+    pass the symmetry, each of the three is one whole block.
     """
     if Q.parity != "even":
         raise PreconditionError("compression projection must be even")
     if D.parity != "odd":
         raise PreconditionError("compressed index needs an odd operator")
-    k = Q.space.n_plus
-    q_split = [symmetry_blocks(Q, s, s) for s in "+-"]
-    d_split = symmetry_blocks(D, "-", "+")
-    if None in q_split or d_split is None:
-        sectors = ([Q.matrix[:k, :k]], [Q.matrix[k:, k:]])
-        lowers, slack = [D.odd_block], 0.0
-    else:
-        sectors = tuple(part.blocks for part in q_split)
-        lowers, slack = d_split.blocks, max(part.weyl for part in q_split)
-    solved = []
+    cells = (Q, "+", "+"), (Q, "-", "-"), (D, "-", "+")
+    splits = [symmetry_blocks(*cell) for cell in cells]
+    if len({len(part.blocks) for part in splits}) > 1:
+        # a split that failed its Weyl check is one whole block, which the
+        # others' blocks do not align with: take all three whole
+        splits = [SymmetryBlocks([op.block(row, col)], 0.0) for op, row, col in cells]
+    q_plus, q_minus, d_odd = splits
+    slack = max(q_plus.weyl, q_minus.weyl)
     svs, r_plus, r_minus = [], 0, 0
-    for top, bottom, lower in zip(*sectors, lowers):
-        v_plus = _range_frame(top, slack, solved)
-        v_minus = _range_frame(bottom, slack, solved)
+    for top, bottom, lower in zip(q_plus.blocks, q_minus.blocks, d_odd.blocks):
+        v_plus = _range_frame(top, slack)
+        v_minus = _range_frame(bottom, slack)
         block = v_minus.conj().T @ lower @ v_plus
         svs.append(np.linalg.svd(block, compute_uv=False))
         r_minus, r_plus = r_minus + block.shape[0], r_plus + block.shape[1]
@@ -129,27 +126,21 @@ def compressed_index(Q: GradedOperator, D: GradedOperator) -> IndexResult:
                        diagnostics=diags)
 
 
-def _range_frame(blk: np.ndarray, slack: float, solved: list) -> np.ndarray:
+def _range_frame(blk: np.ndarray, slack: float) -> np.ndarray:
     """Eigenvectors of a block of a projection at its eigenvalues near 1.
 
     Every eigenvalue must lie within TAU_PROJ of {0, 1} once slack, a Weyl
-    bound, is added.  A block equal to one already in solved reuses its
-    frame, and each solved block is added there.
+    bound (0 for a whole block), is added.
     """
     if blk.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
-    for done, frame in solved:
-        if np.array_equal(done, blk):
-            return frame
     w, v = np.linalg.eigh(blk)
     bad = np.minimum(np.abs(w), np.abs(w - 1.0)).max(initial=0.0) + slack
     if bad > TAU_PROJ:
         raise PreconditionError(
             f"Q is not a projection: eigenvalue {bad:.3e} away from {{0,1}}"
         )
-    frame = v[:, np.abs(w - 1.0) <= 0.5]
-    solved.append((blk, frame))
-    return frame
+    return v[:, np.abs(w - 1.0) <= 0.5]
 
 
 # ----------------------------------------------------------------------------

@@ -142,6 +142,20 @@ def test_nan_kappa_names_the_reason(capsys):
     assert "--kappa values must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # rho = margin * its floor overflows to inf
+    ("compute", "--model", "qwz:L=8,m=3.0", "--auto", "--margin", "1e308"),
+    # rho^2 overflows while kappa^2 rho^2 / 4 is 0.25
+    ("compute", "--model", "oscillator:n=40", "--kappa", "1e-300", "--rho", "1e300"),
+    ("sweep", "--model", "oscillator:n=40", "--kappa", "1e308", "--rho", "1e308"),
+])
+def test_scales_out_of_float_range_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite floats" in err
+
+
 def test_linalg_failure_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("eigensolver did not converge")

@@ -132,19 +132,64 @@ def test_broken_symmetry_takes_the_full_route_bit_for_bit(monkeypatch):
     D = desc.D
     h_full, d_full = _plain(H), _plain(D)
     n = desc.space.n
-    assert symmetry_blocks(H, "+", "+") is None
-    assert symmetry_blocks(D, "-", "+") is not None  # D alone still passes
+    h_plus = symmetry_blocks(H, "+", "+")
+    assert len(h_plus.blocks) == 1 and h_plus.weyl == 0.0
+    assert np.array_equal(h_plus.blocks[0], H.block("+", "+"))
+    assert len(symmetry_blocks(D, "-", "+").blocks) == 4  # D alone still passes
 
     shapes = _eigvalsh_shapes(monkeypatch)
     params = choose_params(H, D, PHI)
     bundle = assemble_localizer(H, D, PHI, params)
     assert (n, n) in shapes and bundle.eig_error == 0.0
-    assert symmetry_blocks(lipschitz_derivative(D, H), "-", "+") is None
+    comm = symmetry_blocks(lipschitz_derivative(D, H), "-", "+")
+    assert len(comm.blocks) == 1 and comm.weyl == 0.0
     assert params == choose_params(h_full, d_full, PHI)
     assert np.array_equal(bundle.eigenvalues,
                           assemble_localizer(h_full, d_full, PHI, params).eigenvalues)
 
     got = compressed_index(positive_projection(H), D)
     want = compressed_index(positive_projection(h_full), d_full)
+    assert (got.value, got.rank_tolerance, got.diagnostics) == \
+        (want.value, want.rank_tolerance, want.diagnostics)
+
+
+def test_without_a_symmetry_every_kernel_takes_one_whole_block(monkeypatch):
+    # a random H on the ladder D: no symmetry, and the identity-window branch
+    desc = parse_model("random:n=40,strength=0.02,seed=1")
+    H, D = desc.H, desc.D
+    assert desc.space.symmetry is None
+    comm = lipschitz_derivative(D, H)
+    for op, row, col in ((H, "+", "+"), (D, "-", "+"), (comm, "-", "+"),
+                         (comm, "+", "-")):
+        split = symmetry_blocks(op, row, col)
+        assert len(split.blocks) == 1 and split.weyl == 0.0
+        assert np.array_equal(split.blocks[0], op.block(row, col))
+    assert symmetry_blocks(comm).blocks[0] is comm.matrix
+    assert operator_norm(comm) == max(
+        np.linalg.svd(comm.block(row, col), compute_uv=False)[0]
+        for row, col in (("-", "+"), ("+", "-")))
+    nonhermitian = GradedOperator(comm.matrix + H.matrix, desc.space)
+    assert operator_norm(nonhermitian) == \
+        np.linalg.svd(nonhermitian.matrix, compute_uv=False)[0]
+
+    params = choose_params(H, D, PHI)
+    shapes = _eigvalsh_shapes(monkeypatch)
+    bundle = assemble_localizer(H, D, PHI, params)
+    assert bundle.phi_identity and bundle.eig_error == 0.0
+    assert shapes == [(desc.space.n, desc.space.n)]
+    assert np.array_equal(bundle.eigenvalues, np.sort(np.linalg.eigvalsh(bundle.L.matrix)))
+
+
+def test_compressed_index_takes_whole_blocks_when_only_d_breaks_the_symmetry():
+    desc = parse_model("qwz:L=8,m=3.0")
+    Q = positive_projection(desc.H)
+    rng = np.random.default_rng(23)
+    noise = rng.uniform(-0.2, 0.2, size=desc.D.odd_block.shape)
+    D = GradedOperator.odd_from_block(desc.space, desc.D.odd_block + noise)
+    assert [len(symmetry_blocks(Q, s, s).blocks) for s in "+-"] == [4, 4]
+    assert len(symmetry_blocks(D, "-", "+").blocks) == 1
+
+    got = compressed_index(Q, D)
+    want = compressed_index(_plain(Q), _plain(D))
     assert (got.value, got.rank_tolerance, got.diagnostics) == \
         (want.value, want.rank_tolerance, want.diagnostics)
