@@ -152,6 +152,12 @@ def _model_oracles(desc: ModelDescriptor, params: LocalizerParams) -> dict:
     return oracles
 
 
+def _finite_or_null(x: float) -> float | None:
+    """x, or None (JSON null) when x is not finite: JSON has no Infinity
+    or NaN, and the reports are dumped with allow_nan=False."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_compute(args) -> int:
     config = _resolve_config(args, kappa=_single(args.kappa),
                              rho=_single(args.rho))
@@ -180,12 +186,12 @@ def cmd_compute(args) -> int:
         "certificate": report.to_json_dict(),
         "truncation": {
             "rho": params.rho,
-            "rho_max": desc.rho_max,
+            "rho_max": _finite_or_null(desc.rho_max),
             "within_guard": params.rho <= desc.rho_max,
         },
         "seed": config.seed,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _emit(text, config.out)
     if not payload["truncation"]["within_guard"]:
         print(f"warning: rho = {params.rho:.6g} exceeds the truncation guard "
@@ -222,9 +228,9 @@ def cmd_sweep(args) -> int:
         return (params, bundle.min_abs_eigenvalue, inert.signature,
                 certificate_residual(bundle))
 
-    # A ladder cell solves only 2 x 2 pair blocks; on 2 vCPUs two BLAS
-    # threads sped a whole oscillator:n=400 sweep by ~1.1x (the first
-    # cell's sector products), but make its wall time swing with any other
+    # A ladder cell gathers H on its window and solves only 2 x 2 pair
+    # blocks, so no BLAS call is large enough for a second thread to pay;
+    # on 2 vCPUs one only makes the sweep's wall time swing with any other
     # load on the second core.
     with one_blas_thread():
         rows = parallel_map(one_cell, cells)
@@ -293,9 +299,9 @@ def cmd_export_model(args) -> int:
         "parameters": desc.parameters,
         "n_plus": desc.space.n_plus,
         "n_minus": desc.space.n_minus,
-        "rho_max": desc.rho_max,
+        "rho_max": _finite_or_null(desc.rho_max),
         "truncation_fraction": desc.truncation_fraction,
-        "gap_bound": desc.gap_bound,
+        "gap_bound": _finite_or_null(desc.gap_bound),
         "n_occupied": desc.n_occupied,
         "expected_class": desc.expected_class,
         "files": {"H": f"{prefix}_H.csv", "D": f"{prefix}_D.csv"},
@@ -304,7 +310,7 @@ def cmd_export_model(args) -> int:
         write_operator(desc.H, f"{prefix}_H.csv")
         write_operator(desc.D, f"{prefix}_D.csv")
         with open(f"{prefix}_model.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+            json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise _unwritable(exc) from None

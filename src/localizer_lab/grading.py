@@ -12,9 +12,9 @@ block from that data: the blocks the parity of f(T) forbids are never
 computed, so no result needs snapping to a parity.
 For an odd T = [[0, B^H], [B, 0]] with B = W S V^H, the sector basis
 diag(V, W) keeps gamma diagonal, every even operator block diagonal and
-every even function of T diagonal; in_frame gives an even H in it as the
-two sector products V^H H_+ V and W^H H_- W.  The n x n eigenframe of a
-graded operator is assembled only when read.
+every even function of T diagonal; an even H in it is the two sector
+products V^H H_+ V and W^H H_- W, phased gathers when B is monomial.  The
+n x n eigenframe of a graded operator is assembled only when read.
 
 A space may carry a symmetry S, a phased permutation that maps each sector
 to itself.  symmetry_blocks compresses an operator, a sector block of it,
@@ -30,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -221,9 +220,10 @@ class SpectralDecomposition:
 
     Eigenvalues are sorted.  An even operator is decomposed sector by sector:
     ``sectors`` holds the (w, U) pair of each diagonal block.  An odd one
-    keeps the SVD (V, W, sigma) of its odd block in ``svd``.  Either way
-    ``order`` sorts the unsorted eigenvalues, and the n x n U is only
-    assembled when ``vectors`` is read.
+    keeps the SVD (V, W, sigma) of its odd block in ``svd``, and a monomial
+    one also ``monomial`` = ((v_idx, v_val), (w_idx, w_val)), column j of V
+    being v_val[j] e_(v_idx[j]).  Either way ``order`` sorts the unsorted
+    eigenvalues, and the n x n U is only assembled when ``vectors`` is read.
     """
 
     eigenvalues: np.ndarray
@@ -233,8 +233,7 @@ class SpectralDecomposition:
     sectors: tuple | None = None
     svd: tuple | None = None
     order: np.ndarray | None = None
-    _in_frame: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False)
+    monomial: tuple | None = None
 
     @property
     def vectors(self) -> np.ndarray:
@@ -266,27 +265,6 @@ class SpectralDecomposition:
             self.frame = u[:, self.order]
         return self.frame
 
-    def in_frame(self, op: "GradedOperator") -> tuple[np.ndarray, np.ndarray]:
-        """(V^H T_+ V, W^H T_- W) for an even hermitian T and an odd operator
-        with odd block W S V^H: T in the sector basis diag(V, W).
-
-        Both products are hermitized, so each is hermitian bit-exactly.  The
-        pair for the last T is kept while T lives, so repeated calls with one
-        T (the cells of a sweep) form it once.
-        """
-        if self.svd is None:
-            raise ParityError("in_frame needs the eigendecomposition of an odd operator")
-        if op.parity != "even" or not op.hermitian:
-            raise ParityError("in_frame needs an even hermitian operator")
-        out = self._in_frame.get(op)
-        if out is None:
-            v, w_left, _ = self.svd
-            out = tuple(_hermitize(basis.conj().T @ op.block(s, s) @ basis)
-                        for basis, s in ((v, "+"), (w_left, "-")))
-            self._in_frame.clear()
-            self._in_frame[op] = out
-        return out
-
 
 def _frame_defects(m: np.ndarray, w: np.ndarray, u: np.ndarray):
     """Frobenius norms of T U - U diag(w) and U^H U - 1."""
@@ -314,8 +292,7 @@ class GradedOperator:
     labels are checked against exact block sparsity and rejected otherwise.
     """
 
-    __slots__ = ("matrix", "space", "parity", "hermitian", "_eig", "_eigvals_cache",
-                 "__weakref__")
+    __slots__ = ("matrix", "space", "parity", "hermitian", "_eig", "_eigvals_cache")
 
     def __init__(self, matrix, space: GradedSpace, parity: str = "none",
                  hermitian: bool = False):
@@ -448,22 +425,22 @@ class GradedOperator:
     def _odd_eig(self):
         """Eigendecomposition of an odd operator [[0, B^H], [B, 0]] from B = W S V^H.
 
-        The eigendata is kept as (V, W, sigma): ``in_frame`` and the windowed
-        localizer work in the sector basis diag(V, W), and the sorted
-        eigenframe is built from it only when ``vectors`` is read.  Phases are
-        pinned: the largest-magnitude entry of every column of V, and of
-        every unpaired column of W, is real and positive, and each paired w_i
-        takes the phase of its v_i.  A monomial B (at most one nonzero per
-        row and per column, _odd_monomial) needs no SVD: V and W are phased
-        permutation matrices, v_i = e_(col_i) and w_i = (z_i / |z_i|) e_(row_i)
-        for the entries z_i = B[row_i, col_i] sorted by |z_i| descending (a
-        stable sort), and the unused columns and rows, in index order, give
-        the zero singular values and the kernel.  Every other B takes one
-        SVD.  The defects ||B V - W S|| and ||B^H W - V S^T||, and
-        ||V^H V - 1|| and ||W^H W - 1||, combine as a root sum of squares to
-        the full-matrix Frobenius defects; for the monomial frame the
-        products are formed by gathers, since V and W have one nonzero per
-        column.
+        The eigendata is kept as (V, W, sigma): the windowed localizer works
+        in the sector basis diag(V, W), and the sorted eigenframe is built
+        from it only when ``vectors`` is read.  Phases are pinned: the
+        largest-magnitude entry of every column of V, and of every unpaired
+        column of W, is real and positive, and each paired w_i takes the
+        phase of its v_i.  A monomial B (at most one nonzero per row and per
+        column, _odd_monomial) needs no SVD: V and W are phased permutation
+        matrices, v_i = e_(col_i) and w_i = (z_i / |z_i|) e_(row_i) for the
+        entries z_i = B[row_i, col_i] sorted by |z_i| descending (a stable
+        sort), and the unused columns and rows, in index order, give the zero
+        singular values and the kernel; their indices and phases are kept as
+        ``monomial``.  Every other B takes one SVD.  The defects
+        ||B V - W S|| and ||B^H W - V S^T||, and ||V^H V - 1|| and
+        ||W^H W - 1||, combine as a root sum of squares to the full-matrix
+        Frobenius defects; for the monomial frame the products are formed by
+        gathers, since V and W have one nonzero per column.
         """
         b = self.odd_block
         n_minus, n_plus = b.shape
@@ -508,8 +485,9 @@ class GradedOperator:
         self._check_frame(residual, orth)
         w_all = np.concatenate([-sv, np.zeros(abs(n_plus - n_minus)), sv])
         order = np.argsort(w_all, kind="stable")
-        self._eig = SpectralDecomposition(w_all[order], None, residual, orth,
-                                          svd=(v, w_left, sv), order=order)
+        self._eig = SpectralDecomposition(
+            w_all[order], None, residual, orth, svd=(v, w_left, sv), order=order,
+            monomial=None if mono is None else ((v_idx, v_val), (w_idx, w_val)))
 
     def _check_frame(self, residual: float, orth: float) -> None:
         scale = np.linalg.norm(self.matrix)

@@ -34,6 +34,7 @@ from .grading import (
     EPS_INV,
     GradedOperator,
     GradedSpace,
+    _hermitize,
     eigenvalue_at_cut,
     func_calc,
     gap,
@@ -308,13 +309,12 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     H = 1 is), L_S is exactly a direct sum of the 2 x 2 blocks of the pairs
     (v_i, w_i) and the 1 x 1 blocks of the unpaired columns: its spectrum
     is one stacked eigvalsh of the pair blocks plus those diagonal entries.
-    Every other L_S goes whole to eigvalsh.  The sector products are
-    formed once per (H, D) (SpectralDecomposition.in_frame) and shared by
-    every scale.
+    Every other L_S goes whole to eigvalsh.  H is compressed to S alone
+    (_window_product).
     """
     dec = D.eig()
-    h_plus, h_minus = dec.in_frame(H)
-    sv = dec.svd[2]
+    v, w_left, sv = dec.svd
+    v_phased, w_phased = dec.monomial or (None, None)
     n_plus, n_minus = D.space.n_plus, D.space.n_minus
     r = len(sv)
     x = np.concatenate([sv, np.zeros(max(n_plus, n_minus) - r)])
@@ -329,8 +329,8 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     g = np.concatenate([np.ones(a), -np.ones(b)])  # gamma on S
 
     block = np.zeros((a + b, a + b), dtype=complex)
-    block[:a, :a] = h_plus[np.ix_(s_plus, s_plus)]
-    block[a:, a:] = h_minus[np.ix_(s_minus, s_minus)]
+    block[:a, :a] = _window_product(H.block("+", "+"), v, v_phased, s_plus)
+    block[a:, a:] = _window_product(H.block("-", "-"), w_left, w_phased, s_minus)
     paired = is_diagonal(block[:a, :a]) and is_diagonal(block[a:, a:])
     f = f_in[support]
     block *= (g * f)[:, None]
@@ -355,6 +355,27 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     block[np.diag_indices(a + b)] += g  # L_S + gamma_S, all that L needs
     return LocalizerBundle(params, D, inner, outer, eigs,
                            window=(s_plus, s_minus, block))
+
+
+def _window_product(h: np.ndarray, basis: np.ndarray, phased: tuple | None,
+                    cols: np.ndarray) -> np.ndarray:
+    """basis_S^H h basis_S for the columns S = cols, hermitian bit-exactly.
+
+    A phased permutation basis (phased = (idx, val), column j = val[j]
+    e_(idx[j])) gives the gather h[idx_S, idx_S] times conj(val_i) val_j,
+    skipped when all are 1 and formed in real arithmetic, since a complex
+    multiply may fuse one of its two products (FMA) and break hermiticity.
+    Any other basis takes the whole sector product, hermitized, then S.
+    """
+    if phased is None:
+        return _hermitize(basis.conj().T @ h @ basis)[np.ix_(cols, cols)]
+    idx, val = phased[0][cols], phased[1][cols]
+    t = h[np.ix_(idx, idx)]
+    if np.all(val == 1.0):
+        return t
+    x, y = val.real, val.imag
+    p_re, p_im = x[:, None] * x + y[:, None] * y, x[:, None] * y - y[:, None] * x
+    return (t.real * p_re - t.imag * p_im) + 1j * (t.real * p_im + t.imag * p_re)
 
 
 # ----------------------------------------------------------------------------

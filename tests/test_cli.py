@@ -267,6 +267,32 @@ def test_export_model_writes_files(capsys, tmp_path):
     assert meta["n_plus"] == 20
 
 
+def strict_json(text):
+    """json.loads that refuses Infinity and NaN, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_compute_without_truncation_guard_prints_null_rho_max(capsys):
+    code, out, err = run(capsys, "compute", "--model", "mk:k=2,seed=0", "--auto")
+    assert code == 0
+    truncation = strict_json(out)["truncation"]
+    assert truncation["rho_max"] is None and truncation["within_guard"] is True
+
+
+@pytest.mark.parametrize("model, key", [
+    ("random:n=10,seed=1", "gap_bound"),
+    ("mk:k=2,seed=0", "rho_max"),
+])
+def test_export_model_writes_null_for_non_finite_values(capsys, tmp_path, model, key):
+    code, out, err = run(capsys, "export-model", "--model", model,
+                         "--out", str(tmp_path / "m"))
+    assert code == 0
+    meta = strict_json((tmp_path / "m_model.json").read_text())
+    assert meta[key] is None
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--config", "{missing}/config.json", "--auto"),
     ("compute", "--model", "oscillator:n=20", "--auto", "--out",

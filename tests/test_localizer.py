@@ -17,7 +17,9 @@ from localizer_lab import (
     sharp_localizer,
     signature,
 )
+import localizer_lab.localizer as localizer
 from localizer_lab.localizer import (
+    _window_product,
     certificate_residual,
     lower_bound_residual,
     measure_constants,
@@ -25,6 +27,7 @@ from localizer_lab.localizer import (
     support_residual,
 )
 from localizer_lab.errors import AdmissibilityError, ParityError, SpectralCutError
+from localizer_lab.grading import is_diagonal
 from localizer_lab.verification import random_even_invertible, random_odd, random_space
 
 PHI = default_localizer()
@@ -303,6 +306,12 @@ def oscillator_pair():
     return osc.H, osc.D
 
 
+def phased_pair():
+    # complex phases in D's monomial frame, and an H that is dense in it
+    D = monomial_pair(14, 20, 84)[1]
+    return random_even_invertible(np.random.default_rng(85), D.space), D
+
+
 def window_support(D, rho):
     return np.asarray(PHI.scaled(2.0 * rho)(D.eigenvalues())) > 0.0
 
@@ -314,6 +323,7 @@ ROUTE_CASES = {
     "oscillator_part": (oscillator_pair, 0.5, 1.0 / 6.3, False),
     "oscillator_all": (oscillator_pair, 1.0, 4.0 / 6.3, True),
     "degenerate_sigma": (degenerate_pair, 0.9, 0.3, False),
+    "phased_dense_h": (phased_pair, 0.7, 0.2, False),
 }
 
 
@@ -372,6 +382,22 @@ def sector_basis(D):
     return u
 
 
+def assert_window_products(H, D):
+    """_window_product on every column and on a scattered window of each
+    sector matches basis_S^H H_s basis_S and is hermitian bit-exactly."""
+    dec = D.eig()
+    v, w_left, _ = dec.svd
+    scale = operator_norm(H)
+    for basis, sector, phased in zip((v, w_left), "+-", dec.monomial or (None, None)):
+        h = H.block(sector, sector)
+        m = basis.shape[1]
+        for cols in (np.arange(m), np.arange(1, m, 3)):
+            blk = _window_product(h, basis, phased, cols)
+            u_s = basis[:, cols]
+            assert np.abs(blk - u_s.conj().T @ h @ u_s).max() <= 1e-13 * scale
+            assert np.array_equal(blk, blk.conj().T)
+
+
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
 def test_odd_frame_pairs_and_sector_products(case):
     D = FRAME_CASES[case]()
@@ -395,19 +421,15 @@ def test_odd_frame_pairs_and_sector_products(case):
     kernel[k:, :n - k - r] = w_left[:, r:]
     assert np.array_equal(unsorted[:, r:n - r], kernel)
 
-    # an even H in the sector basis is the two sector products
-    H = random_even_invertible(np.random.default_rng(74), D.space)
-    h_plus, h_minus = dec.in_frame(H)
-    scale = operator_norm(H)
-    assert np.abs(h_plus - v.conj().T @ H.block("+", "+") @ v).max() <= 1e-13 * scale
-    assert np.abs(h_minus - w_left.conj().T @ H.block("-", "-") @ w_left).max() \
-        <= 1e-13 * scale
-    assert np.array_equal(h_plus, h_plus.conj().T)
-    assert np.array_equal(h_minus, h_minus.conj().T)
     # gamma stays diagonal: diag(V, W) is block diagonal and unitary
     ut = sector_basis(D)
     assert np.abs(ut.conj().T @ (g[:, None] * ut) - np.diag(g)).max() <= 1e-14
-    assert dec.in_frame(H)[0] is h_plus
+
+    # an even H on a window S of the sector basis is the two sector products
+    # V_S^H H_+ V_S and W_S^H H_- W_S, each hermitian bit-exactly
+    assert dec.monomial is None
+    H = random_even_invertible(np.random.default_rng(74), D.space)
+    assert_window_products(H, D)
 
 
 WINDOW_CASES = {
@@ -519,10 +541,31 @@ def test_pair_route_matches_dense_eigvalsh_of_L(case, monkeypatch):
             assert signature(bundle.eigenvalues).signature == signature(ref).signature
 
 
+PHASED_CASES = {
+    "qwz": lambda: parse_model("qwz:L=8,m=3.0").D,
+    "scattered": lambda: monomial_pair(14, 20, 83)[1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASED_CASES))
+def test_phased_frame_compresses_a_dense_h_by_gathers(case, monkeypatch):
+    D = PHASED_CASES[case]()
+    (_, v_val), (_, w_val) = D.eig().monomial
+    assert np.all(v_val == 1.0) and np.any(w_val.imag != 0.0)
+    H = random_even_invertible(np.random.default_rng(76), D.space)
+    assert not is_diagonal(H.block("+", "+")) and not is_diagonal(H.block("-", "-"))
+
+    def no_hermitize(m):
+        raise AssertionError("a phased frame needs no hermitization")
+    monkeypatch.setattr(localizer, "_hermitize", no_hermitize)
+    assert_window_products(H, D)
+
+
 def test_non_commuting_h_on_the_ladder_takes_the_dense_route(monkeypatch):
     desc = parse_model("random:n=40,seed=1")
     H, D = desc.H, desc.D
-    h_plus, _ = D.eig().in_frame(H)
+    v = D.eig().svd[0]
+    h_plus = v.conj().T @ H.block("+", "+") @ v
     assert np.count_nonzero(h_plus) > np.count_nonzero(np.diagonal(h_plus))
     params = constant_C(0.5, 2.0, H, D, PHI)
     calls = spy_eigvalsh(monkeypatch)
