@@ -38,11 +38,10 @@ from .localizer import (
     certificate_residual,
     choose_params,
     constant_C,
-    lower_bound_residual,
     measure_constants,
     select_scale,
     sharp_localizer,
-    square_identity_residual,
+    square_residuals,
     support_residual,
 )
 from .ktheory import (

@@ -789,11 +789,10 @@ def func_calc(f: Callable, op: GradedOperator) -> GradedOperator:
         parity = "even"
     elif op.parity == "odd":
         scale = max(1.0, np.abs(vals).max(initial=0.0))
-        even_f = np.abs(np.asarray(f(-w)) - vals).max(initial=0.0) <= 1e-12 * scale
-        odd_f = np.abs(np.asarray(f(-w)) + vals).max(initial=0.0) <= 1e-12 * scale
-        if even_f:
+        mirrored = np.asarray(f(-w))
+        if np.abs(mirrored - vals).max(initial=0.0) <= 1e-12 * scale:
             parity = "even"
-        elif odd_f:
+        elif np.abs(mirrored + vals).max(initial=0.0) <= 1e-12 * scale:
             parity = "odd"
     return _from_spectrum(op, dec, vals, parity)
 

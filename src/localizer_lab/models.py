@@ -105,8 +105,7 @@ def oscillator_dirac(n: int) -> ModelDescriptor:
     if np.abs(sq - expected).max() > 1e-9 * max(1.0, n):
         raise InternalConsistencyError("ladder spectrum deviates from {0, 1, ..., n-1}")
 
-    H = GradedOperator(np.eye(space.n, dtype=complex), space, parity="even",
-                       hermitian=True)
+    H = GradedOperator._built(np.eye(space.n, dtype=complex), space, "even", True)
     return ModelDescriptor(
         name="oscillator", parameters={"n": n}, D=D, H=H,
         rho_max=rho_max, truncation_fraction=fraction, gap_bound=1.0,

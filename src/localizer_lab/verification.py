@@ -32,8 +32,7 @@ from .localizer import (
     certificate_residual,
     choose_params,
     constant_C,
-    lower_bound_residual,
-    square_identity_residual,
+    square_residuals,
     support_residual,
 )
 from .localizing import LocalizingFunction
@@ -85,6 +84,16 @@ class CheckResult:
     count: int
     detail: str = ""
     failing: list[str] = field(default_factory=list)
+
+    @classmethod
+    def over(cls, name: str, rows: list[tuple[str, float]], bound: float,
+             detail: str) -> "CheckResult":
+        """value <= bound on every (label, value) row: the worst value and
+        the labels over the bound."""
+        failing = [label for label, v in rows if v > bound]
+        return cls(name=name, passed=not failing,
+                   measured=max(v for _, v in rows), bound=bound,
+                   count=len(rows), detail=detail, failing=failing)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -221,18 +230,10 @@ def suite_bounds(phi: LocalizingFunction, base_seed: int = 0) -> list[CheckResul
         rhs = operator_norm(r) * slack / _SQRT_2PI
         return f"s{s}", lhs / max(rhs, 1e-300)
 
-    results = []
-    for name, worker in (("commutator_bound", one_commutator),
-                         ("perturbation_bound", one_perturbation)):
-        rows = parallel_map(worker, range(BOUNDS_INSTANCES))
-        worst = max(ratio for _, ratio in rows)
-        failing = [label for label, ratio in rows if ratio > 1.0]
-        results.append(CheckResult(
-            name=name, passed=not failing, measured=worst, bound=1.0,
-            count=len(rows), detail="ratio of measured norm to certified bound",
-            failing=failing,
-        ))
-    return results
+    return [CheckResult.over(name, parallel_map(worker, range(BOUNDS_INSTANCES)),
+                             1.0, "ratio of measured norm to certified bound")
+            for name, worker in (("commutator_bound", one_commutator),
+                                 ("perturbation_bound", one_perturbation))]
 
 
 # ----------------------------------------------------------------------------
@@ -252,10 +253,10 @@ def suite_identities(phi: LocalizingFunction,
     def measure(label, h, d, params, unitary_rng=None):
         bundle = assemble_localizer(h, d, phi, params)
         l_norm = float(np.abs(bundle.eigenvalues).max())
+        square, lower = square_residuals(bundle, h, d)
         rows = {
-            "square_identity": (label, square_identity_residual(bundle, h, d)),
-            "lower_bound": (label, -lower_bound_residual(bundle, h, d)
-                            / max(1.0, l_norm**2)),
+            "square_identity": (label, square),
+            "lower_bound": (label, -lower / max(1.0, l_norm**2)),
             "support": (label, support_residual(bundle, d)),
         }
         if params.admissible:
@@ -304,18 +305,8 @@ def suite_identities(phi: LocalizingFunction,
         "window_product": (WINDOW_PRODUCT_TOL, "||Phi_rho Phi_2rho - Phi_rho||"),
         "unitary_covariance": (COVARIANCE_TOL, "||L(UHU*, UDU*) - U L U*||"),
     }
-    results = []
-    for key, (tol, detail) in contracts.items():
-        rows = collected.get(key, [])
-        if not rows:
-            continue
-        worst = max(v for _, v in rows)
-        failing = [label for label, v in rows if v > tol]
-        results.append(CheckResult(
-            name=key, passed=not failing, measured=worst, bound=tol,
-            count=len(rows), detail=detail, failing=failing,
-        ))
-    return results
+    return [CheckResult.over(key, collected[key], tol, detail)
+            for key, (tol, detail) in contracts.items() if key in collected]
 
 
 # ----------------------------------------------------------------------------

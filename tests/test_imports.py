@@ -34,8 +34,7 @@ def test_module_has_no_unused_imports(path):
 
 
 def test_package_imports_no_scipy():
-    # The package runs on numpy alone; scipy is declared only for the
-    # benchmark worker.
+    # The package runs on numpy alone; scipy is only in the test extra.
     probe = ("import sys, localizer_lab, localizer_lab.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}

@@ -21,9 +21,8 @@ import localizer_lab.localizer as localizer
 from localizer_lab.localizer import (
     _window_product,
     certificate_residual,
-    lower_bound_residual,
     measure_constants,
-    square_identity_residual,
+    square_residuals,
     support_residual,
 )
 from localizer_lab.errors import AdmissibilityError, ParityError, SpectralCutError
@@ -170,9 +169,72 @@ def test_residuals_small_on_dense_instance():
     rho = 0.8 * operator_norm(D)
     p = constant_C(0.75, rho, H, D, PHI)
     bundle = assemble_localizer(H, D, PHI, p)
-    assert square_identity_residual(bundle, H, D) < 1e-12
-    assert lower_bound_residual(bundle, H, D) > -1e-12
+    square, lower = square_residuals(bundle, H, D)
+    assert square < 1e-12
+    assert lower > -1e-12
     assert support_residual(bundle, D) < 1e-12
+
+
+def _identity_window_bundle():
+    mk = parse_model("mk:k=2,seed=0")
+    return mk.H, mk.D, assemble_localizer(mk.H, mk.D, PHI,
+                                          choose_params(mk.H, mk.D, PHI))
+
+
+def _windowed_bundle():
+    osc = oscillator_dirac(40)
+    p = constant_C(0.5, 4.0, osc.H, osc.D, PHI)
+    return osc.H, osc.D, assemble_localizer(osc.H, osc.D, PHI, p)
+
+
+def _dense_windowed_bundle():
+    # [D, H] != 0, so the commutator terms of the expansion are exercised
+    H, D = dense_instance(44)
+    p = constant_C(0.75, 0.8 * operator_norm(D), H, D, PHI)
+    return H, D, assemble_localizer(H, D, PHI, p)
+
+
+def _sharp_bundle():
+    osc = oscillator_dirac(40)
+    return osc.H, osc.D, sharp_localizer(osc.H, osc.D, 2.5, 0.5, PHI)
+
+
+@pytest.mark.parametrize("make, identity", [
+    (_identity_window_bundle, True),
+    (_windowed_bundle, False),
+    (_dense_windowed_bundle, False),
+    (_sharp_bundle, False),
+], ids=["identity_window", "windowed", "dense_windowed", "sharp"])
+def test_square_residuals_match_the_written_out_formulas(make, identity):
+    H, D, bundle = make()
+    assert bundle.phi_identity == identity
+    p = bundle.params
+    g = bundle.space.gamma_diag[None, :]
+    hm, dm = H.matrix, D.matrix
+    eye = np.eye(bundle.space.n, dtype=complex)
+    lsq = bundle.L.matrix @ bundle.L.matrix
+    dh = dm @ hm - hm @ dm
+    if identity:
+        # Phi_rho = Phi_2rho = 1: L^2 = kappa^2 D^2 + H^2 + kappa [D,H] gamma
+        expansion = p.kappa**2 * (dm @ dm) + hm @ hm + p.kappa * (dh * g)
+        bound = (p.gap**2 - p.C_kr) * eye
+    else:
+        pr, p2 = bundle.Phi_rho.matrix, bundle.Phi_2rho.matrix
+        p2q = np.linalg.matrix_power(p2, 4)
+        prq = np.linalg.matrix_power(pr, 4)
+        prsq = pr @ pr
+        comm = pr @ hm - hm @ pr
+        double = (pr @ hm) @ comm - comm @ (pr @ hm)
+        expansion = (eye - p2q + p.kappa**2 * (dm @ dm @ p2q)
+                     + prsq @ (hm @ hm) @ prsq
+                     + p.kappa * (pr @ ((dh * g) @ pr))
+                     + pr @ double @ pr)
+        bound = (eye - p2q
+                 + (p.kappa**2 * p.rho**2 / 4.0 - p.C_kr) * (p2q - prq)
+                 + (p.gap**2 - p.C_kr) * prq)
+    square = np.linalg.norm(lsq - expansion) / max(1.0, np.linalg.norm(lsq))
+    lower = np.linalg.eigvalsh(lsq - bound)[0]
+    assert square_residuals(bundle, H, D) == (float(square), float(lower))
 
 
 def test_certificate_holds_when_admissible():
