@@ -228,10 +228,10 @@ def cmd_sweep(args) -> int:
         return (params, bundle.min_abs_eigenvalue, inert.signature,
                 certificate_residual(bundle))
 
-    # A ladder cell gathers H on its window and solves only 2 x 2 pair
-    # blocks, so no BLAS call is large enough for a second thread to pay;
-    # on 2 vCPUs one only makes the sweep's wall time swing with any other
-    # load on the second core.
+    # A ladder cell gathers only the diagonal of H on its window and
+    # solves 2 x 2 pair blocks, all on O(n) arrays, so no BLAS call is
+    # large enough for a second thread to pay; on 2 vCPUs one only makes
+    # the sweep's wall time swing with any other load on the second core.
     with one_blas_thread():
         rows = parallel_map(one_cell, cells)
     lines = ["kappa,rho,C_kr,admissible,min_abs_eig,signature"]

@@ -14,7 +14,8 @@ For an odd T = [[0, B^H], [B, 0]] with B = W S V^H, the sector basis
 diag(V, W) keeps gamma diagonal, every even operator block diagonal and
 every even function of T diagonal; an even H in it is the two sector
 products V^H H_+ V and W^H H_- W, phased gathers when B is monomial.  The
-n x n eigenframe of a graded operator is assembled only when read.
+n x n eigenframe of a graded operator, and the V and W of a monomial B, are
+assembled only when read.
 
 A space may carry a symmetry S, a phased permutation that maps each sector
 to itself.  symmetry_blocks compresses an operator, a sector block of it,
@@ -220,9 +221,11 @@ class SpectralDecomposition:
 
     Eigenvalues are sorted.  An even operator is decomposed sector by sector:
     ``sectors`` holds the (w, U) pair of each diagonal block.  An odd one
-    keeps the SVD (V, W, sigma) of its odd block in ``svd``, and a monomial
-    one also ``monomial`` = ((v_idx, v_val), (w_idx, w_val)), column j of V
-    being v_val[j] e_(v_idx[j]).  Either way ``order`` sorts the unsorted
+    keeps the singular values sigma of its odd block B = W S V^H, and either
+    its SVD frames (V, W) in ``odd_frames`` or, when B is monomial,
+    ``monomial`` = ((v_idx, v_val), (w_idx, w_val)), column j of V being
+    v_val[j] e_(v_idx[j]); ``svd`` reads (V, W, sigma), building a monomial
+    V and W on first read.  Either way ``order`` sorts the unsorted
     eigenvalues, and the n x n U is only assembled when ``vectors`` is read.
     """
 
@@ -231,9 +234,21 @@ class SpectralDecomposition:
     residual: float
     orth_defect: float
     sectors: tuple | None = None
-    svd: tuple | None = None
     order: np.ndarray | None = None
+    singular_values: np.ndarray | None = None
+    odd_frames: tuple | None = None
     monomial: tuple | None = None
+
+    @property
+    def svd(self) -> tuple | None:
+        """(V, W, sigma) of an odd operator's odd block; None otherwise."""
+        if self.singular_values is None:
+            return None
+        if self.odd_frames is None:
+            (v_idx, v_val), (w_idx, w_val) = self.monomial
+            self.odd_frames = (_monomial_matrix(v_idx, v_val),
+                               _monomial_matrix(w_idx, w_val))
+        return (*self.odd_frames, self.singular_values)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -292,7 +307,8 @@ class GradedOperator:
     labels are checked against exact block sparsity and rejected otherwise.
     """
 
-    __slots__ = ("matrix", "space", "parity", "hermitian", "_eig", "_eigvals_cache")
+    __slots__ = ("matrix", "space", "parity", "hermitian", "_eig", "_eigvals_cache",
+                 "_sectors_diagonal")
 
     def __init__(self, matrix, space: GradedSpace, parity: str = "none",
                  hermitian: bool = False):
@@ -313,6 +329,7 @@ class GradedOperator:
         self.hermitian = bool(hermitian)
         self._eig = None
         self._eigvals_cache = None
+        self._sectors_diagonal = None
 
     # -- constructors ------------------------------------------------------
 
@@ -329,6 +346,7 @@ class GradedOperator:
         op.hermitian = hermitian
         op._eig = None
         op._eigvals_cache = None
+        op._sectors_diagonal = None
         return op
 
     @classmethod
@@ -376,6 +394,16 @@ class GradedOperator:
     def odd_block(self) -> np.ndarray:
         """Lower-left block, the part mapping the positive into the negative sector."""
         return self.block("-", "+")
+
+    def sectors_diagonal(self) -> bool:
+        """Whether both sector blocks are exactly diagonal (is_diagonal).
+
+        The O(n^2) scan runs on the first call and its answer is kept, like
+        the spectral data: a sweep asks once per cell of the same H.
+        """
+        if self._sectors_diagonal is None:
+            self._sectors_diagonal = all(is_diagonal(self.block(s, s)) for s in "+-")
+        return self._sectors_diagonal
 
     # -- spectral data -----------------------------------------------------
 
@@ -431,20 +459,20 @@ class GradedOperator:
         largest-magnitude entry of every column of V, and of every unpaired
         column of W, is real and positive, and each paired w_i takes the
         phase of its v_i.  A monomial B (at most one nonzero per row and per
-        column, _odd_monomial) needs no SVD: V and W are phased permutation
-        matrices, v_i = e_(col_i) and w_i = (z_i / |z_i|) e_(row_i) for the
-        entries z_i = B[row_i, col_i] sorted by |z_i| descending (a stable
-        sort), and the unused columns and rows, in index order, give the zero
-        singular values and the kernel; their indices and phases are kept as
-        ``monomial``.  Every other B takes one SVD.  The defects
-        ||B V - W S|| and ||B^H W - V S^T||, and ||V^H V - 1|| and
-        ||W^H W - 1||, combine as a root sum of squares to the full-matrix
-        Frobenius defects; for the monomial frame the products are formed by
-        gathers, since V and W have one nonzero per column.
+        column, _odd_monomial) needs no SVD: V and W are phased permutations
+        (_monomial_frame), kept as their indices and phases, and formed as
+        matrices only when ``svd`` or ``vectors`` is read.  Every other B
+        takes one SVD.  The defects ||B V - W S|| and ||B^H W - V S^T||, and
+        ||V^H V - 1|| and ||W^H W - 1||, combine as a root sum of squares to
+        the full-matrix Frobenius defects.  For the monomial frame each
+        product has at most one nonzero per column, so every defect is the
+        same Frobenius norm taken over O(n) entries (_product_defect,
+        _gram_defect).
         """
         b = self.odd_block
         n_minus, n_plus = b.shape
         mono = _odd_monomial(self)
+        odd_frames = monomial = None
         if mono is None:
             w_left, sv, vh = np.linalg.svd(b)
             r = len(sv)
@@ -452,42 +480,30 @@ class GradedOperator:
             w_left = np.hstack([_pin_phases(w_left[:, :r], v[:, :r]),
                                 _pin_phases(w_left[:, r:], w_left[:, r:])])
             v = _pin_phases(v, v)
-            bv = b @ v
-            bhw = b.conj().T @ w_left
-            gram_v = v.conj().T @ v
-            gram_w = w_left.conj().T @ w_left
+            ws = np.zeros((n_minus, n_plus), dtype=complex)
+            ws[:, :r] = w_left[:, :r] * sv
+            vs = np.zeros((n_plus, n_minus), dtype=complex)
+            vs[:, :r] = v[:, :r] * sv
+            residual = float(np.hypot(np.linalg.norm(b @ v - ws),
+                                      np.linalg.norm(b.conj().T @ w_left - vs)))
+            orth = float(np.hypot(np.linalg.norm(v.conj().T @ v - np.eye(n_plus)),
+                                  np.linalg.norm(w_left.conj().T @ w_left
+                                                 - np.eye(n_minus))))
+            odd_frames = (v, w_left)
         else:
             rows, cols, z = mono
-            mod = np.hypot(z.real, z.imag)
-            top = np.argsort(-mod, kind="stable")
-            sv = np.concatenate([mod[top], np.zeros(min(n_plus, n_minus) - len(z))])
-            v_idx = np.concatenate([cols[top], _unused(cols, n_plus)])
-            w_idx = np.concatenate([rows[top], _unused(rows, n_minus)])
-            v_val = np.ones(n_plus, dtype=complex)
-            w_val = np.ones(n_minus, dtype=complex)
-            w_val[:len(z)] = z[top] / mod[top]
-            v = _monomial_matrix(v_idx, v_val)
-            w_left = _monomial_matrix(w_idx, w_val)
-            # column j of V is v_val[j] e_(v_idx[j]): B V = B[:, v_idx] v_val
-            # and (V^H V)[j, :] = conj(v_val[j]) V[v_idx[j], :]
-            bv = b[:, v_idx] * v_val
-            bhw = b.conj().T[:, w_idx] * w_val
-            gram_v = v_val.conj()[:, None] * v[v_idx]
-            gram_w = w_val.conj()[:, None] * w_left[w_idx]
-        r = len(sv)
-        ws = np.zeros((n_minus, n_plus), dtype=complex)
-        ws[:, :r] = w_left[:, :r] * sv
-        vs = np.zeros((n_plus, n_minus), dtype=complex)
-        vs[:, :r] = v[:, :r] * sv
-        residual = float(np.hypot(np.linalg.norm(bv - ws), np.linalg.norm(bhw - vs)))
-        orth = float(np.hypot(np.linalg.norm(gram_v - np.eye(n_plus)),
-                              np.linalg.norm(gram_w - np.eye(n_minus))))
+            sv, v_frame, w_frame = _monomial_frame(mono, n_plus, n_minus)
+            residual = float(np.hypot(
+                _product_defect((rows, cols, z), n_plus, v_frame, w_frame, sv),
+                _product_defect((cols, rows, z.conj()), n_minus, w_frame, v_frame, sv)))
+            orth = float(np.hypot(_gram_defect(*v_frame), _gram_defect(*w_frame)))
+            monomial = (v_frame, w_frame)
         self._check_frame(residual, orth)
         w_all = np.concatenate([-sv, np.zeros(abs(n_plus - n_minus)), sv])
         order = np.argsort(w_all, kind="stable")
         self._eig = SpectralDecomposition(
-            w_all[order], None, residual, orth, svd=(v, w_left, sv), order=order,
-            monomial=None if mono is None else ((v_idx, v_val), (w_idx, w_val)))
+            w_all[order], None, residual, orth, order=order, singular_values=sv,
+            odd_frames=odd_frames, monomial=monomial)
 
     def _check_frame(self, residual: float, orth: float) -> None:
         scale = np.linalg.norm(self.matrix)
@@ -671,6 +687,66 @@ def _monomial_matrix(idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return m
 
 
+def _monomial_frame(mono: tuple, n_plus: int, n_minus: int):
+    """(sigma, (v_idx, v_val), (w_idx, w_val)): the SVD B = W S V^H of a
+    monomial odd block with entries mono = (rows, cols, z), B[rows, cols] = z.
+
+    v_i = e_(col_i) and w_i = (z_i / |z_i|) e_(row_i) for the entries sorted
+    by |z_i| descending (a stable sort); the unused columns and rows, in
+    index order, give the zero singular values and the kernel.
+    """
+    rows, cols, z = mono
+    mod = np.hypot(z.real, z.imag)
+    top = np.argsort(-mod, kind="stable")
+    sv = np.concatenate([mod[top], np.zeros(min(n_plus, n_minus) - len(z))])
+    v_idx = np.concatenate([cols[top], _unused(cols, n_plus)])
+    w_idx = np.concatenate([rows[top], _unused(rows, n_minus)])
+    v_val = np.ones(n_plus, dtype=complex)
+    w_val = np.ones(n_minus, dtype=complex)
+    w_val[:len(z)] = z[top] / mod[top]
+    return sv, (v_idx, v_val), (w_idx, w_val)
+
+
+def _product_defect(entries: tuple, n_cols: int, frame: tuple, image: tuple,
+                    sv: np.ndarray) -> float:
+    """||M F - G S||_F for the monomial M with n_cols columns and entries
+    (rows, cols, z), M[rows, cols] = z, the monomial frames F and G given
+    as (idx, val), and S = diag(sv) padded with zeros.
+
+    Column j of M F is val_j M[:, idx_j], at most one entry, and column j of
+    G S is sv_j g_val_j e_(g_idx_j) for j < len(sv), else zero: the two
+    cancel only when they fall on the same row.
+    """
+    rows, cols, z = entries
+    (idx, val), (g_idx, g_val) = frame, image
+    r = len(sv)
+    at = np.full(n_cols, -1)
+    at[cols] = rows
+    entry = np.zeros(n_cols, dtype=complex)
+    entry[cols] = z
+    mf = entry[idx] * val
+    gs = np.zeros_like(mf)
+    gs[:r] = g_val[:r] * sv
+    same = np.zeros(len(idx), dtype=bool)
+    same[:r] = at[idx[:r]] == g_idx[:r]
+    return float(np.linalg.norm(np.concatenate([mf[same] - gs[same], mf[~same],
+                                                gs[~same]])))
+
+
+def _gram_defect(idx: np.ndarray, val: np.ndarray) -> float:
+    """||F^H F - 1||_F for the square frame F whose column j is val[j] e_(idx[j]).
+
+    Columns on different sites are orthogonal; the m columns on one site,
+    with values u, give the block conj(u) u^T - 1, of squared norm
+    (||u||^2 - 1)^2 + m - 1.
+    """
+    n = len(idx)
+    mass = np.bincount(idx, weights=val.real**2 + val.imag**2, minlength=n)
+    count = np.bincount(idx, minlength=n)
+    hit = count > 0
+    return float(np.sqrt(np.sum((mass[hit] - 1.0) ** 2) + np.sum(count[hit] - 1)))
+
+
 def _mul_parity(a: str, b: str) -> str:
     if a == "none" or b == "none":
         return "none"
@@ -731,7 +807,7 @@ def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,
     columns of V or W.  Only the blocks ``parity`` allows are formed, so the
     forbidden ones are exactly zero.  Parity "none" uses U diag(f) U^H.
     """
-    if dec.sectors is None and dec.svd is None:
+    if dec.sectors is None and dec.singular_values is None:
         out = (dec.vectors * vals) @ dec.vectors.conj().T
         return GradedOperator(out, op.space, hermitian=True)
     unsorted = np.empty_like(vals)

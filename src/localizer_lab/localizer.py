@@ -173,19 +173,22 @@ class LocalizerBundle:
 
     ``eigenvalues`` (sorted) and ``min_abs_eigenvalue`` are computed at
     assembly.  ``L``, ``Phi_rho`` and ``Phi_2rho`` are built when first
-    read: the windows by func_calc of D, and L from its block on the window
-    of D's sector basis.  ``outer`` is the scalar window x -> Phi_2rho(x).
-    For scales where both windows are the identity on the spectrum of D,
-    L is formed at assembly, the Phi factors are None and phi_identity is
-    set.  ``eig_error`` bounds how far each listed eigenvalue may lie from
-    one of L's (the Weyl bound of a symmetry block route, else 0), and
-    ``min_abs_eigenvalue`` is the smallest |eigenvalue| less eig_error.
+    read: the windows by func_calc of D, and L from its block L_S on the
+    window S of D's sector basis, kept whole or, on the pair route, as its
+    diagonal and pair couplings.  ``outer`` is the scalar window
+    x -> Phi_2rho(x).  For scales where both windows are the identity on
+    the spectrum of D, L is formed at assembly, the Phi factors are None
+    and phi_identity is set.  ``eig_error`` bounds how far each listed
+    eigenvalue may lie from one of L's (the Weyl bound of a symmetry block
+    route, else 0), and ``min_abs_eigenvalue`` is the smallest |eigenvalue|
+    less eig_error.
     """
 
     def __init__(self, params: LocalizerParams, D: GradedOperator,
                  inner: Callable, outer: Callable, eigenvalues: np.ndarray,
                  L: GradedOperator | None = None,
-                 window: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                 window: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
+                 pairs: tuple[np.ndarray, np.ndarray] | None = None,
                  eig_error: float = 0.0):
         self.params = params
         self.outer = outer
@@ -197,6 +200,7 @@ class LocalizerBundle:
         self._inner = inner
         self._L = L
         self._window = window
+        self._pairs = pairs
         self._phi = {}
 
     @property
@@ -210,8 +214,12 @@ class LocalizerBundle:
             # U gamma U^H = gamma and U^H L U = -gamma off the window S
             # (see _windowed)
             s_plus, s_minus, block = self._window
-            v, w_left, _ = self._D.eig().svd
             k, a = self.space.n_plus, len(s_plus)
+            if block is None:
+                diag, couple = self._pairs
+                gamma_s = np.concatenate([np.ones(a), -np.ones(len(s_minus))])
+                block = _coupled(np.diag(diag + gamma_s), a, couple)
+            v, w_left, _ = self._D.eig().svd
             u = np.zeros((self.space.n, len(block)), dtype=complex)
             u[:k, :a] = v[:, s_plus]
             u[k:, a:] = w_left[:, s_minus]
@@ -305,16 +313,16 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     U^H L U = -gamma, uncoupled from the rest, so it adds n_+ - |S_+|
     eigenvalues -1 and n_- - |S_-| eigenvalues +1, and only the block L_S
     on S is solved.  When H[S_+, S_+] and H[S_-, S_-] in the sector basis
-    have exactly zero off-diagonals (H diagonal in D's sector basis, as
-    H = 1 is), L_S is exactly a direct sum of the 2 x 2 blocks of the pairs
-    (v_i, w_i) and the 1 x 1 blocks of the unpaired columns: its spectrum
-    is one stacked eigvalsh of the pair blocks plus those diagonal entries.
-    Every other L_S goes whole to eigvalsh.  H is compressed to S alone
-    (_window_product).
+    have exactly zero off-diagonals (_window_h), L_S is exactly a direct
+    sum of the 2 x 2 blocks of the pairs (v_i, w_i) and the 1 x 1 blocks of
+    the unpaired columns.  That pair route forms only O(|S|) arrays: L_S's
+    diagonal, entry by entry the operations of the dense block, and the
+    pair couplings, kept for ``L``; its spectrum is one stacked eigvalsh of
+    the (|pairs|, 2, 2) blocks plus the unpaired diagonal entries.  Every
+    other L_S is formed whole, goes to eigvalsh and is kept as L_S + gamma_S.
     """
     dec = D.eig()
-    v, w_left, sv = dec.svd
-    v_phased, w_phased = dec.monomial or (None, None)
+    sv = dec.singular_values
     n_plus, n_minus = D.space.n_plus, D.space.n_minus
     r = len(sv)
     x = np.concatenate([sv, np.zeros(max(n_plus, n_minus) - r)])
@@ -327,45 +335,85 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     a, b = len(s_plus), len(s_minus)
     support = np.concatenate([s_plus, s_minus])
     g = np.concatenate([np.ones(a), -np.ones(b)])  # gamma on S
-
-    block = np.zeros((a + b, a + b), dtype=complex)
-    block[:a, :a] = _window_product(H.block("+", "+"), v, v_phased, s_plus)
-    block[a:, a:] = _window_product(H.block("-", "-"), w_left, w_phased, s_minus)
-    paired = is_diagonal(block[:a, :a]) and is_diagonal(block[a:, a:])
     f = f_in[support]
-    block *= (g * f)[:, None]
-    block *= f
-    block[np.diag_indices(a + b)] -= g * tail[support]
     # the pairs i < r in S lead both S_+ and S_-: they hold the same sigma_i
     pairs = s_plus[s_plus < r]
     p = len(pairs)
-    i = np.arange(p)
-    block[a + i, i] = block[i, a + i] = params.kappa * f_out[pairs] ** 2 * sv[pairs]
-    if paired:
-        two = np.empty((p, 2, 2), dtype=complex)
-        two[:, 0, 0], two[:, 0, 1] = block[i, i], block[i, a + i]
-        two[:, 1, 0], two[:, 1, 1] = block[a + i, i], block[a + i, a + i]
-        diag = np.diagonal(block).real
-        inner_eigs = np.concatenate([np.linalg.eigvalsh(two).ravel(),
-                                     diag[p:a], diag[a + p:]])
+    couple = params.kappa * f_out[pairs] ** 2 * sv[pairs]
+
+    h_diag, h_blocks = _window_h(H, D, s_plus, s_minus)
+    if h_diag is None:
+        block = np.zeros((a + b, a + b), dtype=complex)
+        block[:a, :a], block[a:, a:] = h_blocks
+        block *= (g * f)[:, None]
+        block *= f
+        block[np.diag_indices(a + b)] -= g * tail[support]
+        inner_eigs = np.linalg.eigvalsh(_coupled(block, a, couple))
+        block[np.diag_indices(a + b)] += g  # L_S + gamma_S, all that L needs
+        window, kept = (s_plus, s_minus, block), None
     else:
-        inner_eigs = np.linalg.eigvalsh(block)
+        diag = h_diag * (g * f)
+        diag *= f
+        diag -= g * tail[support]
+        two = np.empty((p, 2, 2), dtype=complex)
+        two[:, 0, 0], two[:, 0, 1] = diag[:p], couple
+        two[:, 1, 0], two[:, 1, 1] = couple, diag[a:a + p]
+        real = diag.real
+        inner_eigs = np.concatenate([np.linalg.eigvalsh(two).ravel(),
+                                     real[p:a], real[a + p:]])
+        window, kept = (s_plus, s_minus, None), (diag, couple)
     eigs = np.sort(np.concatenate([inner_eigs, -np.ones(n_plus - a),
                                    np.ones(n_minus - b)]))
-    block[np.diag_indices(a + b)] += g  # L_S + gamma_S, all that L needs
-    return LocalizerBundle(params, D, inner, outer, eigs,
-                           window=(s_plus, s_minus, block))
+    return LocalizerBundle(params, D, inner, outer, eigs, window=window, pairs=kept)
 
 
-def _window_product(h: np.ndarray, basis: np.ndarray, phased: tuple | None,
+def _coupled(block: np.ndarray, a: int, couple: np.ndarray) -> np.ndarray:
+    """block, with the pair couplings set in place at (a + i, i) and (i, a + i)."""
+    i = np.arange(len(couple))
+    block[a + i, i] = block[i, a + i] = couple
+    return block
+
+
+def _window_h(H: GradedOperator, D: GradedOperator, s_plus: np.ndarray,
+              s_minus: np.ndarray):
+    """H on the window S in D's sector basis: (diagonal, None) when both
+    sector blocks there have exactly zero off-diagonals, else (None, blocks).
+
+    With a monomial frame, exactly diagonal site-basis sector blocks of H
+    (H.sectors_diagonal, one scan per H) give that case with no (|S|, |S|)
+    array: the gathered sites are
+    distinct, so no entry of the site diagonal lands off the diagonal, and
+    a phase keeps a zero zero.  Only h[idx_S, idx_S] is gathered, phased by
+    the operations of _window_product (_window_diagonal).  Any other H forms
+    both products, V_S^H H_+ V_S and W_S^H H_- W_S, and tests them.
+    """
+    dec = D.eig()
+    h_plus, h_minus = H.block("+", "+"), H.block("-", "-")
+    if dec.monomial is not None and H.sectors_diagonal():
+        v_phased, w_phased = dec.monomial
+        return np.concatenate([_window_diagonal(h_plus, v_phased, s_plus),
+                               _window_diagonal(h_minus, w_phased, s_minus)]), None
+    if dec.monomial is None:
+        v, w_left, _ = dec.svd
+        v_phased = w_phased = None
+    else:
+        v = w_left = None
+        v_phased, w_phased = dec.monomial
+    top = _window_product(h_plus, v, v_phased, s_plus)
+    bottom = _window_product(h_minus, w_left, w_phased, s_minus)
+    if is_diagonal(top) and is_diagonal(bottom):
+        return np.concatenate([np.diagonal(top), np.diagonal(bottom)]), None
+    return None, (top, bottom)
+
+
+def _window_product(h: np.ndarray, basis: np.ndarray | None, phased: tuple | None,
                     cols: np.ndarray) -> np.ndarray:
     """basis_S^H h basis_S for the columns S = cols, hermitian bit-exactly.
 
     A phased permutation basis (phased = (idx, val), column j = val[j]
     e_(idx[j])) gives the gather h[idx_S, idx_S] times conj(val_i) val_j,
-    skipped when all are 1 and formed in real arithmetic, since a complex
-    multiply may fuse one of its two products (FMA) and break hermiticity.
-    Any other basis takes the whole sector product, hermitized, then S.
+    skipped when all are 1 and formed by _phased.  Any other basis takes
+    the whole sector product, hermitized, then S.
     """
     if phased is None:
         return _hermitize(basis.conj().T @ h @ basis)[np.ix_(cols, cols)]
@@ -373,8 +421,24 @@ def _window_product(h: np.ndarray, basis: np.ndarray, phased: tuple | None,
     t = h[np.ix_(idx, idx)]
     if np.all(val == 1.0):
         return t
-    x, y = val.real, val.imag
-    p_re, p_im = x[:, None] * x + y[:, None] * y, x[:, None] * y - y[:, None] * x
+    return _phased(t, val[:, None], val)
+
+
+def _window_diagonal(h: np.ndarray, phased: tuple, cols: np.ndarray) -> np.ndarray:
+    """The diagonal of _window_product(h, None, phased, cols), entry for
+    entry by the same operations: h[idx_S, idx_S] times conj(val_i) val_i."""
+    idx, val = phased[0][cols], phased[1][cols]
+    t = h[idx, idx]
+    if np.all(val == 1.0):
+        return t
+    return _phased(t, val, val)
+
+
+def _phased(t: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """t times conj(left) right, broadcast, in real arithmetic: a complex
+    multiply may fuse one of its two products (FMA) and break hermiticity."""
+    x, y, u, w = left.real, left.imag, right.real, right.imag
+    p_re, p_im = x * u + y * w, x * w - y * u
     return (t.real * p_re - t.imag * p_im) + 1j * (t.real * p_im + t.imag * p_re)
 
 

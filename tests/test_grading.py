@@ -594,18 +594,83 @@ def test_monomial_frame_keeps_row_order_among_equal_moduli():
 def test_monomial_frame_defects_are_measured(n_plus, n_minus, target, monkeypatch):
     # stretch the last column of V or of W, a zero pair or kernel column
     # that B or B^H sends to 0: only the orthonormality defect sees it
-    size = n_plus if target == "V" else n_minus
-    build = grading._monomial_matrix
+    build = grading._monomial_frame
 
-    def stretched(idx, vals):
-        m = build(idx, vals)
-        if len(idx) == size:
-            m[:, -1] *= 1.0 + 1e-6
-        return m
-    monkeypatch.setattr(grading, "_monomial_matrix", stretched)
+    def stretched(*args):
+        sv, v_frame, w_frame = build(*args)
+        (v_frame if target == "V" else w_frame)[1][-1] *= 1.0 + 1e-6
+        return sv, v_frame, w_frame
+    monkeypatch.setattr(grading, "_monomial_frame", stretched)
     d = monomial_odd(n_plus, n_minus, 540, zeros=1)
     with pytest.raises(InternalConsistencyError, match="orthonormality"):
         d.eig()
+
+
+@pytest.mark.parametrize("n_plus,n_minus", [(6, 4), (4, 6)])
+@pytest.mark.parametrize("target", ["V", "W"])
+def test_monomial_frame_residual_is_measured(n_plus, n_minus, target, monkeypatch):
+    # swap the sites of the first two pairs in V or in W: the frame stays
+    # orthonormal, but B v_i is no longer sigma_i w_i
+    build = grading._monomial_frame
+
+    def swapped(*args):
+        sv, v_frame, w_frame = build(*args)
+        idx = (v_frame if target == "V" else w_frame)[0]
+        idx[[0, 1]] = idx[[1, 0]]
+        return sv, v_frame, w_frame
+    monkeypatch.setattr(grading, "_monomial_frame", swapped)
+    d = monomial_odd(n_plus, n_minus, 545, zeros=1)
+    with pytest.raises(InternalConsistencyError, match="residual"):
+        d.eig()
+
+
+def frame_matrix(idx, val):
+    m = np.zeros((len(idx), len(idx)), dtype=complex)
+    m[idx, np.arange(len(idx))] = val
+    return m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_monomial_defects_are_the_dense_frobenius_norms_of_any_frame(seed):
+    # frames that are not permutations (repeated sites) and phases off the
+    # unit circle: the O(n) defects still equal the dense norms
+    rng = np.random.default_rng(560 + seed)
+    n_rows, n_cols = rng.integers(1, 9, size=2)
+    m = rng.integers(0, min(n_rows, n_cols) + 1)
+    rows, cols = rng.permutation(n_rows)[:m], rng.permutation(n_cols)[:m]
+    z = rng.normal(size=m) + 1j * rng.normal(size=m)
+    M = np.zeros((n_rows, n_cols), dtype=complex)
+    M[rows, cols] = z
+
+    def frame(n):
+        idx = rng.permutation(n) if seed % 2 else rng.integers(0, n, size=n)
+        return idx, np.exp(1j * rng.uniform(0, 6.3, size=n)) * rng.uniform(0.9, 1.1, size=n)
+    f_frame, g_frame = frame(n_cols), frame(n_rows)
+    sv = rng.uniform(0.0, 3.0, size=min(n_rows, n_cols))
+    s = np.zeros((n_rows, n_cols))
+    s[np.diag_indices(len(sv))] = sv
+    dense = np.linalg.norm(M @ frame_matrix(*f_frame) - frame_matrix(*g_frame) @ s)
+    assert grading._product_defect((rows, cols, z), n_cols, f_frame, g_frame, sv) \
+        == pytest.approx(dense, rel=1e-13, abs=1e-15)
+    f = frame_matrix(*f_frame)
+    assert grading._gram_defect(*f_frame) == pytest.approx(
+        np.linalg.norm(f.conj().T @ f - np.eye(n_cols)), rel=1e-13, abs=1e-15)
+
+
+def test_sectors_diagonal_scans_once(monkeypatch):
+    ladder_h = oscillator_dirac(20).H
+    dense_h = random_even(GradedSpace(4, 3), np.random.default_rng(570))
+    diagonal_top = GradedOperator.even_from_blocks(
+        GradedSpace(2, 2), np.diag([1.0, 2.0]), dense_h.block("+", "+")[:2, :2],
+        hermitian=True)
+    assert ladder_h.sectors_diagonal()
+    assert not dense_h.sectors_diagonal()
+    assert not diagonal_top.sectors_diagonal()
+
+    def no_scan(m):
+        raise AssertionError("the answer is kept")
+    monkeypatch.setattr(grading, "is_diagonal", no_scan)
+    assert ladder_h.sectors_diagonal() and not dense_h.sectors_diagonal()
 
 
 def test_monomial_check_counts_entries_per_row_and_column():

@@ -41,3 +41,18 @@ def test_package_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_imports_only_numpy_beyond_the_stdlib():
+    # every top-level module that importing the CLI adds to a bare
+    # interpreter is the standard library's, numpy's or the package's own;
+    # a heavier import would show in every command's start-up time
+    probe = ("import sys; before = {m.split('.')[0] for m in sys.modules}; "
+             "import localizer_lab.cli; "
+             "new = {m.split('.')[0] for m in sys.modules} - before; "
+             "print(sorted(new - set(sys.stdlib_module_names) "
+             "- {'numpy', 'localizer_lab'}))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -642,3 +644,220 @@ def test_non_commuting_h_on_the_ladder_takes_the_dense_route(monkeypatch):
     k, n = D.space.n_plus, D.space.n
     expected = np.sort(np.concatenate([values, -np.ones(k - a), np.ones(n - k - b)]))
     assert np.array_equal(bundle.eigenvalues, expected)
+
+
+# ---------------------------------------------------------------------------
+# the lazy frame and the compact pair route against the eager formulas
+# ---------------------------------------------------------------------------
+
+
+def eager_frames(dec):
+    """V and W formed at once from the monomial frame: column j is val[j] e_(idx[j])."""
+    frames = []
+    for idx, val in dec.monomial:
+        m = np.zeros((len(idx), len(idx)), dtype=complex)
+        m[idx, np.arange(len(idx))] = val
+        frames.append(m)
+    return frames
+
+
+def eager_vectors(dec, v, w_left):
+    """The sorted n x n eigenframe of an odd operator from V, W and sigma."""
+    sv, n = dec.singular_values, len(dec.eigenvalues)
+    k, r = v.shape[0], len(sv)
+    u = np.zeros((n, n), dtype=complex)
+    s = 1.0 / np.sqrt(2.0)
+    u[:k, :r] = u[:k, n - r:] = v[:, :r] * s
+    u[k:, :r] = w_left[:, :r] * -s
+    u[k:, n - r:] = w_left[:, :r] * s
+    u[:k, r:k] = v[:, r:]
+    u[k:, r:n - k] = w_left[:, r:]
+    return u[:, dec.order]
+
+
+def eager_gather(h, idx, val):
+    """V_S^H h V_S for a phased permutation frame: the gather h[idx, idx]
+    times conj(val_i) val_j, in real arithmetic."""
+    t = h[np.ix_(idx, idx)]
+    if np.all(val == 1.0):
+        return t
+    x, y = val.real, val.imag
+    p_re, p_im = x[:, None] * x + y[:, None] * y, x[:, None] * y - y[:, None] * x
+    return (t.real * p_re - t.imag * p_im) + 1j * (t.real * p_im + t.imag * p_re)
+
+
+def eager_windowed(H, D, params, inner, outer):
+    """(eigenvalues, L_S, L) of the windowed localizer, with the dense L_S
+    always formed: the pair formula when both sector blocks of H on S are
+    exactly diagonal, else one eigvalsh of L_S; L = U_S (L_S + gamma_S) U_S^H
+    - gamma."""
+    dec = D.eig()
+    v, w_left = eager_frames(dec)
+    sv = dec.singular_values
+    n_plus, n_minus = D.space.n_plus, D.space.n_minus
+    r = len(sv)
+    x = np.concatenate([sv, np.zeros(max(n_plus, n_minus) - r)])
+    f_in = np.asarray(inner(x), dtype=float)
+    f_out = np.asarray(outer(x), dtype=float)
+    tail = np.sqrt(np.clip(1.0 - f_out**4, 0.0, None))
+    inside = (f_in != 0.0) | (f_out != 0.0)
+    s_plus = np.flatnonzero(inside[:n_plus])
+    s_minus = np.flatnonzero(inside[:n_minus])
+    a, b = len(s_plus), len(s_minus)
+    support = np.concatenate([s_plus, s_minus])
+    g = np.concatenate([np.ones(a), -np.ones(b)])
+    (v_idx, v_val), (w_idx, w_val) = dec.monomial
+    block = np.zeros((a + b, a + b), dtype=complex)
+    block[:a, :a] = eager_gather(H.block("+", "+"), v_idx[s_plus], v_val[s_plus])
+    block[a:, a:] = eager_gather(H.block("-", "-"), w_idx[s_minus], w_val[s_minus])
+    paired = is_diagonal(block[:a, :a]) and is_diagonal(block[a:, a:])
+    f = f_in[support]
+    block *= (g * f)[:, None]
+    block *= f
+    block[np.diag_indices(a + b)] -= g * tail[support]
+    pairs = s_plus[s_plus < r]
+    p = len(pairs)
+    i = np.arange(p)
+    block[a + i, i] = block[i, a + i] = params.kappa * f_out[pairs] ** 2 * sv[pairs]
+    if paired:
+        two = np.empty((p, 2, 2), dtype=complex)
+        two[:, 0, 0], two[:, 0, 1] = block[i, i], block[i, a + i]
+        two[:, 1, 0], two[:, 1, 1] = block[a + i, i], block[a + i, a + i]
+        diag = np.diagonal(block).real
+        inner_eigs = np.concatenate([np.linalg.eigvalsh(two).ravel(),
+                                     diag[p:a], diag[a + p:]])
+    else:
+        inner_eigs = np.linalg.eigvalsh(block)
+    eigs = np.sort(np.concatenate([inner_eigs, -np.ones(n_plus - a),
+                                   np.ones(n_minus - b)]))
+    l_s = block.copy()
+    block[np.diag_indices(a + b)] += g
+    u = np.zeros((D.space.n, a + b), dtype=complex)
+    u[:n_plus, :a] = v[:, s_plus]
+    u[n_plus:, a:] = w_left[:, s_minus]
+    lm = (u @ block) @ u.conj().T
+    lm[np.diag_indices_from(lm)] -= D.space.gamma_diag
+    return eigs, l_s, (lm + lm.conj().T) / 2.0
+
+
+def dense_frame_defects(D):
+    """The Frobenius defects of the monomial frame from the dense V and W."""
+    dec = D.eig()
+    v, w_left = eager_frames(dec)
+    b = D.odd_block
+    n_minus, n_plus = b.shape
+    r = len(dec.singular_values)
+    ws = np.zeros((n_minus, n_plus), dtype=complex)
+    ws[:, :r] = w_left[:, :r] * dec.singular_values
+    vs = np.zeros((n_plus, n_minus), dtype=complex)
+    vs[:, :r] = v[:, :r] * dec.singular_values
+    residual = np.hypot(np.linalg.norm(b @ v - ws), np.linalg.norm(b.conj().T @ w_left - vs))
+    orth = np.hypot(np.linalg.norm(v.conj().T @ v - np.eye(n_plus)),
+                    np.linalg.norm(w_left.conj().T @ w_left - np.eye(n_minus)))
+    return residual, orth
+
+
+def model_pair(address):
+    desc = parse_model(address)
+    return desc.H, desc.D
+
+
+LAZY_CASES = {
+    # (H, D), kappa, rho, whether L_S is pairs
+    "ladder40": (lambda: ladder_pair(40), 0.5, 2.0, True),
+    "phased_pairs": (lambda: monomial_pair(14, 20, 83), 1.0, 1.0, True),
+    "qwz": (lambda: model_pair("qwz:L=8,m=3.0"), 1.0, 1.0, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_CASES))
+def test_lazy_frame_and_compact_pairs_match_the_eager_formulas(case):
+    build, kappa, rho, paired = LAZY_CASES[case]
+    H, D = build()
+    bundle = assemble_localizer(H, D, PHI, constant_C(kappa, rho, H, D, PHI))
+    assert not bundle.phi_identity
+    dec = D.eig()
+    # the pair route keeps no dense block, and nothing has formed V or W
+    assert (bundle._window[2] is None) == paired
+    assert dec.odd_frames is None
+
+    eigs, l_s, lm = eager_windowed(H, D, bundle.params, PHI.scaled(rho),
+                                   PHI.scaled(2.0 * rho))
+    assert np.array_equal(bundle.eigenvalues, eigs)
+    if paired:
+        # the kept diagonal and couplings are those entries of the dense L_S
+        diag, couple = bundle._pairs
+        a, p = len(bundle._window[0]), len(couple)
+        i = np.arange(p)
+        assert np.array_equal(diag, np.diagonal(l_s))
+        assert np.array_equal(couple, l_s[a + i, i]) and np.array_equal(couple, l_s[i, a + i])
+        assert np.count_nonzero(l_s) == np.count_nonzero(diag) + 2 * np.count_nonzero(couple)
+    assert np.array_equal(bundle.L.matrix, lm)
+    v, w_left = eager_frames(dec)
+    lazy_v, lazy_w, sv = dec.svd
+    assert np.array_equal(lazy_v, v) and np.array_equal(lazy_w, w_left)
+    assert sv is dec.singular_values
+    assert np.array_equal(dec.vectors, eager_vectors(dec, v, w_left))
+
+    # the O(n) defects are the dense Frobenius norms up to summation order
+    residual, orth = dense_frame_defects(D)
+    assert abs(dec.residual - residual) <= 1e-15 * np.linalg.norm(D.matrix)
+    assert abs(dec.orth_defect - orth) <= 1e-15
+
+
+def test_pair_route_follows_the_window_not_the_site_basis(monkeypatch):
+    # H couples sites whose frame columns all lie outside the window S: H is
+    # not site-diagonal, yet its blocks on S are, so L_S is still pairs
+    H0, D = monomial_pair(14, 20, 87)
+    kappa, rho = 1.0, 0.5
+    dec = D.eig()
+    sv = dec.singular_values
+    x = np.concatenate([sv, np.zeros(20 - len(sv))])
+    outside = (PHI.scaled(rho)(x) == 0.0) & (PHI.scaled(2.0 * rho)(x) == 0.0)
+    (v_idx, _), (w_idx, _) = dec.monomial
+    far_plus, far_minus = v_idx[outside[:14]], w_idx[outside[:20]]
+    assert len(far_plus) >= 2 and len(far_minus) >= 2
+    h = H0.matrix.copy()
+    k = D.space.n_plus
+    for i, j in ((far_plus[0], far_plus[1]), (k + far_minus[0], k + far_minus[1])):
+        h[i, j] = 0.3 + 0.1j
+        h[j, i] = 0.3 - 0.1j
+    H = GradedOperator(h, D.space, parity="even", hermitian=True)
+    assert not is_diagonal(H.block("+", "+")) and not is_diagonal(H.block("-", "-"))
+
+    params = constant_C(kappa, rho, H, D, PHI)
+    calls = spy_eigvalsh(monkeypatch)
+    bundle = assemble_localizer(H, D, PHI, params)
+    (arg, _), = calls
+    assert arg.ndim == 3 and arg.shape[1:] == (2, 2)
+    assert bundle._window[2] is None
+    eigs, _, lm = eager_windowed(H, D, params, PHI.scaled(rho), PHI.scaled(2.0 * rho))
+    assert np.array_equal(bundle.eigenvalues, eigs)
+    assert np.array_equal(bundle.L.matrix, lm)
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ladder_cell_forms_no_square_array():
+    # one 400 x 400 complex array is 2.56 MB; a sweep cell and D's
+    # eigendata stay far below it
+    desc = parse_model("oscillator:n=400")
+    H, D = desc.H, desc.D
+    assert traced_peak(D.eig) < 1e6
+    gap_h, dh, h_norm, _, _ = measure_constants(H, D)
+    params = LocalizerParams(0.5, 16.0, gap_h, dh, PHI.c_phi, h_norm)
+    bundle = None
+
+    def cell():
+        nonlocal bundle
+        bundle = assemble_localizer(H, D, PHI, params)
+    assert traced_peak(cell) < 1e6
+    assert not bundle.phi_identity and bundle._window[2] is None
