@@ -54,6 +54,8 @@ TAU_SIG = 1e-8
 SYM_TOL = 1e-3 * TAU_SIG
 
 _PARITIES = ("even", "odd", "none")
+# GradedOperator._monomial before _odd_monomial has scanned the operator
+_UNSCANNED = object()
 
 
 @functools.cache
@@ -206,6 +208,15 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _block_diagonal(space: GradedSpace, top, bottom) -> np.ndarray:
+    """The complex n x n matrix with sector blocks top and bottom."""
+    m = np.zeros((space.n, space.n), dtype=complex)
+    k = space.n_plus
+    m[:k, :k] = top
+    m[k:, k:] = bottom
+    return m
+
+
 def _dead_blocks_zero(m: np.ndarray, space: GradedSpace, parity: str) -> bool:
     k = space.n_plus
     if parity == "even":
@@ -308,7 +319,7 @@ class GradedOperator:
     """
 
     __slots__ = ("matrix", "space", "parity", "hermitian", "_eig", "_eigvals_cache",
-                 "_sectors_diagonal")
+                 "_sectors_diagonal", "_monomial")
 
     def __init__(self, matrix, space: GradedSpace, parity: str = "none",
                  hermitian: bool = False):
@@ -330,6 +341,7 @@ class GradedOperator:
         self._eig = None
         self._eigvals_cache = None
         self._sectors_diagonal = None
+        self._monomial = _UNSCANNED
 
     # -- constructors ------------------------------------------------------
 
@@ -347,6 +359,7 @@ class GradedOperator:
         op._eig = None
         op._eigvals_cache = None
         op._sectors_diagonal = None
+        op._monomial = _UNSCANNED
         return op
 
     @classmethod
@@ -356,14 +369,18 @@ class GradedOperator:
         A hermitian one symmetrizes each block: the off-diagonal blocks are
         zero, so this gives the full-size (m + m^H) / 2 bit for bit.
         """
-        m = np.zeros((space.n, space.n), dtype=complex)
+        m = _block_diagonal(space, top, bottom)
         k = space.n_plus
-        m[:k, :k] = top
-        m[k:, k:] = bottom
         if hermitian:
             m[:k, :k] = _hermitize(m[:k, :k])
             m[k:, k:] = _hermitize(m[k:, k:])
         return cls._built(m, space, "even", bool(hermitian))
+
+    @classmethod
+    def _even_built(cls, space: GradedSpace, top, bottom) -> "GradedOperator":
+        """Hermitian even operator from two sector blocks that are exactly
+        hermitian by construction: no symmetrization and no scan."""
+        return cls._built(_block_diagonal(space, top, bottom), space, "even", True)
 
     @classmethod
     def odd_from_block(cls, space: GradedSpace, lower):
@@ -651,18 +668,22 @@ def _odd_monomial(op: GradedOperator):
 
     The test counts nonzeros, in all and then along each axis, with no
     sort, so a dense B is rejected in O(n^2), by the first count.  The
-    lattice's diag(z) and the ladder's shifted diagonal are monomial.
+    lattice's diag(z) and the ladder's shifted diagonal are monomial.  The
+    scan runs on the first call and its answer is kept on the operator,
+    like sectors_diagonal's: eigenvalues, eig and lipschitz_derivative all
+    ask it of the same D.
     """
-    if op.parity != "odd" or not op.hermitian:
-        return None
-    b = op.odd_block
-    nz = b != 0
-    if (np.count_nonzero(nz) > min(b.shape)
-            or np.count_nonzero(nz, axis=1).max(initial=0) > 1
-            or np.count_nonzero(nz, axis=0).max(initial=0) > 1):
-        return None
-    rows, cols = np.nonzero(nz)
-    return rows, cols, b[rows, cols]
+    if op._monomial is _UNSCANNED:
+        op._monomial = None
+        if op.parity == "odd" and op.hermitian:
+            b = op.odd_block
+            nz = b != 0
+            if (np.count_nonzero(nz) <= min(b.shape)
+                    and np.count_nonzero(nz, axis=1).max(initial=0) <= 1
+                    and np.count_nonzero(nz, axis=0).max(initial=0) <= 1):
+                rows, cols = np.nonzero(nz)
+                op._monomial = rows, cols, b[rows, cols]
+    return op._monomial
 
 
 def _as_run(idx: np.ndarray):
@@ -920,7 +941,8 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
             out[i] = val[:, None] * op.block(via_d, c)[j]
             i, j, val = d_entries[via_t]
             out[:, j] -= op.block(r, via_t)[:, i] * val[None, :]
-    return GradedOperator(m, op.space, parity=parity, hermitian=False)
+    # fresh, and zero outside the cells the parity allows: no copy, no scan
+    return GradedOperator._built(m, op.space, parity, False)
 
 
 def gap(op: GradedOperator) -> float:

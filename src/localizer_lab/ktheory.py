@@ -18,7 +18,13 @@ from .errors import (
     NotInvertibleError,
     ParityError,
 )
-from .grading import TAU_SIG, GradedOperator, func_calc, operator_norm
+from .grading import (
+    TAU_SIG,
+    GradedOperator,
+    func_calc,
+    operator_norm,
+    symmetry_blocks,
+)
 from .localizer import (
     LocalizerBundle,
     LocalizerParams,
@@ -100,8 +106,8 @@ def positive_projection(H: GradedOperator) -> GradedOperator:
 
     An even H whose eigenvalues (already read by signature) are +-1 within
     FLAT_EIG_TOL takes P = (1 + H) / 2 sector by sector, with no eigensolve,
-    when its measured defect ||P^2 - P|| = ||H^2 - 1|| / 4 passes the gate;
-    any other H, or a failed gate, takes func_calc.
+    when its measured defect ||P^2 - P|| = ||H^2 - 1|| / 4 passes the gate
+    (_check_projection); any other H, or a failed gate, takes func_calc.
     """
     s = signature(H)
     if not s.invertible:
@@ -111,46 +117,72 @@ def positive_projection(H: GradedOperator) -> GradedOperator:
         )
     if (H.parity == "even"
             and np.abs(np.abs(H.eigenvalues()) - 1.0).max() <= FLAT_EIG_TOL):
+        # H's blocks are exactly hermitian, and so is (1 + b) / 2: entry (j, i)
+        # is the conjugate of entry (i, j) computed the same way
         top, bottom = ((np.eye(len(b)) + b) / 2.0
                        for b in (H.block("+", "+"), H.block("-", "-")))
-        proj = GradedOperator.even_from_blocks(H.space, top, bottom, hermitian=True)
+        proj = GradedOperator._even_built(H.space, top, bottom)
         try:
-            check_defect(_idempotency_residual(proj), 1e-10, "projection defect")
+            _check_projection(proj)
             return proj
         except InternalConsistencyError:
             pass
     proj = func_calc(lambda x: (x > 0).astype(float), H)
-    check_defect(_idempotency_residual(proj), 1e-10, "projection defect")
+    _check_projection(proj)
     return proj
 
 
+def _check_projection(p: GradedOperator) -> None:
+    """Gate ||P^2 - P||_2 <= 1e-10 on the symmetry blocks of P."""
+    blocks, slack = _idempotency_residual(p)
+    check_defect(blocks, 1e-10, "projection defect", slack)
+
+
 def _idempotency_residual(p: GradedOperator):
-    """P^2 - P; for an even P its two sector blocks, the second formed only
-    when the sectors differ (the lattice's flat band has equal ones)."""
-    if p.parity == "even":
-        b_plus, b_minus = p.block("+", "+"), p.block("-", "-")
-        top = b_plus @ b_plus - b_plus
-        bottom = top if np.array_equal(b_plus, b_minus) else b_minus @ b_minus - b_minus
-        return [top, bottom]
-    return p.matrix @ p.matrix - p.matrix
+    """(R, slack) with ||P^2 - P||_2 <= max_mu ||R_mu||_2 + slack.
+
+    R holds P_mu^2 - P_mu for the blocks P_mu of symmetry_blocks of each
+    sector of an even P, or of P itself.  The pinching P_sym of P is
+    block diagonal with blocks P_mu and lies within the Weyl bound w of P,
+    so ||P^2 - P|| <= max_mu ||P_mu^2 - P_mu|| + w (1 + 2 ||P|| + w), with
+    ||P|| <= max_mu ||P_mu||_F + w; slack is the larger of that term over
+    the sectors.  Without a symmetry the one block is the sector itself and
+    slack is 0.  The second sector reuses the first's blocks when the two
+    are equal (the lattice's flat band has equal ones).
+    """
+    rows = ("+", "-") if p.parity == "even" else (None,)
+    residual, slack, first = [], 0.0, None
+    for row in rows:
+        if row == "-" and np.array_equal(p.block("+", "+"), p.block("-", "-")):
+            residual += first
+            continue
+        split = symmetry_blocks(p, row, row)
+        w = split.weyl
+        norm = max(float(np.linalg.norm(b)) for b in split.blocks) + w
+        slack = max(slack, w * (1.0 + 2.0 * norm + w))
+        first = [b @ b - b for b in split.blocks]
+        residual += first
+    return residual, slack
 
 
-def check_defect(residual, limit: float, what: str) -> None:
-    """Fail unless the operator norm of a residual is at most limit.
+def check_defect(residual, limit: float, what: str, slack: float = 0.0) -> None:
+    """Fail unless the operator norm of a residual, plus slack, is at most limit.
 
     The residual is a matrix, a GradedOperator, or the list of diagonal
     blocks of a block-diagonal one.  ||R||_2 <= ||R||_F, so a Frobenius
     norm (the root sum of squares of the block norms) within the limit
     passes on O(n^2) work.  Otherwise the exact operator norm decides, the
     largest over the blocks, and it is the value the error reports, so
-    every verdict matches a gate on the exact norm.
+    every verdict matches a gate on the exact norm.  slack, added to either
+    norm, bounds how far the gated operator lies from the blocks' direct
+    sum (a Weyl term of symmetry blocks).
     """
     blocks = residual if isinstance(residual, list) else [residual]
     frobenius = functools.reduce(np.hypot, (
         np.linalg.norm(b.matrix if isinstance(b, GradedOperator) else b) for b in blocks))
-    if frobenius <= limit:
+    if frobenius + slack <= limit:
         return
-    value = max(operator_norm(b) for b in blocks)
+    value = max(operator_norm(b) for b in blocks) + slack
     if value > limit:
         raise InternalConsistencyError(f"{what} {value:.3e} exceeds {limit:.0e}")
 

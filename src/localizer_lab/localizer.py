@@ -273,8 +273,12 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     d_eigs = D.eigenvalues()
     if (np.all(np.asarray(inner(d_eigs), dtype=float) == 1.0)
             and np.all(np.asarray(outer(d_eigs), dtype=float) == 1.0)):
-        L = GradedOperator._built(H.space.gamma_diag[:, None] * H.matrix
-                                  + params.kappa * D.matrix, H.space, "none", True)
+        # kappa D added in two row halves, the same per-entry sum: the
+        # temporary is half an n x n array, not a whole one
+        lm = H.space.gamma_diag[:, None] * H.matrix
+        for rows in (slice(0, H.space.n_plus), slice(H.space.n_plus, None)):
+            lm[rows] += params.kappa * D.matrix[rows]
+        L = GradedOperator._built(lm, H.space, "none", True)
         split = symmetry_blocks(L)
         eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in split.blocks]))
         bundle = LocalizerBundle(params, D, inner, outer, eigs, L=L,

@@ -174,7 +174,8 @@ def _qwz_hopping_loop(L: int, m: float) -> np.ndarray:
 
 
 def _flat_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Kernel of -sign(h) = -h(k) / |E(k)| for a traceless two-band kernel.
+    """Kernel of -sign(h) = -h(k) / |E(k)| for a traceless two-band kernel,
+    hermitized (_hermitian_part).
 
     h(k) = sum_d K(d) e^{-i k.d} is fft2 over the two lattice axes, and a
     traceless hermitian 2 x 2 h(k) squares to |E(k)|^2 times the identity,
@@ -182,30 +183,74 @@ def _flat_kernel(kernel: np.ndarray) -> np.ndarray:
     """
     hk = np.fft.fft2(kernel, axes=(0, 1))
     energy = np.sqrt(np.sum(np.abs(hk) ** 2, axis=(-2, -1)) / 2.0)
-    return np.fft.ifft2(-hk / energy[..., None, None], axes=(0, 1))
+    return _hermitian_part(np.fft.ifft2(-hk / energy[..., None, None], axes=(0, 1)))
 
 
-def check_flat_band(h: np.ndarray, hflat: np.ndarray) -> None:
-    """Check that hflat is the flattened Hamiltonian -sign(h) at half filling.
+def _hermitian_part(kernel: np.ndarray) -> np.ndarray:
+    """(F(d) + F(-d)^H) / 2: its spread is _hermitize(_spread(F)) bit for
+    bit, because entry (i, j) of that is (F(d)[a, b] + conj(F(-d)[b, a])) / 2
+    with d the offset from site j to site i.  So the spread is exactly
+    hermitian, with no full-size copy."""
+    neg = -np.arange(kernel.shape[0]) % kernel.shape[0]
+    return (kernel + kernel[np.ix_(neg, neg)].conj().swapaxes(-2, -1)) / 2.0
 
-    Flatness ||hflat^2 - 1||_F and the commutator ||[h, hflat]||_F (one
-    GEMM each; [h, hflat] = A - A^H with A = h hflat for hermitian h and
-    hflat) must vanish to FLAT_TOL, the second relative to max(1, ||h||_F);
-    the commutator catches a Fourier sign slip, which flatness and filling
-    do not.  |tr hflat| < 1/2 makes the +1 and -1 eigenspaces equally large.
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Circular convolution (a * b)(d) = sum_e a(e) b(d - e) of two kernels:
+    the kernel of _spread(a) @ _spread(b).
+
+    Index arithmetic, no transform: one step per lattice row e_1 where a has
+    a nonzero entry, each a gather of b along d - e and one product per
+    offset d, so the work is O(L^4) and no temporary exceeds (L, L, L, 2, 2).
     """
-    n = h.shape[0]
-    flat = float(np.linalg.norm(hflat @ hflat - np.eye(n)))
-    if flat > FLAT_TOL:
+    L = a.shape[0]
+    back = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L  # back[d, e] = d - e
+    # cols[x, d_2, (e_2, j), k] = b(x, d_2 - e_2)[j, k]
+    cols = b[:, back].reshape(L, L, 2 * L, 2)
+    out = np.zeros((L * L, 2, 2), dtype=complex)
+    for e1 in np.flatnonzero(a.reshape(L, -1).any(axis=1)):
+        # out[d, i, k] += sum over (e_2, j) of a(e_1, e_2)[i, j] b(d - e)[j, k]
+        row = a[e1].transpose(1, 0, 2).reshape(2, 2 * L)
+        out += row @ cols[back[:, e1]].reshape(L * L, 2 * L, 2)
+    return out.reshape(L, L, 2, 2)
+
+
+def _flat_band_defects(kernel: np.ndarray, flat: np.ndarray):
+    """(||hflat^2 - 1||_F, ||[h, hflat]||_F, ||h||_F, tr hflat) for
+    h = _spread(kernel) and hflat = _spread(flat), from the kernels alone.
+
+    The spread of a kernel G has Frobenius norm L ||G||, products of spreads
+    are spreads of convolutions (_convolve), and tr hflat = L^2 tr F(0).
+    hflat h is the block transpose of h^T hflat^T, so both products of the
+    commutator loop over the few nonzero rows of K.
+    """
+    L = kernel.shape[0]
+    square = _convolve(flat, flat)
+    square[0, 0] -= np.eye(2)
+    kt, ft = kernel.swapaxes(-2, -1), flat.swapaxes(-2, -1)
+    comm = _convolve(kernel, flat) - _convolve(kt, ft).swapaxes(-2, -1)
+    return (L * float(np.linalg.norm(square)), L * float(np.linalg.norm(comm)),
+            L * float(np.linalg.norm(kernel)), L * L * float(np.trace(flat[0, 0]).real))
+
+
+def check_flat_band(kernel: np.ndarray, flat: np.ndarray) -> None:
+    """Check that the kernel flat gives the flattened Hamiltonian -sign(h)
+    at half filling, h the spread of kernel (_flat_band_defects).
+
+    Flatness ||hflat^2 - 1||_F and the commutator ||[h, hflat]||_F must
+    vanish to FLAT_TOL, the second relative to max(1, ||h||_F); the
+    commutator catches a Fourier sign slip, which flatness and filling do
+    not.  |tr hflat| < 1/2 makes the +1 and -1 eigenspaces equally large.
+    """
+    flat_defect, comm, h_norm, trace = _flat_band_defects(kernel, flat)
+    if flat_defect > FLAT_TOL:
         raise InternalConsistencyError(f"flattened h is not an involution: "
-                                       f"||hflat^2 - 1||_F = {flat:.3e}")
-    a = h @ hflat
-    comm = float(np.linalg.norm(a - a.conj().T))
-    if comm > FLAT_TOL * max(1.0, float(np.linalg.norm(h))):
+                                       f"||hflat^2 - 1||_F = {flat_defect:.3e}")
+    if comm > FLAT_TOL * max(1.0, h_norm):
         raise InternalConsistencyError(f"flattened h does not commute with h: "
                                        f"||[h, hflat]||_F = {comm:.3e}")
-    trace = float(np.trace(hflat).real)
     if abs(trace) >= 0.5:
+        n = 2 * kernel.shape[0] ** 2
         raise InternalConsistencyError(
             f"half filling violated: tr hflat = {trace:.3e} on {n} states")
 
@@ -233,8 +278,9 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     ifft2(-h(k) / |E(k)|) with h(k) = fft2(K) of its translation kernel K,
     and no eigensolve runs.  Each build checks what this route relies on:
     K spread to a dense matrix equals the hopping-loop h entry by entry,
-    and hflat passes check_flat_band (flat, commuting with h, half filled).
-    H is hflat on both sectors, and its spectrum (+-1, half each) is set,
+    and hflat passes check_flat_band (flat, commuting with h, half filled),
+    which reads the two kernels only.  H is hflat on both sectors, exactly
+    hermitian by construction, and its spectrum (+-1, half each) is set,
     not solved for.  D is the odd operator built from the complex position
     x1 + i x2 with coordinates centered at the lattice middle.  The periodic
     seam makes [D, H] grow linearly with L, which the descriptor reports
@@ -262,13 +308,14 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
 
     npb = L * L
     kernel = _qwz_kernel(L, m)
-    h = _spread(kernel)
-    if not np.array_equal(h, _qwz_hopping_loop(L, m)):
+    if not np.array_equal(_spread(kernel), _qwz_hopping_loop(L, m)):
         raise InternalConsistencyError("lattice kernel disagrees with the hopping loop")
-    hflat = _spread(_flat_kernel(kernel))
+    flat = _flat_kernel(kernel)
+    check_flat_band(kernel, flat)
+    hflat = _spread(flat)
     space = GradedSpace(2 * npb, 2 * npb, symmetry=_quarter_turn(L))
-    H = GradedOperator.even_from_blocks(space, hflat, hflat, hermitian=True)
-    check_flat_band(h, H.block("+", "+"))
+    # exactly hermitian already: _flat_kernel hermitizes the kernel
+    H = GradedOperator._even_built(space, hflat, hflat)
     # by check_flat_band: eigenvalues +-1, npb of each sign in each sector
     H._eigvals_cache = np.repeat([-1.0, 1.0], 2 * npb)
 
@@ -449,33 +496,37 @@ def parse_model(spec_str: str) -> ModelDescriptor:
             raise ModelArgumentError(f"model seed must be non-negative, got {seed}")
         return seed
 
-    if name == "oscillator":
-        desc = oscillator_dirac(geti("n"))
-    elif name == "qwz":
-        desc = qwz_chern_model(geti("L"), getf("m"))
-    elif name == "mk":
-        desc = mk_block_example(geti("k"), get_seed(), blocks=geti("blocks", 3))
-    elif name == "random":
-        base = oscillator_dirac(geti("n", 40))
-        strength = getf("strength", 0.02)
-        if strength < 0:
-            raise ModelArgumentError(f"random strength must be non-negative, "
-                                     f"got {strength}")
-        seed = get_seed()
-        width = getf("width", base.rho_max / 8.0)
-        if width <= 0:
-            raise ModelArgumentError(f"random band width must be positive, "
-                                     f"got {width}")
-        desc = ModelDescriptor(
-            name="random", parameters={"n": base.parameters["n"],
-                                       "strength": strength, "seed": seed,
-                                       "width": width},
-            D=base.D, H=random_lipschitz(base.D, strength, seed, width),
-            rho_max=base.rho_max, truncation_fraction=base.truncation_fraction,
-            gap_bound=float("nan"),
-        )
-    else:
-        raise ModelArgumentError(f"unknown model {name!r}")
+    # a model too large for memory fails at its first allocation, at once
+    try:
+        if name == "oscillator":
+            desc = oscillator_dirac(geti("n"))
+        elif name == "qwz":
+            desc = qwz_chern_model(geti("L"), getf("m"))
+        elif name == "mk":
+            desc = mk_block_example(geti("k"), get_seed(), blocks=geti("blocks", 3))
+        elif name == "random":
+            base = oscillator_dirac(geti("n", 40))
+            strength = getf("strength", 0.02)
+            if strength < 0:
+                raise ModelArgumentError(f"random strength must be non-negative, "
+                                         f"got {strength}")
+            seed = get_seed()
+            width = getf("width", base.rho_max / 8.0)
+            if width <= 0:
+                raise ModelArgumentError(f"random band width must be positive, "
+                                         f"got {width}")
+            desc = ModelDescriptor(
+                name="random", parameters={"n": base.parameters["n"],
+                                           "strength": strength, "seed": seed,
+                                           "width": width},
+                D=base.D, H=random_lipschitz(base.D, strength, seed, width),
+                rho_max=base.rho_max, truncation_fraction=base.truncation_fraction,
+                gap_bound=float("nan"),
+            )
+        else:
+            raise ModelArgumentError(f"unknown model {name!r}")
+    except MemoryError as exc:
+        raise ModelArgumentError(f"model {spec_str!r} does not fit in memory: {exc}") from None
     if args:
         raise ModelArgumentError(f"unused model arguments: {sorted(args)}")
     return desc

@@ -156,6 +156,14 @@ def test_scales_out_of_float_range_exit_two(capsys, argv):
     assert err.startswith("error: ") and "must be finite floats" in err
 
 
+def test_model_too_large_for_memory_exits_two(capsys):
+    # its first array asks for 1.42 PiB, a request refused at once
+    code, out, err = run(capsys, "compute", "--model", "oscillator:n=10000000", "--auto")
+    assert code == 2
+    assert out == ""
+    assert "model 'oscillator:n=10000000' does not fit in memory" in err
+
+
 def test_linalg_failure_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("eigensolver did not converge")

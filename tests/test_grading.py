@@ -673,6 +673,20 @@ def test_sectors_diagonal_scans_once(monkeypatch):
     assert ladder_h.sectors_diagonal() and not dense_h.sectors_diagonal()
 
 
+def test_monomial_scan_is_kept_on_the_operator():
+    osc = oscillator_dirac(20)
+    d = osc.D
+    mono = _odd_monomial(d)
+    d.eigenvalues()
+    d.eig()
+    lipschitz_derivative(d, osc.H)
+    assert _odd_monomial(d) is mono
+    dense = random_odd(GradedSpace(4, 3), np.random.default_rng(575))
+    assert _odd_monomial(dense) is None
+    dense.matrix[:] = 0.0  # the kept answer does not look again
+    assert _odd_monomial(dense) is None
+
+
 def test_monomial_check_counts_entries_per_row_and_column():
     space = GradedSpace(3, 3)
     b = np.diag([1.0, 2.0, 3.0]).astype(complex)

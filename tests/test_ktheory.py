@@ -21,7 +21,8 @@ from localizer_lab import (
     qwz_chern_model,
     signature,
 )
-from localizer_lab.ktheory import check_defect, index_from_bundle
+from localizer_lab.ktheory import _idempotency_residual, check_defect, index_from_bundle
+from localizer_lab.models import _qwz_kernel, _spread
 from localizer_lab.errors import (
     ClassInconsistencyError,
     InternalConsistencyError,
@@ -114,6 +115,37 @@ def test_flat_projection_is_kept_only_when_its_defect_passes():
     h._eigvals_cache = np.sign(h.eigenvalues())
     assert np.array_equal(positive_projection(h).matrix,
                           spectral_projection(h).matrix)
+
+
+@pytest.mark.parametrize("L", [8, 9])
+def test_blocked_projection_defect_bounds_the_dense_one(L):
+    proj = positive_projection(qwz_chern_model(L, 1.0).H)
+    residual, slack = _idempotency_residual(proj)
+    assert len(residual) == 8 and slack > 0.0  # four symmetry blocks per sector
+    bound = max(np.linalg.norm(r, 2) for r in residual) + slack
+    dense = np.linalg.norm(proj.matrix @ proj.matrix - proj.matrix, 2)
+    assert bound >= dense
+
+
+def test_symmetric_non_flat_h_keeps_the_func_calc_projection():
+    # h commutes with the quarter turn, so hflat + h / 100 does too and the
+    # gate runs on symmetry blocks; its eigenvalues claim +-1 but are not
+    desc = qwz_chern_model(8, 3.0)
+    block = desc.H.block("+", "+") + _spread(_qwz_kernel(8, 3.0)) / 100.0
+    h = GradedOperator._even_built(desc.space, block, block)
+    h._eigvals_cache = desc.H.eigenvalues()
+    top = (np.eye(len(block)) + block) / 2.0
+    flat = GradedOperator._even_built(desc.space, top, top)
+    residual, _ = _idempotency_residual(flat)
+    assert len(residual) == 8
+    assert np.array_equal(positive_projection(h).matrix, spectral_projection(h).matrix)
+
+
+@pytest.mark.parametrize("L", [8, 9])
+def test_lattice_h_and_projection_are_exactly_hermitian(L):
+    h = qwz_chern_model(L, 1.0).H
+    for m in (h.matrix, positive_projection(h).matrix):
+        assert np.array_equal(m, m.conj().T)
 
 
 # ---------------------------------------------------------------------------

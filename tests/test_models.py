@@ -14,8 +14,12 @@ from localizer_lab import (
     random_lipschitz,
 )
 from localizer_lab.errors import InternalConsistencyError
+from localizer_lab.grading import _hermitize
 from localizer_lab.models import (
+    FLAT_TOL,
+    _flat_band_defects,
     _flat_kernel,
+    _hermitian_part,
     _qwz_hopping_loop,
     _qwz_kernel,
     _rho_max_from_guard,
@@ -221,20 +225,49 @@ def test_kernel_spread_is_the_hopping_loop():
         assert np.array_equal(_spread(_qwz_kernel(L, m)), _qwz_hopping_loop(L, m))
 
 
+def slip_kernel(kernel):
+    """The forward transform in place of the inverse: the kernel at -d, still
+    flat and half filled, but not a function of h."""
+    L = kernel.shape[0]
+    hk = np.fft.fft2(kernel, axes=(0, 1))
+    energy = np.sqrt(np.sum(np.abs(hk) ** 2, axis=(-2, -1)) / 2.0)
+    return _hermitian_part(np.fft.fft2(-hk / energy[..., None, None], axes=(0, 1)) / L**2)
+
+
 def test_flat_band_check_refuses_each_failure():
     L, m = 8, 1.0
     kernel = _qwz_kernel(L, m)
+    check_flat_band(kernel, _flat_kernel(kernel))
+    with pytest.raises(InternalConsistencyError, match="commute"):
+        check_flat_band(kernel, slip_kernel(kernel))
+    with pytest.raises(InternalConsistencyError, match="involution"):
+        check_flat_band(kernel, kernel)
+    identity = np.zeros_like(kernel)
+    identity[0, 0] = np.eye(2)
+    with pytest.raises(InternalConsistencyError, match="half filling"):
+        check_flat_band(kernel, identity)
+
+
+@pytest.mark.parametrize("L", [8, 9, 12])
+def test_flat_band_defects_match_the_dense_norms(L):
+    kernel = _qwz_kernel(L, 1.0)
     h = _spread(kernel)
-    good = _spread(_flat_kernel(kernel))
-    check_flat_band(h, (good + good.conj().T) / 2.0)
-    # the forward transform in place of the inverse: the kernel at -d, still
-    # flat and half filled, but not a function of h
+    for flat in (_flat_kernel(kernel), slip_kernel(kernel), kernel):
+        hflat = _spread(flat)
+        dense = (np.linalg.norm(hflat @ hflat - np.eye(len(h))),
+                 np.linalg.norm(h @ hflat - hflat @ h),
+                 np.linalg.norm(h), np.trace(hflat).real)
+        # the flat kernel's defects are roundoff, far below FLAT_TOL, and
+        # agree only to that absolute level; the others are O(||h||_F)
+        for got, want in zip(_flat_band_defects(kernel, flat), dense):
+            assert got == pytest.approx(want, rel=1e-12, abs=FLAT_TOL / 100)
+
+
+@pytest.mark.parametrize("L", [8, 11, 16])
+def test_hermitized_kernel_spreads_to_the_hermitized_matrix(L):
+    kernel = _qwz_kernel(L, 1.0)
     hk = np.fft.fft2(kernel, axes=(0, 1))
     energy = np.sqrt(np.sum(np.abs(hk) ** 2, axis=(-2, -1)) / 2.0)
-    slip = _spread(np.fft.fft2(-hk / energy[..., None, None], axes=(0, 1)) / L**2)
-    with pytest.raises(InternalConsistencyError, match="commute"):
-        check_flat_band(h, (slip + slip.conj().T) / 2.0)
-    with pytest.raises(InternalConsistencyError, match="involution"):
-        check_flat_band(h, h)
-    with pytest.raises(InternalConsistencyError, match="half filling"):
-        check_flat_band(h, np.eye(len(h), dtype=complex))
+    raw = np.fft.ifft2(-hk / energy[..., None, None], axes=(0, 1))
+    assert np.array_equal(_spread(_flat_kernel(kernel)), _hermitize(_spread(raw)))
+
