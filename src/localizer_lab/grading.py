@@ -238,6 +238,9 @@ class SpectralDecomposition:
     v_val[j] e_(v_idx[j]); ``svd`` reads (V, W, sigma), building a monomial
     V and W on first read.  Either way ``order`` sorts the unsorted
     eigenvalues, and the n x n U is only assembled when ``vectors`` is read.
+    ``compress``, ``compress_diagonal`` and ``columns`` give an even H and
+    the basis itself on a window S of the sector basis diag(V, W), so no
+    caller unpacks either form of the frame.
     """
 
     eigenvalues: np.ndarray
@@ -260,6 +263,62 @@ class SpectralDecomposition:
             self.odd_frames = (_monomial_matrix(v_idx, v_val),
                                _monomial_matrix(w_idx, w_val))
         return (*self.odd_frames, self.singular_values)
+
+    def compress(self, H: "GradedOperator", s_plus: np.ndarray,
+                 s_minus: np.ndarray) -> tuple:
+        """(V_S^H H_+ V_S, W_S^H H_- W_S) for the window S = (s_plus, s_minus)
+        of the sector basis, each hermitian bit-exactly.
+
+        A monomial frame gives the gather h[idx_S, idx_S] times
+        conj(val_i) val_j, skipped when all are 1 and formed by _phased.  An
+        SVD frame takes the whole sector product, hermitized, then S.
+        """
+        out = []
+        for s, cols, frame in zip("+-", (s_plus, s_minus), self.monomial or self.odd_frames):
+            h = H.block(s, s)
+            if self.monomial is None:
+                out.append(_hermitize(frame.conj().T @ h @ frame)[np.ix_(cols, cols)])
+                continue
+            idx, val = frame[0][cols], frame[1][cols]
+            t = h[np.ix_(idx, idx)]
+            out.append(t if np.all(val == 1.0) else _phased(t, val[:, None], val))
+        return tuple(out)
+
+    def compress_diagonal(self, H: "GradedOperator", s_plus: np.ndarray,
+                          s_minus: np.ndarray) -> np.ndarray | None:
+        """The diagonals of compress(H, s_plus, s_minus), concatenated, when
+        both products are diagonal by structure; None otherwise.
+
+        That is the pair test: a monomial frame and exactly diagonal sector
+        blocks of H (sectors_diagonal).  The gathered sites are distinct, so
+        no entry of the site diagonal lands off the diagonal, and a phase
+        keeps a zero zero.  Only h[idx_S, idx_S] is gathered, phased by the
+        operations of compress: conj(val_i) val_i.
+        """
+        if self.monomial is None or not H.sectors_diagonal():
+            return None
+        out = []
+        for s, cols, (idx, val) in zip("+-", (s_plus, s_minus), self.monomial):
+            idx, val = idx[cols], val[cols]
+            t = H.block(s, s)[idx, idx]
+            out.append(t if np.all(val == 1.0) else _phased(t, val, val))
+        return np.concatenate(out)
+
+    def columns(self, s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
+        """U_S, the columns S = (s_plus, s_minus) of diag(V, W), as an n x |S|
+        array; a monomial frame places their entries with no n x n V or W."""
+        parts = []
+        for cols, frame in zip((s_plus, s_minus), self.monomial or self.odd_frames):
+            if self.monomial is None:
+                parts.append(frame[:, cols])
+                continue
+            part = np.zeros((len(frame[0]), len(cols)), dtype=complex)
+            part[frame[0][cols], np.arange(len(cols))] = frame[1][cols]
+            parts.append(part)
+        (top, bottom), k, a = parts, len(parts[0]), len(s_plus)
+        u = np.zeros((k + len(bottom), a + len(s_minus)), dtype=complex)
+        u[:k, :a], u[k:, a:] = top, bottom
+        return u
 
     @property
     def vectors(self) -> np.ndarray:
@@ -292,6 +351,14 @@ class SpectralDecomposition:
         return self.frame
 
 
+def _phased(t: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """t times conj(left) right, broadcast, in real arithmetic: a complex
+    multiply may fuse one of its two products (FMA) and break hermiticity."""
+    x, y, u, w = left.real, left.imag, right.real, right.imag
+    p_re, p_im = x * u + y * w, x * w - y * u
+    return (t.real * p_re - t.imag * p_im) + 1j * (t.real * p_im + t.imag * p_re)
+
+
 def _frame_defects(m: np.ndarray, w: np.ndarray, u: np.ndarray):
     """Frobenius norms of T U - U diag(w) and U^H U - 1."""
     residual = np.linalg.norm(m @ u - u * w)
@@ -319,7 +386,7 @@ class GradedOperator:
     """
 
     __slots__ = ("matrix", "space", "parity", "hermitian", "_eig", "_eigvals_cache",
-                 "_sectors_diagonal", "_monomial")
+                 "_diagonal", "_monomial")
 
     def __init__(self, matrix, space: GradedSpace, parity: str = "none",
                  hermitian: bool = False):
@@ -340,7 +407,7 @@ class GradedOperator:
         self.hermitian = bool(hermitian)
         self._eig = None
         self._eigvals_cache = None
-        self._sectors_diagonal = None
+        self._diagonal = {}
         self._monomial = _UNSCANNED
 
     # -- constructors ------------------------------------------------------
@@ -358,7 +425,7 @@ class GradedOperator:
         op.hermitian = hermitian
         op._eig = None
         op._eigvals_cache = None
-        op._sectors_diagonal = None
+        op._diagonal = {}
         op._monomial = _UNSCANNED
         return op
 
@@ -412,15 +479,21 @@ class GradedOperator:
         """Lower-left block, the part mapping the positive into the negative sector."""
         return self.block("-", "+")
 
-    def sectors_diagonal(self) -> bool:
-        """Whether both sector blocks are exactly diagonal (is_diagonal).
+    def sector_diagonal(self, s: str) -> bool:
+        """Whether the sector block (s, s) is exactly diagonal (is_diagonal).
 
-        The O(n^2) scan runs on the first call and its answer is kept, like
-        the spectral data: a sweep asks once per cell of the same H.
+        The O(n^2) scan of a sector runs on the first call and its answer is
+        kept, like the spectral data: eigenvalues and the pair test of a
+        sweep's cells all ask it of the same H.
         """
-        if self._sectors_diagonal is None:
-            self._sectors_diagonal = all(is_diagonal(self.block(s, s)) for s in "+-")
-        return self._sectors_diagonal
+        if s not in self._diagonal:
+            self._diagonal[s] = is_diagonal(self.block(s, s))
+        return self._diagonal[s]
+
+    def sectors_diagonal(self) -> bool:
+        """Whether both sector blocks are exactly diagonal; stops at the first
+        that is not."""
+        return all(self.sector_diagonal(s) for s in "+-")
 
     # -- spectral data -----------------------------------------------------
 
@@ -549,7 +622,11 @@ class GradedOperator:
             if not self.hermitian:
                 raise DomainError("eigenvalues require a hermitian operator")
             if self.parity == "even":
-                w = np.concatenate([_sector_eigvalsh(self.block(s, s)) for s in "+-"])
+                # an exactly diagonal sector's spectrum is its real diagonal
+                w = np.concatenate([np.diagonal(self.block(s, s)).real.copy()
+                                    if self.sector_diagonal(s)
+                                    else np.linalg.eigvalsh(self.block(s, s))
+                                    for s in "+-"])
             elif self.parity == "odd":
                 mono = _odd_monomial(self)
                 if mono is None:
@@ -569,14 +646,6 @@ class GradedOperator:
 def is_diagonal(m: np.ndarray) -> bool:
     """Whether every off-diagonal entry of the square m is exactly zero."""
     return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
-
-
-def _sector_eigvalsh(block: np.ndarray) -> np.ndarray:
-    """Spectrum of a hermitian sector block: its real diagonal when the block
-    is exactly diagonal, else one eigvalsh."""
-    if is_diagonal(block):
-        return np.diagonal(block).real.copy()
-    return np.linalg.eigvalsh(block)
 
 
 @dataclass
@@ -670,7 +739,7 @@ def _odd_monomial(op: GradedOperator):
     sort, so a dense B is rejected in O(n^2), by the first count.  The
     lattice's diag(z) and the ladder's shifted diagonal are monomial.  The
     scan runs on the first call and its answer is kept on the operator,
-    like sectors_diagonal's: eigenvalues, eig and lipschitz_derivative all
+    like sector_diagonal's: eigenvalues, eig and lipschitz_derivative all
     ask it of the same D.
     """
     if op._monomial is _UNSCANNED:

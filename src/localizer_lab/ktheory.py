@@ -165,21 +165,19 @@ def _idempotency_residual(p: GradedOperator):
     return residual, slack
 
 
-def check_defect(residual, limit: float, what: str, slack: float = 0.0) -> None:
+def check_defect(blocks: list, limit: float, what: str, slack: float = 0.0) -> None:
     """Fail unless the operator norm of a residual, plus slack, is at most limit.
 
-    The residual is a matrix, a GradedOperator, or the list of diagonal
-    blocks of a block-diagonal one.  ||R||_2 <= ||R||_F, so a Frobenius
-    norm (the root sum of squares of the block norms) within the limit
-    passes on O(n^2) work.  Otherwise the exact operator norm decides, the
-    largest over the blocks, and it is the value the error reports, so
-    every verdict matches a gate on the exact norm.  slack, added to either
-    norm, bounds how far the gated operator lies from the blocks' direct
-    sum (a Weyl term of symmetry blocks).
+    The residual is given as the list of diagonal blocks of a block-diagonal
+    matrix.  ||R||_2 <= ||R||_F, so a Frobenius norm (the root sum of
+    squares of the block norms) within the limit passes on O(n^2) work.
+    Otherwise the exact operator norm decides, the largest over the blocks,
+    and it is the value the error reports, so every verdict matches a gate
+    on the exact norm.  slack, added to either norm, bounds how far the
+    gated operator lies from the blocks' direct sum (a Weyl term of
+    symmetry blocks).
     """
-    blocks = residual if isinstance(residual, list) else [residual]
-    frobenius = functools.reduce(np.hypot, (
-        np.linalg.norm(b.matrix if isinstance(b, GradedOperator) else b) for b in blocks))
+    frobenius = functools.reduce(np.hypot, (np.linalg.norm(b) for b in blocks))
     if frobenius + slack <= limit:
         return
     value = max(operator_norm(b) for b in blocks) + slack

@@ -34,11 +34,9 @@ from .grading import (
     EPS_INV,
     GradedOperator,
     GradedSpace,
-    _hermitize,
     eigenvalue_at_cut,
     func_calc,
     gap,
-    is_diagonal,
     lipschitz_derivative,
     operator_norm,
     symmetry_blocks,
@@ -214,15 +212,12 @@ class LocalizerBundle:
             # U gamma U^H = gamma and U^H L U = -gamma off the window S
             # (see _windowed)
             s_plus, s_minus, block = self._window
-            k, a = self.space.n_plus, len(s_plus)
+            a = len(s_plus)
             if block is None:
                 diag, couple = self._pairs
                 gamma_s = np.concatenate([np.ones(a), -np.ones(len(s_minus))])
                 block = _coupled(np.diag(diag + gamma_s), a, couple)
-            v, w_left, _ = self._D.eig().svd
-            u = np.zeros((self.space.n, len(block)), dtype=complex)
-            u[:k, :a] = v[:, s_plus]
-            u[k:, a:] = w_left[:, s_minus]
+            u = self._D.eig().columns(s_plus, s_minus)
             lm = (u @ block) @ u.conj().T
             lm[np.diag_indices_from(lm)] -= self.space.gamma_diag
             self._L = GradedOperator(lm, self.space, parity="none", hermitian=True)
@@ -316,14 +311,16 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     Let S_+ and S_- be the columns where a window is nonzero.  Off them
     U^H L U = -gamma, uncoupled from the rest, so it adds n_+ - |S_+|
     eigenvalues -1 and n_- - |S_-| eigenvalues +1, and only the block L_S
-    on S is solved.  When H[S_+, S_+] and H[S_-, S_-] in the sector basis
-    have exactly zero off-diagonals (_window_h), L_S is exactly a direct
-    sum of the 2 x 2 blocks of the pairs (v_i, w_i) and the 1 x 1 blocks of
-    the unpaired columns.  That pair route forms only O(|S|) arrays: L_S's
-    diagonal, entry by entry the operations of the dense block, and the
-    pair couplings, kept for ``L``; its spectrum is one stacked eigvalsh of
-    the (|pairs|, 2, 2) blocks plus the unpaired diagonal entries.  Every
-    other L_S is formed whole, goes to eigvalsh and is kept as L_S + gamma_S.
+    on S is solved.  D's decomposition compresses H to S: when its pair
+    test passes (compress_diagonal: a monomial frame and exactly diagonal
+    sector blocks of H), H[S_+, S_+] and H[S_-, S_-] in the sector basis
+    are diagonal and L_S is exactly a direct sum of the 2 x 2 blocks of the
+    pairs (v_i, w_i) and the 1 x 1 blocks of the unpaired columns.  That
+    pair route forms only O(|S|) arrays: L_S's diagonal, entry by entry the
+    operations of the dense block, and the pair couplings, kept for ``L``;
+    its spectrum is one stacked eigvalsh of the (|pairs|, 2, 2) blocks plus
+    the unpaired diagonal entries.  Every other L_S is formed whole from
+    compress, goes to eigvalsh and is kept as L_S + gamma_S.
     """
     dec = D.eig()
     sv = dec.singular_values
@@ -345,10 +342,10 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     p = len(pairs)
     couple = params.kappa * f_out[pairs] ** 2 * sv[pairs]
 
-    h_diag, h_blocks = _window_h(H, D, s_plus, s_minus)
+    h_diag = dec.compress_diagonal(H, s_plus, s_minus)
     if h_diag is None:
         block = np.zeros((a + b, a + b), dtype=complex)
-        block[:a, :a], block[a:, a:] = h_blocks
+        block[:a, :a], block[a:, a:] = dec.compress(H, s_plus, s_minus)
         block *= (g * f)[:, None]
         block *= f
         block[np.diag_indices(a + b)] -= g * tail[support]
@@ -376,74 +373,6 @@ def _coupled(block: np.ndarray, a: int, couple: np.ndarray) -> np.ndarray:
     i = np.arange(len(couple))
     block[a + i, i] = block[i, a + i] = couple
     return block
-
-
-def _window_h(H: GradedOperator, D: GradedOperator, s_plus: np.ndarray,
-              s_minus: np.ndarray):
-    """H on the window S in D's sector basis: (diagonal, None) when both
-    sector blocks there have exactly zero off-diagonals, else (None, blocks).
-
-    With a monomial frame, exactly diagonal site-basis sector blocks of H
-    (H.sectors_diagonal, one scan per H) give that case with no (|S|, |S|)
-    array: the gathered sites are
-    distinct, so no entry of the site diagonal lands off the diagonal, and
-    a phase keeps a zero zero.  Only h[idx_S, idx_S] is gathered, phased by
-    the operations of _window_product (_window_diagonal).  Any other H forms
-    both products, V_S^H H_+ V_S and W_S^H H_- W_S, and tests them.
-    """
-    dec = D.eig()
-    h_plus, h_minus = H.block("+", "+"), H.block("-", "-")
-    if dec.monomial is not None and H.sectors_diagonal():
-        v_phased, w_phased = dec.monomial
-        return np.concatenate([_window_diagonal(h_plus, v_phased, s_plus),
-                               _window_diagonal(h_minus, w_phased, s_minus)]), None
-    if dec.monomial is None:
-        v, w_left, _ = dec.svd
-        v_phased = w_phased = None
-    else:
-        v = w_left = None
-        v_phased, w_phased = dec.monomial
-    top = _window_product(h_plus, v, v_phased, s_plus)
-    bottom = _window_product(h_minus, w_left, w_phased, s_minus)
-    if is_diagonal(top) and is_diagonal(bottom):
-        return np.concatenate([np.diagonal(top), np.diagonal(bottom)]), None
-    return None, (top, bottom)
-
-
-def _window_product(h: np.ndarray, basis: np.ndarray | None, phased: tuple | None,
-                    cols: np.ndarray) -> np.ndarray:
-    """basis_S^H h basis_S for the columns S = cols, hermitian bit-exactly.
-
-    A phased permutation basis (phased = (idx, val), column j = val[j]
-    e_(idx[j])) gives the gather h[idx_S, idx_S] times conj(val_i) val_j,
-    skipped when all are 1 and formed by _phased.  Any other basis takes
-    the whole sector product, hermitized, then S.
-    """
-    if phased is None:
-        return _hermitize(basis.conj().T @ h @ basis)[np.ix_(cols, cols)]
-    idx, val = phased[0][cols], phased[1][cols]
-    t = h[np.ix_(idx, idx)]
-    if np.all(val == 1.0):
-        return t
-    return _phased(t, val[:, None], val)
-
-
-def _window_diagonal(h: np.ndarray, phased: tuple, cols: np.ndarray) -> np.ndarray:
-    """The diagonal of _window_product(h, None, phased, cols), entry for
-    entry by the same operations: h[idx_S, idx_S] times conj(val_i) val_i."""
-    idx, val = phased[0][cols], phased[1][cols]
-    t = h[idx, idx]
-    if np.all(val == 1.0):
-        return t
-    return _phased(t, val, val)
-
-
-def _phased(t: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """t times conj(left) right, broadcast, in real arithmetic: a complex
-    multiply may fuse one of its two products (FMA) and break hermiticity."""
-    x, y, u, w = left.real, left.imag, right.real, right.imag
-    p_re, p_im = x * u + y * w, x * w - y * u
-    return (t.real * p_re - t.imag * p_im) + 1j * (t.real * p_im + t.imag * p_re)
 
 
 # ----------------------------------------------------------------------------

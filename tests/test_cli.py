@@ -238,6 +238,24 @@ def test_verify_suites_run_on_one_blas_thread(capsys, monkeypatch):
     assert counts == [1, 1]
 
 
+def test_ladder_sweep_scans_each_sector_of_h_once(capsys, monkeypatch):
+    # the benchmark's grid: gap(H) and the pair test of all 12 cells read
+    # one kept flag per sector of H = 1
+    from localizer_lab import grading
+
+    scanned = []
+    scan = grading.is_diagonal
+
+    def counting(m):
+        scanned.append(m.shape)
+        return scan(m)
+    monkeypatch.setattr(grading, "is_diagonal", counting)
+    code, out, err = run(capsys, "sweep", "--model", "oscillator:n=400",
+                         "--kappa", "0.5,1.0,2.0", "--rho", "2.0,4.0,8.0,16.0")
+    assert code == 0 and "admissible_cells=12" in out
+    assert scanned == [(400, 400), (399, 399)]
+
+
 def test_sweep_requires_both_grids(capsys):
     code, out, err = run(capsys, "sweep", "--model", "oscillator:n=20",
                          "--kappa", "0.5")

@@ -671,6 +671,25 @@ def test_sectors_diagonal_scans_once(monkeypatch):
         raise AssertionError("the answer is kept")
     monkeypatch.setattr(grading, "is_diagonal", no_scan)
     assert ladder_h.sectors_diagonal() and not dense_h.sectors_diagonal()
+    # the spectrum reads the same per-sector flags
+    assert np.array_equal(ladder_h.eigenvalues(), np.sort(np.diagonal(ladder_h.matrix).real))
+    assert not diagonal_top.sectors_diagonal() and diagonal_top.sector_diagonal("+")
+    diagonal_top.eigenvalues()
+
+
+def test_sectors_diagonal_stops_at_the_first_dense_sector(monkeypatch):
+    h = random_even(GradedSpace(4, 3), np.random.default_rng(571))
+    scanned = []
+    scan = grading.is_diagonal
+
+    def spy(m):
+        scanned.append(m.shape)
+        return scan(m)
+    monkeypatch.setattr(grading, "is_diagonal", spy)
+    assert not h.sectors_diagonal()
+    assert scanned == [(4, 4)]
+    h.eigenvalues()
+    assert scanned == [(4, 4), (3, 3)]
 
 
 def test_monomial_scan_is_kept_on_the_operator():

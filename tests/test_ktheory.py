@@ -329,20 +329,18 @@ def test_dirac_path_rejects_even_perturbation():
 
 
 def test_defect_gate_passes_on_frobenius_bound():
-    check_defect(np.full((3, 3), 1e-12), 1e-10, "defect")
+    check_defect([np.full((3, 3), 1e-12)], 1e-10, "defect")
 
 
 def test_defect_gate_falls_back_to_exact_norm():
     # ||R||_F = 1.8e-10 exceeds the limit but ||R||_2 = 0.9e-10 does not
     passing = np.diag([0.9e-10] * 4)
     assert np.linalg.norm(passing) > 1e-10
-    check_defect(passing, 1e-10, "defect")
-    space = GradedSpace(2, 2)
-    check_defect(GradedOperator(passing, space, parity="even"), 1e-10, "defect")
+    check_defect([passing], 1e-10, "defect")
 
     failing = np.diag([3e-10, 1e-11, 0.0, 0.0])
     with pytest.raises(InternalConsistencyError, match=r"defect 3\.000e-10 exceeds"):
-        check_defect(failing, 1e-10, "defect")
+        check_defect([failing], 1e-10, "defect")
 
 
 def test_defect_gate_on_sector_blocks_matches_the_whole():
@@ -353,7 +351,7 @@ def test_defect_gate_on_sector_blocks_matches_the_whole():
         whole = np.diag(diag).astype(complex)
         blocks = [whole[:2, :2], whole[2:, 2:]]
         verdicts = []
-        for residual in (whole, blocks):
+        for residual in ([whole], blocks):
             try:
                 check_defect(residual, 1e-10, "defect")
                 verdicts.append(True)

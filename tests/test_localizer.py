@@ -19,9 +19,8 @@ from localizer_lab import (
     sharp_localizer,
     signature,
 )
-import localizer_lab.localizer as localizer
+import localizer_lab.grading as grading
 from localizer_lab.localizer import (
-    _window_product,
     certificate_residual,
     measure_constants,
     square_residuals,
@@ -447,19 +446,34 @@ def sector_basis(D):
 
 
 def assert_window_products(H, D):
-    """_window_product on every column and on a scattered window of each
-    sector matches basis_S^H H_s basis_S and is hermitian bit-exactly."""
+    """On every column and on a scattered window of each sector: compress
+    matches basis_S^H H_s basis_S and is hermitian bit-exactly, columns is
+    diag(V, W) on S, and compress_diagonal gives the products' diagonals
+    exactly when the one pair rule holds (a monomial frame and exactly
+    diagonal sectors of H), else None."""
     dec = D.eig()
     v, w_left, _ = dec.svd
-    scale = operator_norm(H)
-    for basis, sector, phased in zip((v, w_left), "+-", dec.monomial or (None, None)):
-        h = H.block(sector, sector)
-        m = basis.shape[1]
-        for cols in (np.arange(m), np.arange(1, m, 3)):
-            blk = _window_product(h, basis, phased, cols)
+    k, scale = D.space.n_plus, operator_norm(H)
+    paired = dec.monomial is not None and all(
+        is_diagonal(H.block(s, s)) for s in "+-")
+    for start, step in ((0, 1), (1, 3)):
+        s_plus = np.arange(start, k, step)
+        s_minus = np.arange(start, D.space.n_minus, step)
+        blocks = dec.compress(H, s_plus, s_minus)
+        for blk, basis, sector, cols in zip(blocks, (v, w_left), "+-", (s_plus, s_minus)):
             u_s = basis[:, cols]
+            h = H.block(sector, sector)
             assert np.abs(blk - u_s.conj().T @ h @ u_s).max() <= 1e-13 * scale
             assert np.array_equal(blk, blk.conj().T)
+        u = np.zeros((D.space.n, len(s_plus) + len(s_minus)), dtype=complex)
+        u[:k, :len(s_plus)], u[k:, len(s_plus):] = v[:, s_plus], w_left[:, s_minus]
+        assert np.array_equal(dec.columns(s_plus, s_minus), u)
+        diag = dec.compress_diagonal(H, s_plus, s_minus)
+        if paired:
+            assert all(is_diagonal(blk) for blk in blocks)
+            assert np.array_equal(diag, np.concatenate([np.diagonal(b) for b in blocks]))
+        else:
+            assert diag is None
 
 
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
@@ -621,7 +635,7 @@ def test_phased_frame_compresses_a_dense_h_by_gathers(case, monkeypatch):
 
     def no_hermitize(m):
         raise AssertionError("a phased frame needs no hermitization")
-    monkeypatch.setattr(localizer, "_hermitize", no_hermitize)
+    monkeypatch.setattr(grading, "_hermitize", no_hermitize)
     assert_window_products(H, D)
 
 
@@ -687,10 +701,10 @@ def eager_gather(h, idx, val):
 
 
 def eager_windowed(H, D, params, inner, outer):
-    """(eigenvalues, L_S, L) of the windowed localizer, with the dense L_S
-    always formed: the pair formula when both sector blocks of H on S are
-    exactly diagonal, else one eigvalsh of L_S; L = U_S (L_S + gamma_S) U_S^H
-    - gamma."""
+    """(eigenvalues, L_S, L) of the windowed localizer of a monomial D, with
+    the dense L_S always formed: the pair formula when both site-basis
+    sector blocks of H are exactly diagonal (the one pair rule), else one
+    eigvalsh of L_S; L = U_S (L_S + gamma_S) U_S^H - gamma."""
     dec = D.eig()
     v, w_left = eager_frames(dec)
     sv = dec.singular_values
@@ -710,7 +724,7 @@ def eager_windowed(H, D, params, inner, outer):
     block = np.zeros((a + b, a + b), dtype=complex)
     block[:a, :a] = eager_gather(H.block("+", "+"), v_idx[s_plus], v_val[s_plus])
     block[a:, a:] = eager_gather(H.block("-", "-"), w_idx[s_minus], w_val[s_minus])
-    paired = is_diagonal(block[:a, :a]) and is_diagonal(block[a:, a:])
+    paired = is_diagonal(H.block("+", "+")) and is_diagonal(H.block("-", "-"))
     f = f_in[support]
     block *= (g * f)[:, None]
     block *= f
@@ -777,9 +791,8 @@ def test_lazy_frame_and_compact_pairs_match_the_eager_formulas(case):
     bundle = assemble_localizer(H, D, PHI, constant_C(kappa, rho, H, D, PHI))
     assert not bundle.phi_identity
     dec = D.eig()
-    # the pair route keeps no dense block, and nothing has formed V or W
+    # the pair route keeps no dense block
     assert (bundle._window[2] is None) == paired
-    assert dec.odd_frames is None
 
     eigs, l_s, lm = eager_windowed(H, D, bundle.params, PHI.scaled(rho),
                                    PHI.scaled(2.0 * rho))
@@ -793,6 +806,8 @@ def test_lazy_frame_and_compact_pairs_match_the_eager_formulas(case):
         assert np.array_equal(couple, l_s[a + i, i]) and np.array_equal(couple, l_s[i, a + i])
         assert np.count_nonzero(l_s) == np.count_nonzero(diag) + 2 * np.count_nonzero(couple)
     assert np.array_equal(bundle.L.matrix, lm)
+    # L came from the columns on S: nothing has formed the n x n V or W
+    assert dec.odd_frames is None
     v, w_left = eager_frames(dec)
     lazy_v, lazy_w, sv = dec.svd
     assert np.array_equal(lazy_v, v) and np.array_equal(lazy_w, w_left)
@@ -803,37 +818,7 @@ def test_lazy_frame_and_compact_pairs_match_the_eager_formulas(case):
     residual, orth = dense_frame_defects(D)
     assert abs(dec.residual - residual) <= 1e-15 * np.linalg.norm(D.matrix)
     assert abs(dec.orth_defect - orth) <= 1e-15
-
-
-def test_pair_route_follows_the_window_not_the_site_basis(monkeypatch):
-    # H couples sites whose frame columns all lie outside the window S: H is
-    # not site-diagonal, yet its blocks on S are, so L_S is still pairs
-    H0, D = monomial_pair(14, 20, 87)
-    kappa, rho = 1.0, 0.5
-    dec = D.eig()
-    sv = dec.singular_values
-    x = np.concatenate([sv, np.zeros(20 - len(sv))])
-    outside = (PHI.scaled(rho)(x) == 0.0) & (PHI.scaled(2.0 * rho)(x) == 0.0)
-    (v_idx, _), (w_idx, _) = dec.monomial
-    far_plus, far_minus = v_idx[outside[:14]], w_idx[outside[:20]]
-    assert len(far_plus) >= 2 and len(far_minus) >= 2
-    h = H0.matrix.copy()
-    k = D.space.n_plus
-    for i, j in ((far_plus[0], far_plus[1]), (k + far_minus[0], k + far_minus[1])):
-        h[i, j] = 0.3 + 0.1j
-        h[j, i] = 0.3 - 0.1j
-    H = GradedOperator(h, D.space, parity="even", hermitian=True)
-    assert not is_diagonal(H.block("+", "+")) and not is_diagonal(H.block("-", "-"))
-
-    params = constant_C(kappa, rho, H, D, PHI)
-    calls = spy_eigvalsh(monkeypatch)
-    bundle = assemble_localizer(H, D, PHI, params)
-    (arg, _), = calls
-    assert arg.ndim == 3 and arg.shape[1:] == (2, 2)
-    assert bundle._window[2] is None
-    eigs, _, lm = eager_windowed(H, D, params, PHI.scaled(rho), PHI.scaled(2.0 * rho))
-    assert np.array_equal(bundle.eigenvalues, eigs)
-    assert np.array_equal(bundle.L.matrix, lm)
+    assert_window_products(H, D)
 
 
 def traced_peak(fn):
