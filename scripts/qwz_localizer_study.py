@@ -38,7 +38,7 @@ def study_mass(L: int, m: float, kappas, phi) -> None:
     chern = chern_number_bz(desc.bloch, desc.n_occupied, desc.bloch_lipschitz)
     Q = positive_projection(H)
     comp = compressed_index(Q, D)
-    print(f"\n=== qwz L={L} m={m} (n={H.matrix.shape[0]}) ===")
+    print(f"\n=== qwz L={L} m={m} (n={H.space.n}) ===")
     print(f"gap(H)={gap_h:.4f} |d(H)|={dh:.4f} |D|={d_norm:.4f} "
           f"rho_max={desc.rho_max:.4f}")
     print(f"chern_bz={chern.value}  compressed={comp.value} "

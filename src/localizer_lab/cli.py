@@ -268,8 +268,9 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     config = _resolve_config(args)
     phi = config.phi()
-    # every matrix of the suites has dimension <= 200, too small for a
-    # second BLAS thread to pay for itself
+    # the suites' random instances have dimension <= 80 and their largest
+    # matrices n = 400 (the zoo's qwz:L=10), too small for a second BLAS
+    # thread to pay for itself
     with one_blas_thread():
         results = run_suite(args.suite, phi, base_seed=config.seed)
     lines = [r.line() for r in results]

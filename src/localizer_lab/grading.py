@@ -208,15 +208,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def _block_diagonal(space: GradedSpace, top, bottom) -> np.ndarray:
-    """The complex n x n matrix with sector blocks top and bottom."""
-    m = np.zeros((space.n, space.n), dtype=complex)
-    k = space.n_plus
-    m[:k, :k] = top
-    m[k:, k:] = bottom
-    return m
-
-
 def _dead_blocks_zero(m: np.ndarray, space: GradedSpace, parity: str) -> bool:
     k = space.n_plus
     if parity == "even":
@@ -380,13 +371,26 @@ def _pin_phases(cols: np.ndarray, ref: np.ndarray) -> np.ndarray:
 class GradedOperator:
     """A matrix on a graded space with parity and hermiticity bookkeeping.
 
-    Hermitian inputs are symmetrized on construction, so ``matrix`` equals its
-    own conjugate transpose bit-exactly whenever ``hermitian`` is set.  Parity
-    labels are checked against exact block sparsity and rejected otherwise.
+    An operator keeps the structure its constructor knows, and forms the
+    n x n ``matrix`` only when that is read, which then holds every block:
+    - a dense matrix (the public constructor, _built).  Hermitian inputs are
+      symmetrized, so ``matrix`` equals its own conjugate transpose
+      bit-exactly whenever ``hermitian`` is set, and parity labels are
+      checked against exact block sparsity;
+    - the two sector blocks of an even operator, one array when they are
+      equal (_even_built);
+    - the lower block of an odd operator, and its upper block unless that is
+      +-(lower block)^H by construction (_odd_built);
+    - the entries (rows, cols, z) of a monomial odd block, whose lower block
+      is formed when first read (_monomial_built);
+    - a gather of its entries, for an operator that is a formula in others
+      (_gathered).
+    ``block`` and ``gather`` read every form without the n x n matrix.
     """
 
-    __slots__ = ("matrix", "space", "parity", "hermitian", "_eig", "_eigvals_cache",
-                 "_diagonal", "_monomial")
+    __slots__ = ("_matrix", "_blocks", "_adjoint", "_take", "space", "parity",
+                 "hermitian", "_eig", "_eigvals_cache", "_diagonal", "_monomial",
+                 "_splits")
 
     def __init__(self, matrix, space: GradedSpace, parity: str = "none",
                  hermitian: bool = False):
@@ -401,16 +405,31 @@ class GradedOperator:
             raise ParityError(
                 f"operator declared {parity} has nonzero forbidden blocks"
             )
-        self.matrix = m
+        self._init(space, parity, bool(hermitian), matrix=m)
+
+    def _init(self, space: GradedSpace, parity: str, hermitian: bool, matrix=None,
+              blocks=None, adjoint: int = 0, monomial=_UNSCANNED, take=None):
+        self._matrix = matrix
+        self._blocks = blocks
+        self._adjoint = adjoint
+        self._take = take
         self.space = space
         self.parity = parity
-        self.hermitian = bool(hermitian)
+        self.hermitian = hermitian
         self._eig = None
         self._eigvals_cache = None
         self._diagonal = {}
-        self._monomial = _UNSCANNED
+        self._monomial = monomial
+        self._splits = {}
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _new(cls, space: GradedSpace, parity: str, hermitian: bool,
+             **storage) -> "GradedOperator":
+        op = cls.__new__(cls)
+        op._init(space, parity, hermitian, **storage)
+        return op
 
     @classmethod
     def _built(cls, m: np.ndarray, space: GradedSpace, parity: str,
@@ -418,36 +437,69 @@ class GradedOperator:
         """Wrap a complex matrix that has, by construction, the exact block
         sparsity and hermiticity its labels claim: no copy, no
         symmetrization, no scan of the forbidden blocks."""
-        op = cls.__new__(cls)
-        op.matrix = m
-        op.space = space
-        op.parity = parity
-        op.hermitian = hermitian
-        op._eig = None
-        op._eigvals_cache = None
-        op._diagonal = {}
-        op._monomial = _UNSCANNED
-        return op
+        return cls._new(space, parity, hermitian, matrix=m)
+
+    @classmethod
+    def _even_built(cls, space: GradedSpace, top: np.ndarray, bottom: np.ndarray,
+                    hermitian: bool = True) -> "GradedOperator":
+        """Even operator kept as its complex sector blocks, which have by
+        construction the hermiticity its label claims: no copy, no
+        symmetrization.  One array passed twice stays one."""
+        if top.shape != (space.n_plus,) * 2 or bottom.shape != (space.n_minus,) * 2:
+            raise ValueError("sector blocks do not match the space")
+        return cls._new(space, "even", hermitian,
+                        blocks={("+", "+"): top, ("-", "-"): bottom})
+
+    @classmethod
+    def _odd_built(cls, space: GradedSpace, lower: np.ndarray,
+                   upper: np.ndarray | None = None, adjoint: int = 1,
+                   hermitian: bool = True) -> "GradedOperator":
+        """Odd operator kept as its complex lower block (positive to negative
+        sector) and its upper block, or, when upper is None, with the upper
+        block adjoint * lower^H formed only when read: adjoint 1 for a
+        hermitian operator, -1 for an anti-hermitian one."""
+        if lower.shape != (space.n_minus, space.n_plus):
+            raise ValueError(
+                f"lower block must be {space.n_minus} x {space.n_plus}, got {lower.shape}"
+            )
+        blocks = {("-", "+"): lower}
+        if upper is not None:
+            blocks[("+", "-")] = upper
+        return cls._new(space, "odd", hermitian, blocks=blocks,
+                        adjoint=0 if upper is not None else adjoint)
+
+    @classmethod
+    def _monomial_built(cls, space: GradedSpace, rows: np.ndarray, cols: np.ndarray,
+                        z: np.ndarray) -> "GradedOperator":
+        """Hermitian odd operator whose lower block B is monomial, kept as the
+        entries B[rows, cols] = z: at most one per row and per column.
+
+        The zero entries are dropped and the rest put in row order, so the
+        record is the answer _odd_monomial's scan of B would give.
+        """
+        z = np.asarray(z, dtype=complex)
+        keep = np.flatnonzero(z != 0)
+        keep = keep[np.argsort(rows[keep], kind="stable")]
+        return cls._new(space, "odd", True, blocks={}, adjoint=1,
+                        monomial=(rows[keep], cols[keep], z[keep]))
+
+    @classmethod
+    def _gathered(cls, space: GradedSpace, parity: str, hermitian: bool,
+                  take: Callable) -> "GradedOperator":
+        """Operator kept as take(ri, ci), its entries at np.ix_(ri, ci) as a
+        fresh complex array; ``matrix`` is take over every index."""
+        return cls._new(space, parity, hermitian, take=take)
 
     @classmethod
     def even_from_blocks(cls, space: GradedSpace, top, bottom, hermitian=False):
-        """Even operator with diagonal blocks top and bottom.
+        """Even operator with diagonal blocks top and bottom, copied.
 
         A hermitian one symmetrizes each block: the off-diagonal blocks are
         zero, so this gives the full-size (m + m^H) / 2 bit for bit.
         """
-        m = _block_diagonal(space, top, bottom)
-        k = space.n_plus
-        if hermitian:
-            m[:k, :k] = _hermitize(m[:k, :k])
-            m[k:, k:] = _hermitize(m[k:, k:])
-        return cls._built(m, space, "even", bool(hermitian))
-
-    @classmethod
-    def _even_built(cls, space: GradedSpace, top, bottom) -> "GradedOperator":
-        """Hermitian even operator from two sector blocks that are exactly
-        hermitian by construction: no symmetrization and no scan."""
-        return cls._built(_block_diagonal(space, top, bottom), space, "even", True)
+        top, bottom = (_hermitize(np.asarray(b, dtype=complex)) if hermitian
+                       else np.array(b, dtype=complex) for b in (top, bottom))
+        return cls._even_built(space, top, bottom, bool(hermitian))
 
     @classmethod
     def odd_from_block(cls, space: GradedSpace, lower):
@@ -468,16 +520,122 @@ class GradedOperator:
 
     # -- block access ------------------------------------------------------
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n x n matrix, formed from the kept structure on first read."""
+        if self._matrix is None:
+            self._matrix = self._form()
+            self._blocks = None  # the matrix holds every block now
+        return self._matrix
+
+    def _form(self) -> np.ndarray:
+        if self._take is not None:
+            every = np.arange(self.space.n)
+            return self._take(every, every)
+        k, n = self.space.n_plus, self.space.n
+        span = {"+": slice(0, k), "-": slice(k, n)}
+        m = np.zeros((n, n), dtype=complex)
+        for r, c in self._cells():
+            m[span[r], span[c]] = self.block(r, c)
+        return m
+
+    def _cells(self) -> tuple:
+        """The sector blocks (row, col) that the parity lets be nonzero."""
+        if self.parity == "even":
+            return ("+", "+"), ("-", "-")
+        if self.parity == "odd":
+            return ("-", "+"), ("+", "-")
+        return ("+", "+"), ("-", "+"), ("+", "-"), ("-", "-")
+
     def block(self, row: str, col: str) -> np.ndarray:
         k = self.space.n_plus
-        r = slice(0, k) if row == "+" else slice(k, self.space.n)
-        c = slice(0, k) if col == "+" else slice(k, self.space.n)
-        return self.matrix[r, c]
+        if self._blocks is None:
+            r = slice(0, k) if row == "+" else slice(k, self.space.n)
+            c = slice(0, k) if col == "+" else slice(k, self.space.n)
+            return self.matrix[r, c]
+        cell = (row, col)
+        if cell in self._blocks:
+            return self._blocks[cell]
+        size = {"+": k, "-": self.space.n_minus}
+        if cell not in self._cells():
+            return np.zeros((size[row], size[col]), dtype=complex)
+        if cell == ("+", "-"):
+            upper = self.block("-", "+").conj().T
+            block = np.ascontiguousarray(upper if self._adjoint > 0 else -upper)
+        else:
+            rows, cols, z = self._monomial
+            block = np.zeros((size[row], size[col]), dtype=complex)
+            block[rows, cols] = z
+        self._blocks[cell] = block
+        return block
+
+    def gather(self, ri: np.ndarray, ci: np.ndarray, row: str | None = None,
+               col: str | None = None) -> np.ndarray:
+        """M[np.ix_(ri, ci)] as a fresh C-contiguous array, for M the block
+        (row, col), or the whole operator when row is None, read from the
+        structure the operator keeps.  Whole gathers take sector_runs:
+        positive-sector indices first, as the orbit basis lists them.
+
+        A whole gather of block storage places each sector's gather; one of
+        an upper block adjoint * lower^H, or of monomial entries, is formed
+        entry by entry, with the operations that forming the block would take.
+        """
+        if self._blocks is None:
+            if self._take is not None and row is None:
+                return self._take(ri, ci)
+            m = self.matrix if row is None else self.block(row, col)
+            return m[np.ix_(ri, ci)]
+        if row is None:
+            x = np.zeros((len(ri), len(ci)), dtype=complex)
+            for r, rs, r_local in sector_runs(self.space, ri):
+                for c, cs, c_local in sector_runs(self.space, ci):
+                    if (r, c) in self._cells():
+                        x[rs, cs] = self.gather(r_local, c_local, r, c)
+            return x
+        cell = (row, col)
+        if cell in self._blocks:
+            return self._blocks[cell][np.ix_(ri, ci)]
+        if cell not in self._cells():
+            return np.zeros((len(ri), len(ci)), dtype=complex)
+        if cell == ("+", "-"):
+            # entry (i, j) of adjoint * lower^H is adjoint * conj(lower[j, i])
+            upper = self.gather(ci, ri, "-", "+").T.conj()
+            return np.ascontiguousarray(upper if self._adjoint > 0 else -upper)
+        rows, cols, z = self._monomial
+        col_of = np.full(self.space.n_minus, -1)
+        col_of[rows] = cols
+        entry = np.zeros(self.space.n_minus, dtype=complex)
+        entry[rows] = z
+        return np.where(col_of[ri][:, None] == ci[None, :], entry[ri][:, None], 0)
+
+    def sector_blocks(self) -> tuple:
+        """(top, bottom) of an even operator: the same array twice when it
+        keeps one block for both sectors."""
+        return self.block("+", "+"), self.block("-", "-")
+
+    def sectors_equal(self) -> bool:
+        """Whether the two sector blocks are equal; one kept array is, with
+        no scan."""
+        top, bottom = self.sector_blocks()
+        return top is bottom or np.array_equal(top, bottom)
 
     @property
     def odd_block(self) -> np.ndarray:
         """Lower-left block, the part mapping the positive into the negative sector."""
         return self.block("-", "+")
+
+    def _frobenius(self) -> float:
+        """||M||_F from the structure the operator keeps."""
+        if self._blocks is None:
+            return float(np.linalg.norm(self.matrix))
+        if self._adjoint:
+            # the upper block has the lower block's norm, and monomial
+            # entries have their block's
+            lower = self._blocks.get(("-", "+"))
+            norm = np.linalg.norm(self._monomial[2] if lower is None else lower)
+            return float(np.hypot(norm, norm))
+        return float(functools.reduce(np.hypot, (np.linalg.norm(self.block(*cell))
+                                                  for cell in self._cells())))
 
     def sector_diagonal(self, s: str) -> bool:
         """Whether the sector block (s, s) is exactly diagonal (is_diagonal).
@@ -559,11 +717,11 @@ class GradedOperator:
         same Frobenius norm taken over O(n) entries (_product_defect,
         _gram_defect).
         """
-        b = self.odd_block
-        n_minus, n_plus = b.shape
+        n_plus, n_minus = self.space.n_plus, self.space.n_minus
         mono = _odd_monomial(self)
         odd_frames = monomial = None
         if mono is None:
+            b = self.odd_block
             w_left, sv, vh = np.linalg.svd(b)
             r = len(sv)
             v = vh.conj().T
@@ -596,7 +754,7 @@ class GradedOperator:
             odd_frames=odd_frames, monomial=monomial)
 
     def _check_frame(self, residual: float, orth: float) -> None:
-        scale = np.linalg.norm(self.matrix)
+        scale = self._frobenius()
         if residual > EPS_EIG * max(scale, 1e-300):
             raise InternalConsistencyError(
                 f"eigendecomposition residual {residual:.3e} exceeds "
@@ -643,6 +801,17 @@ class GradedOperator:
         return self._eigvals_cache
 
 
+def sector_runs(space: GradedSpace, idx: np.ndarray) -> tuple:
+    """((s, run, local), ...) for s = "+" and "-": idx[run] are the indices
+    of idx in sector s, and local those indices within the sector.  Every
+    positive-sector index must come before every negative one."""
+    k = space.n_plus
+    p = int(np.count_nonzero(idx < k))
+    if np.any(idx[:p] >= k):
+        raise ValueError("indices must list the positive sector first")
+    return ("+", slice(0, p), idx[:p]), ("-", slice(p, len(idx)), idx[p:] - k)
+
+
 def is_diagonal(m: np.ndarray) -> bool:
     """Whether every off-diagonal entry of the square m is exactly zero."""
     return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
@@ -666,25 +835,37 @@ class SymmetryBlocks:
 
 def symmetry_blocks(op: GradedOperator, row: str | None = None,
                     col: str | None = None) -> SymmetryBlocks:
-    """Blocks of M = op.block(row, col), or of M = op.matrix without
-    sectors, in the orbit basis of the space's symmetry S.  When the space
-    has no S, or weyl exceeds SYM_TOL times ||M||_F / sqrt(min(shape)), a
-    lower bound of ||M||_2, the one block is M itself and weyl is 0.
+    """Blocks of M = op.block(row, col), or of the whole op without sectors,
+    in the orbit basis of the space's symmetry S (_split).  The split is
+    kept on op, one per (row, col), like its spectral data: the projection
+    gate and the compressed oracle both read the same sector of P.
+    """
+    if (row, col) not in op._splits:
+        op._splits[row, col] = _split(op, row, col)
+    return op._splits[row, col]
 
-    Everything comes from N^2 phased gathers of M, one per pair of orbit
-    steps (k, l), each with one entry per pair of orbits, so the work is
-    O(n^2) and no full-size copy of M is made.  Along d = k - l the
-    gathers X_l = sqrt(m_p m_q) conj(Phi_(l+d)) Phi_l M[I_(l+d), I_l] / N
+
+def _split(op: GradedOperator, row: str | None, col: str | None) -> SymmetryBlocks:
+    """symmetry_blocks, computed.  When the space has no S, or weyl exceeds
+    SYM_TOL times ||M||_F / sqrt(min(shape)), a lower bound of ||M||_2, the
+    one block is M itself and weyl is 0.
+
+    Everything comes from N^2 phased gathers of M (op.gather), one per pair
+    of orbit steps (k, l), each with one entry per pair of orbits, so the
+    work is O(n^2) and neither M nor a full-size copy of it is formed.
+    Along d = k - l the gathers
+    X_l = sqrt(m_p m_q) conj(Phi_(l+d)) Phi_l M[I_(l+d), I_l] / N
     (orbit sizes m, Phi extended by Phi_(k+N) = power Phi_k) close a cycle.
     S M S^-1 - M is, entry by entry and up to phases and the repeats of
     short orbits, X_(l+1) - X_l, so delta^2 = sum ||X_(l+1) - X_l||_F^2;
     and the block of mu is sum_d mu^d A_d / N with A_d = sum_l X_l.
     """
-    m = op.matrix if row is None else op.block(row, col)
-    whole = SymmetryBlocks([m], 0.0)
+    def whole():
+        return SymmetryBlocks([op.matrix if row is None else op.block(row, col)], 0.0)
+
     sym = op.space.symmetry
     if sym is None:
-        return whole
+        return whole()
     k, n = op.space.n_plus, op.space.n
     span = {None: (0, n), "+": (0, k), "-": (k, n)}
     rows, cols = span[row], span[col]
@@ -700,7 +881,7 @@ def symmetry_blocks(op: GradedOperator, row: str | None = None,
         for l in range(order):
             j = (l + d) % order
             lead = r_phi[:, j] if l + d < order else orbits.power * r_phi[:, j]
-            x = m[np.ix_(r_idx[:, j], c_idx[:, l])]
+            x = op.gather(r_idx[:, j], c_idx[:, l], row, col)
             x *= np.outer(lead.conj(), c_phi[:, l])
             norm2 += _sum_sq(x)
             if prev is None:
@@ -712,8 +893,8 @@ def symmetry_blocks(op: GradedOperator, row: str | None = None,
         delta2 += _sum_sq(first - prev)
         acc.append(total)
     weyl = (order - 1) / 2.0 * float(np.sqrt(delta2))
-    if weyl > SYM_TOL * np.sqrt(norm2 / max(1, min(m.shape))):
-        return whole
+    if weyl > SYM_TOL * np.sqrt(norm2 / max(1, min(rows[1] - rows[0], cols[1] - cols[0]))):
+        return whole()
     blocks = []
     for i, mu in enumerate(orbits.mu):
         b = sum(mu**d * a for d, a in enumerate(acc)) / order
@@ -740,7 +921,8 @@ def _odd_monomial(op: GradedOperator):
     lattice's diag(z) and the ladder's shifted diagonal are monomial.  The
     scan runs on the first call and its answer is kept on the operator,
     like sector_diagonal's: eigenvalues, eig and lipschitz_derivative all
-    ask it of the same D.
+    ask it of the same D.  An operator built from its entries
+    (_monomial_built) holds the answer from the start.
     """
     if op._monomial is _UNSCANNED:
         op._monomial = None
@@ -850,7 +1032,8 @@ def operator_norm(op) -> float:
     method's structure routes (diagonal sectors, monomial odd blocks).  An
     odd operator whose upper block is exactly +-(lower block)^H, such as
     the commutator of two hermitian operators, has the singular values of its
-    lower block alone; that exact O(n^2) check saves the second block SVD.
+    lower block alone; that exact O(n^2) check, or the constructor's record
+    of it, saves the second block SVD.
     A block with no nonzero entry, such as the odd block of a commutator
     that vanishes exactly, has top singular value 0 and takes no SVD.
     """
@@ -863,12 +1046,12 @@ def operator_norm(op) -> float:
         w = op.eigenvalues()
         return float(np.abs(w).max(initial=0.0))
     if op.parity == "odd":
-        lower, upper = op.block("-", "+"), op.block("+", "-")
-        adjoint = lower.conj().T
-        if np.array_equal(upper, -adjoint) or np.array_equal(upper, adjoint):
-            cells = (("-", "+"),)
-        else:
-            cells = (("-", "+"), ("+", "-"))
+        cells = (("-", "+"),)
+        if not op._adjoint:
+            lower, upper = op.block("-", "+"), op.block("+", "-")
+            adjoint = lower.conj().T
+            if not (np.array_equal(upper, -adjoint) or np.array_equal(upper, adjoint)):
+                cells = (("-", "+"), ("+", "-"))
     elif op.parity == "even":
         cells = (("+", "+"), ("-", "-"))
     else:
@@ -894,8 +1077,10 @@ def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,
     An odd [[0, B^H], [B, 0]] with B = W S V^H has
     f(T) = [[V e V^H, V o W^H], [W o V^H, W e W^H]], where e and o are the
     even and odd parts of f on +-sigma, and f(0) extends e over the kernel
-    columns of V or W.  Only the blocks ``parity`` allows are formed, so the
-    forbidden ones are exactly zero.  Parity "none" uses U diag(f) U^H.
+    columns of V or W.  Only the blocks ``parity`` allows are formed and
+    kept, so the forbidden ones are exactly zero; an odd f(T) is exactly
+    hermitian as its lower block and that block's adjoint.  Parity "none"
+    uses U diag(f) U^H.
     """
     if dec.sectors is None and dec.singular_values is None:
         out = (dec.vectors * vals) @ dec.vectors.conj().T
@@ -911,17 +1096,20 @@ def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,
     v, w_left, sv = dec.svd
     r, n = len(sv), op.space.n
     f_minus, f_zero, f_plus = unsorted[:r], unsorted[r:n - r], unsorted[n - r:]
-    m = np.zeros((n, n), dtype=complex)
     if parity != "odd":
         # only the larger sector has kernel columns, past its r paired ones
         ext = np.concatenate([(f_plus + f_minus) / 2.0, f_zero])
-        m[:k, :k] = (v * ext[:k]) @ v.conj().T
-        m[k:, k:] = (w_left * ext[:n - k]) @ w_left.conj().T
-    if parity != "even":
-        lower = (w_left[:, :r] * ((f_plus - f_minus) / 2.0)) @ v[:, :r].conj().T
-        m[k:, :k] = lower
-        m[:k, k:] = lower.conj().T
-    return GradedOperator(m, op.space, parity=parity, hermitian=True)
+        top = (v * ext[:k]) @ v.conj().T
+        bottom = (w_left * ext[:n - k]) @ w_left.conj().T
+        if parity == "even":
+            return GradedOperator.even_from_blocks(op.space, top, bottom, hermitian=True)
+    lower = (w_left[:, :r] * ((f_plus - f_minus) / 2.0)) @ v[:, :r].conj().T
+    if parity == "odd":
+        return GradedOperator._odd_built(op.space, lower)
+    m = np.zeros((n, n), dtype=complex)
+    m[:k, :k], m[k:, k:] = top, bottom
+    m[k:, :k], m[:k, k:] = lower, lower.conj().T
+    return GradedOperator(m, op.space, hermitian=True)
 
 
 def func_calc(f: Callable, op: GradedOperator) -> GradedOperator:
@@ -968,8 +1156,9 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
 
     For parity-labelled D and T only the blocks the product parity allows
     are formed, each from the one nonzero block of D and of T it involves.
-    When both are hermitian the commutator is anti-hermitian, so an odd one
-    takes its upper block as -(lower block)^H.  An odd hermitian D with a
+    The result keeps only those blocks.  When both are hermitian the
+    commutator is anti-hermitian, so an odd one keeps its lower block alone,
+    its upper block being -(lower block)^H.  An odd hermitian D with a
     monomial odd block B[rows, cols] = z (_odd_monomial: the lattice's
     diag(z), the ladder's shifted diagonal) multiplies entrywise, with no
     GEMM: B X puts z_j X[cols_j, :] in row rows_j and X B puts
@@ -982,9 +1171,8 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
         m = d_op.matrix @ op.matrix - op.matrix @ d_op.matrix
         return GradedOperator(m, op.space, parity=parity, hermitian=False)
 
-    k = op.space.n_plus
-    rows = {"+": slice(0, k), "-": slice(k, op.space.n)}
     other = {"+": "-", "-": "+"}
+    size = {"+": op.space.n_plus, "-": op.space.n_minus}
     mono = _odd_monomial(d_op)
     d_entries = None
     if mono is not None:
@@ -993,25 +1181,29 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
         # (gathered, they raised a lattice pass's peak RSS by 10 MB)
         i, j, z = _as_run(mono[0]), _as_run(mono[1]), mono[2]
         d_entries = {"-": (i, j, z), "+": (j, i, z.conj())}
-    m = np.zeros((op.space.n, op.space.n), dtype=complex)
+    anti = d_op.hermitian and op.hermitian
+    blocks = {}
     cells = [("+", "+"), ("-", "-")] if parity == "even" else [("-", "+"), ("+", "-")]
     for r, c in cells:
-        if (r, c) == ("+", "-") and d_op.hermitian and op.hermitian:
-            m[rows[r], rows[c]] = -m[rows[c], rows[r]].conj().T
-            continue
+        if (r, c) == ("+", "-") and anti:
+            continue  # -(lower block)^H, formed only when read
         via_d = r if d_op.parity == "even" else other[r]
         via_t = r if op.parity == "even" else other[r]
         if d_entries is None:
-            m[rows[r], rows[c]] = (d_op.block(r, via_d) @ op.block(via_d, c)
-                                   - op.block(r, via_t) @ d_op.block(via_t, c))
-        else:
-            out = m[rows[r], rows[c]]
-            i, j, val = d_entries[r]
-            out[i] = val[:, None] * op.block(via_d, c)[j]
-            i, j, val = d_entries[via_t]
-            out[:, j] -= op.block(r, via_t)[:, i] * val[None, :]
-    # fresh, and zero outside the cells the parity allows: no copy, no scan
-    return GradedOperator._built(m, op.space, parity, False)
+            blocks[r, c] = (d_op.block(r, via_d) @ op.block(via_d, c)
+                            - op.block(r, via_t) @ d_op.block(via_t, c))
+            continue
+        out = blocks[r, c] = np.zeros((size[r], size[c]), dtype=complex)
+        i, j, val = d_entries[r]
+        out[i] = val[:, None] * op.block(via_d, c)[j]
+        i, j, val = d_entries[via_t]
+        out[:, j] -= op.block(r, via_t)[:, i] * val[None, :]
+    # fresh, and only the cells the parity allows: no copy, no scan
+    if parity == "even":
+        return GradedOperator._even_built(op.space, blocks["+", "+"], blocks["-", "-"],
+                                          hermitian=False)
+    return GradedOperator._odd_built(op.space, blocks["-", "+"], blocks.get(("+", "-")),
+                                     adjoint=-1, hermitian=False)
 
 
 def gap(op: GradedOperator) -> float:

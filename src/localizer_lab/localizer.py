@@ -39,6 +39,7 @@ from .grading import (
     gap,
     lipschitz_derivative,
     operator_norm,
+    sector_runs,
     symmetry_blocks,
 )
 from .localizing import LocalizingFunction
@@ -254,10 +255,8 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     Phi_in = inner(D), Phi_out = outer(D) and kappa = params.kappa; both
     windows are even functions.  H must be even and D odd, both hermitian.
     When both windows are 1 on every eigenvalue of D, L = gamma H + kappa D
-    is formed directly, skipping all function calculus; it is hermitian
-    bit-exactly, since gamma H is the even hermitian H with its negative
-    sector negated and kappa D only fills the blocks H leaves zero.  Its
-    spectrum comes from one eigvalsh per block of symmetry_blocks, with
+    skips all function calculus and is kept as H and D (_identity_window).
+    Its spectrum comes from one eigvalsh per block of symmetry_blocks, with
     their Weyl bound as eig_error (one whole block and 0 when the symmetry
     is missing or fails).  Otherwise _windowed assembles L in D's sector
     basis.
@@ -268,12 +267,7 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     d_eigs = D.eigenvalues()
     if (np.all(np.asarray(inner(d_eigs), dtype=float) == 1.0)
             and np.all(np.asarray(outer(d_eigs), dtype=float) == 1.0)):
-        # kappa D added in two row halves, the same per-entry sum: the
-        # temporary is half an n x n array, not a whole one
-        lm = H.space.gamma_diag[:, None] * H.matrix
-        for rows in (slice(0, H.space.n_plus), slice(H.space.n_plus, None)):
-            lm[rows] += params.kappa * D.matrix[rows]
-        L = GradedOperator._built(lm, H.space, "none", True)
+        L = _identity_window(H, D, params.kappa)
         split = symmetry_blocks(L)
         eigs = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in split.blocks]))
         bundle = LocalizerBundle(params, D, inner, outer, eigs, L=L,
@@ -289,6 +283,30 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
             f"(min |eig| = {min_abs:.3e}); the certificate is violated"
         )
     return bundle
+
+
+def _identity_window(H: GradedOperator, D: GradedOperator, kappa: float) -> GradedOperator:
+    """L = gamma H + kappa D, kept as H and D: each gather of L is the gather
+    of H with its negative rows negated plus kappa times the gather of D,
+    read from their sector blocks and entries, so a symmetry block of L
+    needs no n x n array.  Entry by entry these are the operations of the
+    whole sum, kappa applied to D's entries before any phase, so the
+    gathers and the matrix are those of the formed L bit for bit.  L is
+    hermitian bit-exactly: gamma H is the even hermitian H with its negative
+    sector negated and kappa D only fills the blocks H leaves zero.
+    """
+    space = H.space
+
+    def take(ri, ci):
+        x = np.empty((len(ri), len(ci)), dtype=complex)
+        for r, rs, r_local in sector_runs(space, ri):
+            for c, cs, c_local in sector_runs(space, ci):
+                part = x[rs, cs]
+                gamma = 1.0 if r == "+" else -1.0
+                np.multiply(gamma, H.gather(r_local, c_local, r, c), out=part)
+                part += kappa * D.gather(r_local, c_local, r, c)
+        return x
+    return GradedOperator._gathered(space, "none", True, take)
 
 
 def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,

@@ -281,10 +281,11 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     and hflat passes check_flat_band (flat, commuting with h, half filled),
     which reads the two kernels only.  H is hflat on both sectors, exactly
     hermitian by construction, and its spectrum (+-1, half each) is set,
-    not solved for.  D is the odd operator built from the complex position
-    x1 + i x2 with coordinates centered at the lattice middle.  The periodic
-    seam makes [D, H] grow linearly with L, which the descriptor reports
-    rather than hides.  The space carries the quarter turn S = diag(R, i R)
+    not solved for; H keeps the one block hflat for both sectors.  D is the
+    odd operator built from the complex position x1 + i x2 with coordinates
+    centered at the lattice middle, kept as the entries of its diagonal
+    lower block.  The periodic seam makes [D, H] grow linearly with L,
+    which the descriptor reports rather than hides.  The space carries the quarter turn S = diag(R, i R)
     (_quarter_turn), which commutes with H and D: a rotation about the
     lattice middle maps the torus, its seam included, to itself and sends
     x1 + i x2 to i (x1 + i x2).  The lattice kernels split into its four
@@ -321,7 +322,8 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
 
     xs = np.arange(L) - (L - 1) / 2.0
     z = np.repeat((xs[:, None] + 1j * xs[None, :]).ravel(), 2)
-    D = GradedOperator.odd_from_block(space, np.diag(z))
+    sites = np.arange(2 * npb)
+    D = GradedOperator._monomial_built(space, sites, sites, z)
 
     # the pair at +-|z_i| lives on site i alone, in both sectors; np.hypot
     # matches the scalar abs(z_i) bit for bit, np.abs of a complex array

@@ -72,7 +72,7 @@ def graded_kernel_index(D: GradedOperator) -> IndexResult:
     """
     if D.parity != "odd":
         raise PreconditionError("graded kernel index needs an odd operator")
-    n_minus, n_plus = D.odd_block.shape
+    n_plus, n_minus = D.space.n_plus, D.space.n_minus
     # the cached spectrum is sort(-sigma, zeros, sigma) of the odd block: its
     # top min(n_+, n_-) values, reversed, are the block's singular values
     # (abs turns a -0.0 that sorted to the top back into 0.0)

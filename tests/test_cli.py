@@ -256,6 +256,49 @@ def test_ladder_sweep_scans_each_sector_of_h_once(capsys, monkeypatch):
     assert scanned == [(400, 400), (399, 399)]
 
 
+@pytest.mark.parametrize("model, expected", [("qwz:L=8,m=3.0", 0), ("qwz:L=9,m=1.0", 3)])
+def test_lattice_leg_forms_no_n_by_n_operator(capsys, monkeypatch, model, expected):
+    # H, D, the projection P, L = gamma H + kappa D and [D, H] keep their
+    # blocks; L = 9 has unequal symmetry blocks and ends in exit 3
+    from localizer_lab.grading import GradedOperator
+
+    argv = ("compute", "--model", model, "--auto")
+    report = run(capsys, *argv)
+    assert report[0] == expected
+    init = GradedOperator._init
+
+    def no_matrix(op, space, parity, hermitian, matrix=None, **storage):
+        assert matrix is None, f"a {parity} operator was built from an n x n matrix"
+        init(op, space, parity, hermitian, **storage)
+
+    def no_form(op):
+        raise AssertionError(f"the n x n matrix of a {op.parity} operator was formed")
+    monkeypatch.setattr(GradedOperator, "_init", no_matrix)
+    monkeypatch.setattr(GradedOperator, "_form", no_form)
+    assert run(capsys, *argv) == report
+
+
+def test_lattice_leg_splits_each_operator_sector_once(capsys, monkeypatch):
+    # the projection gate and the compressed oracle share P's + sector
+    from localizer_lab import grading
+
+    splits = []
+    split = grading._split
+
+    def counting(op, row, col):
+        splits.append((op, row, col))
+        return split(op, row, col)
+    monkeypatch.setattr(grading, "_split", counting)
+    code, out, err = run(capsys, "compute", "--model", "qwz:L=8,m=3.0", "--auto")
+    assert code == 0
+    keys = [(id(op), row, col) for op, row, col in splits]
+    assert len(set(keys)) == len(keys)
+    # [D, H] and D below the diagonal, L whole, P's two sectors
+    assert sorted((op.parity, str(row), str(col)) for op, row, col in splits) == [
+        ("even", "+", "+"), ("even", "-", "-"), ("none", "None", "None"),
+        ("odd", "-", "+"), ("odd", "-", "+")]
+
+
 def test_sweep_requires_both_grids(capsys):
     code, out, err = run(capsys, "sweep", "--model", "oscillator:n=20",
                          "--kappa", "0.5")

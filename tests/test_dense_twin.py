@@ -6,10 +6,14 @@ monomial odd block to the SVD (grading._odd_monomial), a diagonal sector to
 eigvalsh and the pair test to the dense L_S (GradedOperator.sector_diagonal),
 the lattice to no symmetry, so every block is solved whole
 (models._quarter_turn), and a flat H to func_calc for its projection
-(ktheory.FLAT_EIG_TOL).  Spies record the routes each run takes: the
-structured run must take exactly the routes listed for its command, so a
-renamed or bypassed detector fails here instead of comparing dense with
-dense, and the dense run must take none.
+(ktheory.FLAT_EIG_TOL).  Every structure a constructor records falls back
+to a bare dense matrix: sector blocks (GradedOperator._even_built), a lower
+block (_odd_built), monomial entries (_monomial_built) and the
+identity-window localizer kept as H and D (_gathered).  Spies record the
+routes each run takes: the structured run must take exactly the routes
+listed for its command, so a renamed or bypassed detector or constructor
+fails here instead of comparing dense with dense, and the dense run must
+take none.
 
 Exit codes and every word of stdout (verdicts, admissible flags, keys) are
 equal, and so is every integer token (indices, signatures, counts).  Two
@@ -38,24 +42,32 @@ from localizer_lab.grading import GradedOperator
 REL_TOL = 1e-12
 ABS_TOL = 1e-12
 
+# the constructors that record a structure, and the route each records
+RECORDS = {"_even_built": "sectors", "_odd_built": "lower",
+           "_monomial_built": "entries", "_gathered": "gathered"}
+
 # argv, and the routes the structured run takes
 COMMANDS = {
     "oscillator": (("compute", "--model", "oscillator:n=40", "--auto"),
-                   {"monomial", "diagonal"}),
+                   {"monomial", "diagonal", "lower", "sectors"}),
     "qwz8": (("compute", "--model", "qwz:L=8,m=3.0", "--auto"),
-             {"monomial", "symmetry", "flat"}),
+             {"monomial", "symmetry", "flat", "sectors", "lower", "entries",
+              "gathered"}),
     "qwz9": (("compute", "--model", "qwz:L=9,m=1.0", "--auto"),
-             {"monomial", "symmetry", "flat"}),
+             {"monomial", "symmetry", "flat", "sectors", "lower", "entries",
+              "gathered"}),
     "mk": (("compute", "--model", "mk:k=2,seed=0", "--auto"),
-           {"monomial", "diagonal"}),
+           {"monomial", "diagonal", "lower", "gathered"}),
     "random": (("compute", "--model", "random:n=40,seed=1", "--auto"),
-               {"monomial"}),
+               {"monomial", "lower", "gathered"}),
     "sweep_ladder": (("sweep", "--model", "oscillator:n=60", "--kappa", "0.5,1.0,2.0",
-                      "--rho", "1.0,2.0,4.0"), {"monomial", "diagonal"}),
+                      "--rho", "1.0,2.0,4.0"), {"monomial", "diagonal", "lower"}),
     "sweep_qwz": (("sweep", "--model", "qwz:L=8,m=3.0", "--kappa", "0.5,1.0",
-                   "--rho", "1.0,2.0"), {"monomial", "symmetry"}),
+                   "--rho", "1.0,2.0"), {"monomial", "symmetry", "sectors", "lower",
+                                         "entries"}),
     "verify": (("verify", "identities", "--seed", "0"),
-               {"monomial", "diagonal", "symmetry"}),
+               {"monomial", "diagonal", "symmetry", "sectors", "lower", "entries",
+                "gathered"}),
 }
 
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
@@ -69,21 +81,31 @@ def run(monkeypatch, argv, dense):
         monkeypatch.setattr(GradedOperator, "sector_diagonal", lambda self, s: False)
         monkeypatch.setattr(models, "_quarter_turn", lambda L: None)
         monkeypatch.setattr(ktheory, "FLAT_EIG_TOL", -1.0)
+        for name in RECORDS:
+            record = getattr(GradedOperator, name)
+
+            def bare(*args, record=record, **kwargs):
+                op = record(*args, **kwargs)
+                return GradedOperator._built(op.matrix, op.space, op.parity, op.hermitian)
+            monkeypatch.setattr(GradedOperator, name, staticmethod(bare))
     routes, calcs = set(), []
 
-    def spy(owner, name, route, took):
+    def spy(owner, name, route, took, wrap=lambda f: f):
         fn = getattr(owner, name)
 
-        def wrapped(*args):
-            out = fn(*args)
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
             if took(out):
                 routes.add(route)
             return out
-        monkeypatch.setattr(owner, name, wrapped)
+        monkeypatch.setattr(owner, name, wrap(wrapped))
 
     spy(grading, "_odd_monomial", "monomial", lambda out: out is not None)
     spy(GradedOperator, "sector_diagonal", "diagonal", bool)
     spy(grading, "SymmetryBlocks", "symmetry", lambda out: len(out.blocks) > 1)
+    for name, route in RECORDS.items():
+        # an operator that kept its structure has formed no matrix yet
+        spy(GradedOperator, name, route, lambda out: out._matrix is None, staticmethod)
     # the flat projection is the one that takes no func_calc
     func_calc, projection = ktheory.func_calc, cli.positive_projection
 

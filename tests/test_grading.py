@@ -766,3 +766,75 @@ def test_structured_constructors_match_the_full_route(n_plus, n_minus, hermitian
     odd = GradedOperator.odd_from_block(space, lower)
     assert np.array_equal(odd.matrix, GradedOperator(full, space, parity="odd",
                                                      hermitian=True).matrix)
+
+
+def _kept_operators():
+    """One operator for each structure a constructor records, and a dense one."""
+    rng = np.random.default_rng(580)
+    space = GradedSpace(5, 4)
+    top = random_even(GradedSpace(5, 5), rng).block("+", "+")
+    h = GradedOperator._even_built(GradedSpace(5, 5), top, top)
+    d = GradedOperator._odd_built(space, random_odd(space, rng).odd_block.copy())
+    z = np.array([1.5, -2.0j, 0.0, 0.5 + 0.5j])
+    mono = GradedOperator._monomial_built(space, np.array([3, 0, 1, 2]),
+                                          np.array([4, 1, 0, 2]), z)
+    t = GradedOperator(rng.normal(size=(9, 9)), space, hermitian=True)
+    kept = {"shared-sectors": h, "sectors": random_even(space, rng, hermitian=False),
+            "lower": d, "monomial": mono,
+            "commutator": lipschitz_derivative(mono, random_even(space, rng)),
+            "non-hermitian-commutator": lipschitz_derivative(
+                d, random_even(space, rng, hermitian=False)),
+            "dense": t}
+    return [pytest.param(op, id=name) for name, op in kept.items()]
+
+
+@pytest.mark.parametrize("op", _kept_operators())
+def test_gathers_read_the_kept_structure_bit_for_bit(op):
+    rng = np.random.default_rng(581)
+    k, n = op.space.n_plus, op.space.n
+    size = {"+": k, "-": op.space.n_minus}
+    picks = [(row, col, rng.integers(0, size[row], size=6),
+              rng.integers(0, size[col], size=5)) for row in "+-" for col in "+-"]
+    ri = np.concatenate([rng.permutation(k)[:3], k + rng.permutation(n - k)[:2]])
+    # gathered before any block is formed, then compared with the matrix
+    got = [op.gather(r, c, row, col) for row, col, r, c in picks] + [op.gather(ri, ri)]
+    norm = op._frobenius()
+    dense = GradedOperator._built(op._form(), op.space, op.parity, op.hermitian)
+    want = [dense.gather(r, c, row, col) for row, col, r, c in picks] + [dense.gather(ri, ri)]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    for row in "+-":
+        for col in "+-":
+            assert op.block(row, col).tobytes() == \
+                np.ascontiguousarray(dense.block(row, col)).tobytes()
+    assert norm == pytest.approx(np.linalg.norm(dense.matrix), rel=1e-14)
+
+
+def test_shared_sector_block_stays_shared():
+    from localizer_lab.models import qwz_chern_model
+
+    h = qwz_chern_model(8, 3.0).H
+    top, bottom = h.sector_blocks()
+    assert top is bottom and h.sectors_equal()
+    p_top, p_bottom = positive_projection(h).sector_blocks()
+    assert p_top is p_bottom
+
+
+def test_monomial_record_is_the_scan_of_its_block():
+    space = GradedSpace(4, 5)
+    z = np.array([2.0, 0.0, -1j, 3.0])
+    rows, cols = np.array([4, 0, 2, 1]), np.array([0, 1, 3, 2])
+    kept = GradedOperator._monomial_built(space, rows, cols, z)
+    scanned = GradedOperator.odd_from_block(space, kept.odd_block)
+    for a, b in zip(_odd_monomial(kept), _odd_monomial(scanned)):
+        assert np.array_equal(a, b)
+
+
+def test_commutator_of_hermitian_operators_keeps_its_lower_block_alone(monkeypatch):
+    osc = oscillator_dirac(12)
+    h = random_even(osc.space, np.random.default_rng(582))
+    der = lipschitz_derivative(osc.D, h)
+    assert der._matrix is None and ("+", "-") not in der._blocks
+    compared = []
+    monkeypatch.setattr(np, "array_equal", lambda *a: compared.append(a))
+    assert operator_norm(der) == pytest.approx(np.linalg.norm(der.matrix, 2), rel=1e-12)
+    assert compared == []

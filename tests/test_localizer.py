@@ -846,3 +846,21 @@ def test_ladder_cell_forms_no_square_array():
         bundle = assemble_localizer(H, D, PHI, params)
     assert traced_peak(cell) < 1e6
     assert not bundle.phi_identity and bundle._window[2] is None
+
+
+@pytest.mark.parametrize("L", [8, 9])
+def test_identity_window_blocks_are_those_of_the_formed_localizer(L):
+    # L = gamma H + kappa D, gathered from H's sector blocks and D's entries,
+    # splits bit for bit as the formed n x n sum does, and forms it on read
+    from localizer_lab.localizer import _identity_window
+    from localizer_lab.models import qwz_chern_model
+
+    desc = qwz_chern_model(L, 3.0)
+    H, D, kappa = desc.H, desc.D, 0.37
+    kept = _identity_window(H, D, kappa)
+    formed = GradedOperator._built(H.space.gamma_diag[:, None] * H.matrix
+                                   + kappa * D.matrix, H.space, "none", True)
+    a, b = grading.symmetry_blocks(kept), grading.symmetry_blocks(formed)
+    assert len(a.blocks) == 4 and repr(a.weyl) == repr(b.weyl)
+    assert [x.tobytes() for x in a.blocks] == [y.tobytes() for y in b.blocks]
+    assert kept.matrix.tobytes() == formed.matrix.tobytes()
