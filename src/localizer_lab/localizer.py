@@ -176,8 +176,8 @@ class LocalizerBundle:
     window S of D's sector basis, kept whole or, on the pair route, as its
     diagonal and pair couplings.  ``outer`` is the scalar window
     x -> Phi_2rho(x).  For scales where both windows are the identity on
-    the spectrum of D, L is formed at assembly, the Phi factors are None
-    and phi_identity is set.  ``eig_error`` bounds how far each listed
+    the spectrum of D, L is given at assembly, kept as H and D
+    (_identity_window), the Phi factors are None and phi_identity is set.  ``eig_error`` bounds how far each listed
     eigenvalue may lie from one of L's (the Weyl bound of a symmetry block
     route, else 0), and ``min_abs_eigenvalue`` is the smallest |eigenvalue|
     less eig_error.
