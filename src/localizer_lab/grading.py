@@ -487,7 +487,7 @@ class GradedOperator:
     def _gathered(cls, space: GradedSpace, parity: str, hermitian: bool,
                   take: Callable) -> "GradedOperator":
         """Operator kept as take(ri, ci), its entries at np.ix_(ri, ci) as a
-        fresh complex array; ``matrix`` is take over every index."""
+        fresh complex array; ``matrix`` is take(None, None), every entry."""
         return cls._new(space, parity, hermitian, take=take)
 
     @classmethod
@@ -530,8 +530,7 @@ class GradedOperator:
 
     def _form(self) -> np.ndarray:
         if self._take is not None:
-            every = np.arange(self.space.n)
-            return self._take(every, every)
+            return self._take(None, None)
         k, n = self.space.n_plus, self.space.n
         span = {"+": slice(0, k), "-": slice(k, n)}
         m = np.zeros((n, n), dtype=complex)

@@ -289,22 +289,35 @@ def _identity_window(H: GradedOperator, D: GradedOperator, kappa: float) -> Grad
     """L = gamma H + kappa D, kept as H and D: each gather of L is the gather
     of H with its negative rows negated plus kappa times the gather of D,
     read from their sector blocks and entries, so a symmetry block of L
-    needs no n x n array.  Entry by entry these are the operations of the
+    needs no n x n array; ``matrix``, when read, takes the same sum over
+    whole sector blocks.  Entry by entry these are the operations of the
     whole sum, kappa applied to D's entries before any phase, so the
     gathers and the matrix are those of the formed L bit for bit.  L is
     hermitian bit-exactly: gamma H is the even hermitian H with its negative
     sector negated and kappa D only fills the blocks H leaves zero.
     """
     space = H.space
+    k, n = space.n_plus, space.n
+    # ri = ci = None reads every entry: sector blocks, not gathers
+    every = (("+", slice(0, k), None), ("-", slice(k, n), None))
 
     def take(ri, ci):
-        x = np.empty((len(ri), len(ci)), dtype=complex)
-        for r, rs, r_local in sector_runs(space, ri):
-            for c, cs, c_local in sector_runs(space, ci):
+        if ri is None:
+            x = np.empty((n, n), dtype=complex)
+            row_runs = col_runs = every
+        else:
+            x = np.empty((len(ri), len(ci)), dtype=complex)
+            row_runs, col_runs = sector_runs(space, ri), sector_runs(space, ci)
+        for r, rs, r_local in row_runs:
+            for c, cs, c_local in col_runs:
                 part = x[rs, cs]
                 gamma = 1.0 if r == "+" else -1.0
-                np.multiply(gamma, H.gather(r_local, c_local, r, c), out=part)
-                part += kappa * D.gather(r_local, c_local, r, c)
+                if r_local is None:
+                    h, d = H.block(r, c), D.block(r, c)
+                else:
+                    h, d = H.gather(r_local, c_local, r, c), D.gather(r_local, c_local, r, c)
+                np.multiply(gamma, h, out=part)
+                part += kappa * d
         return x
     return GradedOperator._gathered(space, "none", True, take)
 

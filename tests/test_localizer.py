@@ -864,3 +864,18 @@ def test_identity_window_blocks_are_those_of_the_formed_localizer(L):
     assert len(a.blocks) == 4 and repr(a.weyl) == repr(b.weyl)
     assert [x.tobytes() for x in a.blocks] == [y.tobytes() for y in b.blocks]
     assert kept.matrix.tobytes() == formed.matrix.tobytes()
+
+
+@pytest.mark.parametrize("seed", [45, 46])
+def test_identity_window_matrix_is_the_formed_sum_of_dense_operators(seed):
+    # read from whole sector blocks, not gathers, the matrix of L is the
+    # formed sum bit for bit, and so is every gather read after it
+    from localizer_lab.localizer import _identity_window
+
+    H, D = dense_instance(seed)
+    kappa = 0.37
+    kept = _identity_window(H, D, kappa)
+    formed = H.space.gamma_diag[:, None] * H.matrix + kappa * D.matrix
+    assert kept.matrix.tobytes() == formed.tobytes()
+    idx = np.arange(H.space.n)[::2]
+    assert kept.gather(idx, idx).tobytes() == formed[np.ix_(idx, idx)].tobytes()
