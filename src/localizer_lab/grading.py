@@ -6,10 +6,10 @@ parity label: even operators commute with gamma (block diagonal), odd operators
 anticommute (block off-diagonal).  Parity is enforced at the level of exact
 block sparsity, not up to rounding.  Even and odd operators are diagonalized
 through their blocks (one eigh per sector, or one SVD of the odd block; an
-exactly diagonal sector and a monomial odd block, with at most one nonzero
-per row and per column, need neither), and func_calc forms f(T) block by
-block from that data: the blocks the parity of f(T) forbids are never
-computed, so no result needs snapping to a parity.
+exactly diagonal sector, and a monomial odd block, with at most one nonzero
+per row and per column and built from those entries, need neither), and
+func_calc forms f(T) block by block from that data: the blocks the parity
+of f(T) forbids are never computed, so no result needs snapping to a parity.
 For an odd T = [[0, B^H], [B, 0]] with B = W S V^H, the sector basis
 diag(V, W) keeps gamma diagonal, every even operator block diagonal and
 every even function of T diagonal; an even H in it is the two sector
@@ -54,8 +54,6 @@ TAU_SIG = 1e-8
 SYM_TOL = 1e-3 * TAU_SIG
 
 _PARITIES = ("even", "odd", "none")
-# GradedOperator._monomial before _odd_monomial has scanned the operator
-_UNSCANNED = object()
 
 
 @functools.cache
@@ -373,19 +371,21 @@ class GradedOperator:
 
     An operator keeps the structure its constructor knows, and forms the
     n x n ``matrix`` only when that is read, which then holds every block:
-    - a dense matrix (the public constructor, _built).  Hermitian inputs are
+    - a dense matrix (the public constructor).  Hermitian inputs are
       symmetrized, so ``matrix`` equals its own conjugate transpose
       bit-exactly whenever ``hermitian`` is set, and parity labels are
       checked against exact block sparsity;
     - the two sector blocks of an even operator, one array when they are
       equal (_even_built);
     - the lower block of an odd operator, and its upper block unless that is
-      +-(lower block)^H by construction (_odd_built);
+      +-(lower block)^H by construction (_odd_built, odd_from_block);
     - the entries (rows, cols, z) of a monomial odd block, whose lower block
       is formed when first read (_monomial_built);
     - a gather of its entries, for an operator that is a formula in others
       (_gathered).
-    ``block`` and ``gather`` read every form without the n x n matrix.
+    ``block`` and ``gather`` read every form without the n x n matrix.  Only
+    the entries record marks an odd block as monomial: a dense block with
+    one nonzero per row and per column takes the routes of any other block.
     """
 
     __slots__ = ("_matrix", "_blocks", "_adjoint", "_take", "space", "parity",
@@ -408,7 +408,7 @@ class GradedOperator:
         self._init(space, parity, bool(hermitian), matrix=m)
 
     def _init(self, space: GradedSpace, parity: str, hermitian: bool, matrix=None,
-              blocks=None, adjoint: int = 0, monomial=_UNSCANNED, take=None):
+              blocks=None, adjoint: int = 0, monomial=None, take=None):
         self._matrix = matrix
         self._blocks = blocks
         self._adjoint = adjoint
@@ -430,14 +430,6 @@ class GradedOperator:
         op = cls.__new__(cls)
         op._init(space, parity, hermitian, **storage)
         return op
-
-    @classmethod
-    def _built(cls, m: np.ndarray, space: GradedSpace, parity: str,
-               hermitian: bool) -> "GradedOperator":
-        """Wrap a complex matrix that has, by construction, the exact block
-        sparsity and hermiticity its labels claim: no copy, no
-        symmetrization, no scan of the forbidden blocks."""
-        return cls._new(space, parity, hermitian, matrix=m)
 
     @classmethod
     def _even_built(cls, space: GradedSpace, top: np.ndarray, bottom: np.ndarray,
@@ -474,8 +466,9 @@ class GradedOperator:
         """Hermitian odd operator whose lower block B is monomial, kept as the
         entries B[rows, cols] = z: at most one per row and per column.
 
-        The zero entries are dropped and the rest put in row order, so the
-        record is the answer _odd_monomial's scan of B would give.
+        The zero entries are dropped and the rest put in row order, the
+        order np.nonzero(B) lists them in.  This record is the only way an
+        operator is known to be monomial (_odd_monomial).
         """
         z = np.asarray(z, dtype=complex)
         keep = np.flatnonzero(z != 0)
@@ -506,17 +499,7 @@ class GradedOperator:
         """Hermitian odd operator from its lower-left block (positive to
         negative sector); the upper block is its adjoint.
         """
-        lower = np.asarray(lower, dtype=complex)
-        if lower.shape != (space.n_minus, space.n_plus):
-            raise ValueError(
-                f"lower block must be {space.n_minus} x {space.n_plus}, got {lower.shape}"
-            )
-        m = np.zeros((space.n, space.n), dtype=complex)
-        k = space.n_plus
-        m[k:, :k] = lower
-        m[:k, k:] = lower.conj().T
-        # exactly hermitian already: (m + m^H) / 2 would return it unchanged
-        return cls._built(m, space, "odd", True)
+        return cls._odd_built(space, np.array(lower, dtype=complex, order="C"))
 
     # -- block access ------------------------------------------------------
 
@@ -706,12 +689,13 @@ class GradedOperator:
         largest-magnitude entry of every column of V, and of every unpaired
         column of W, is real and positive, and each paired w_i takes the
         phase of its v_i.  A monomial B (at most one nonzero per row and per
-        column, _odd_monomial) needs no SVD: V and W are phased permutations
-        (_monomial_frame), kept as their indices and phases, and formed as
-        matrices only when ``svd`` or ``vectors`` is read.  Every other B
-        takes one SVD.  The defects ||B V - W S|| and ||B^H W - V S^T||, and
-        ||V^H V - 1|| and ||W^H W - 1||, combine as a root sum of squares to
-        the full-matrix Frobenius defects.  For the monomial frame each
+        column, recorded by _monomial_built and read by _odd_monomial) needs
+        no SVD: V and W are phased permutations (_monomial_frame), kept as
+        their indices and phases, and formed as matrices only when ``svd`` or
+        ``vectors`` is read.  Every other B takes one SVD.  The defects
+        ||B V - W S|| and ||B^H W - V S^T||, and ||V^H V - 1|| and
+        ||W^H W - 1||, combine as a root sum of squares to the full-matrix
+        Frobenius defects.  For the monomial frame each
         product has at most one nonzero per column, so every defect is the
         same Frobenius norm taken over O(n) entries (_product_defect,
         _gram_defect).
@@ -770,9 +754,9 @@ class GradedOperator:
         Even operators take one eigvalsh per sector, or read an exactly
         diagonal sector's spectrum off its real diagonal.  An odd hermitian
         [[0, B^H], [B, 0]] has spectrum +-sigma(B) plus |n_+ - n_-| zeros,
-        read off one SVD of its odd block B, or, when B is monomial (at most
-        one nonzero per row and per column), off the moduli |z| of its
-        nonzero entries padded with zeros.  The values never come from a
+        read off one SVD of its odd block B, or, when B was built from its
+        entries as a monomial block (_odd_monomial), off the moduli |z| of
+        those entries padded with zeros.  The values never come from a
         cached eig(), so they are the same bits whichever of the two ran first.
         """
         if self._eigvals_cache is None:
@@ -910,29 +894,15 @@ def _sum_sq(x: np.ndarray) -> float:
 
 
 def _odd_monomial(op: GradedOperator):
-    """(rows, cols, z) for an odd hermitian operator whose odd block B is
-    monomial, with at most one nonzero entry per row and per column: z are
-    those entries, B[rows, cols] = z, in row order.  None for any other
-    operator.
+    """(rows, cols, z) for an odd hermitian operator built from the entries
+    of a monomial odd block B (_monomial_built), with at most one nonzero
+    entry per row and per column: B[rows, cols] = z, in row order.  None for
+    any other operator, whatever its entries.
 
-    The test counts nonzeros, in all and then along each axis, with no
-    sort, so a dense B is rejected in O(n^2), by the first count.  The
-    lattice's diag(z) and the ladder's shifted diagonal are monomial.  The
-    scan runs on the first call and its answer is kept on the operator,
-    like sector_diagonal's: eigenvalues, eig and lipschitz_derivative all
-    ask it of the same D.  An operator built from its entries
-    (_monomial_built) holds the answer from the start.
+    The constructor's record is the only source: no dense block is scanned
+    for the structure.  The lattice's diag(z), the ladder's shifted
+    diagonal and mk's zero D are built from their entries.
     """
-    if op._monomial is _UNSCANNED:
-        op._monomial = None
-        if op.parity == "odd" and op.hermitian:
-            b = op.odd_block
-            nz = b != 0
-            if (np.count_nonzero(nz) <= min(b.shape)
-                    and np.count_nonzero(nz, axis=1).max(initial=0) <= 1
-                    and np.count_nonzero(nz, axis=0).max(initial=0) <= 1):
-                rows, cols = np.nonzero(nz)
-                op._monomial = rows, cols, b[rows, cols]
     return op._monomial
 
 
@@ -1028,11 +998,11 @@ def operator_norm(op) -> float:
     """Largest singular value, exploiting hermiticity and block sparsity.
 
     A hermitian operator reads it off eigenvalues(), so it inherits that
-    method's structure routes (diagonal sectors, monomial odd blocks).  An
-    odd operator whose upper block is exactly +-(lower block)^H, such as
-    the commutator of two hermitian operators, has the singular values of its
-    lower block alone; that exact O(n^2) check, or the constructor's record
-    of it, saves the second block SVD.
+    method's structure routes (diagonal sectors, and odd blocks recorded as
+    monomial entries).  An odd operator whose upper block is exactly
+    +-(lower block)^H, such as the commutator of two hermitian operators,
+    has the singular values of its lower block alone; that exact O(n^2)
+    check, or the constructor's record of it, saves the second block SVD.
     A block with no nonzero entry, such as the odd block of a commutator
     that vanishes exactly, has top singular value 0 and takes no SVD.
     """
@@ -1157,11 +1127,11 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
     are formed, each from the one nonzero block of D and of T it involves.
     The result keeps only those blocks.  When both are hermitian the
     commutator is anti-hermitian, so an odd one keeps its lower block alone,
-    its upper block being -(lower block)^H.  An odd hermitian D with a
-    monomial odd block B[rows, cols] = z (_odd_monomial: the lattice's
-    diag(z), the ladder's shifted diagonal) multiplies entrywise, with no
-    GEMM: B X puts z_j X[cols_j, :] in row rows_j and X B puts
-    X[:, rows_j] z_j in column cols_j.
+    its upper block being -(lower block)^H.  An odd hermitian D built from
+    the entries B[rows, cols] = z of a monomial odd block (_odd_monomial:
+    the lattice's diag(z), the ladder's shifted diagonal) multiplies
+    entrywise, with no GEMM: B X puts z_j X[cols_j, :] in row rows_j and
+    X B puts X[:, rows_j] z_j in column cols_j.
     """
     if d_op.space != op.space:
         raise ValueError("operators live on different graded spaces")

@@ -86,15 +86,17 @@ def oscillator_dirac(n: int) -> ModelDescriptor:
     sqrt(k) times vector k-1 of the negative sector, so D^2 has the exact
     nonzero spectrum {1, ..., n-1} twice and a one-dimensional kernel in the
     positive sector.  H = 1 commutes with everything, which makes every
-    parameter pair admissible.
+    parameter pair admissible.  D is kept as its n - 1 entries and H as its
+    two identity sector blocks.
     """
     if n < 2:
         raise ModelArgumentError("ladder needs n >= 2")
     space = GradedSpace(n, n - 1)
-    lower = np.zeros((n - 1, n), dtype=complex)
+    # H's blocks first: an n too large for memory fails at its first array
+    H = GradedOperator._even_built(space, np.eye(n, dtype=complex),
+                                   np.eye(n - 1, dtype=complex))
     ks = np.arange(1, n)
-    lower[ks - 1, ks] = np.sqrt(ks)
-    D = GradedOperator.odd_from_block(space, lower)
+    D = GradedOperator._monomial_built(space, ks - 1, ks, np.sqrt(ks))
 
     # only the pair at +-sqrt(n-1), on (e_{n-1}, e_{n-2}), touches the last
     # vector of a sector
@@ -105,7 +107,6 @@ def oscillator_dirac(n: int) -> ModelDescriptor:
     if np.abs(sq - expected).max() > 1e-9 * max(1.0, n):
         raise InternalConsistencyError("ladder spectrum deviates from {0, 1, ..., n-1}")
 
-    H = GradedOperator._built(np.eye(space.n, dtype=complex), space, "even", True)
     return ModelDescriptor(
         name="oscillator", parameters={"n": n}, D=D, H=H,
         rho_max=rho_max, truncation_fraction=fraction, gap_bound=1.0,
@@ -365,8 +366,8 @@ def mk_block_example(k: int, seed: int, blocks: int = 3) -> ModelDescriptor:
 
     space = GradedSpace(dim, 0)
     H = GradedOperator(2.0 * p - np.eye(dim), space, parity="even", hermitian=True)
-    D = GradedOperator(np.zeros((dim, dim), dtype=complex), space,
-                       parity="odd", hermitian=True)
+    no_sites = np.zeros(0, dtype=np.intp)
+    D = GradedOperator._monomial_built(space, no_sites, no_sites, np.zeros(0))
     return ModelDescriptor(
         name="mk", parameters={"k": k, "blocks": blocks, "seed": seed},
         D=D, H=H, rho_max=float("inf"), truncation_fraction=0.0,

@@ -256,13 +256,11 @@ def test_ladder_sweep_scans_each_sector_of_h_once(capsys, monkeypatch):
     assert scanned == [(400, 400), (399, 399)]
 
 
-@pytest.mark.parametrize("model, expected", [("qwz:L=8,m=3.0", 0), ("qwz:L=9,m=1.0", 3)])
-def test_lattice_leg_forms_no_n_by_n_operator(capsys, monkeypatch, model, expected):
-    # H, D, the projection P, L = gamma H + kappa D and [D, H] keep their
-    # blocks; L = 9 has unequal symmetry blocks and ends in exit 3
+def assert_forms_no_n_by_n_operator(capsys, monkeypatch, argv, expected):
+    """argv exits with expected, and reports the same when building an
+    operator from an n x n matrix, or forming one, raises."""
     from localizer_lab.grading import GradedOperator
 
-    argv = ("compute", "--model", model, "--auto")
     report = run(capsys, *argv)
     assert report[0] == expected
     init = GradedOperator._init
@@ -276,6 +274,22 @@ def test_lattice_leg_forms_no_n_by_n_operator(capsys, monkeypatch, model, expect
     monkeypatch.setattr(GradedOperator, "_init", no_matrix)
     monkeypatch.setattr(GradedOperator, "_form", no_form)
     assert run(capsys, *argv) == report
+
+
+@pytest.mark.parametrize("model, expected", [("qwz:L=8,m=3.0", 0), ("qwz:L=9,m=1.0", 3)])
+def test_lattice_leg_forms_no_n_by_n_operator(capsys, monkeypatch, model, expected):
+    # H, D, the projection P, L = gamma H + kappa D and [D, H] keep their
+    # blocks; L = 9 has unequal symmetry blocks and ends in exit 3
+    assert_forms_no_n_by_n_operator(capsys, monkeypatch,
+                                    ("compute", "--model", model, "--auto"), expected)
+
+
+def test_ladder_sweep_forms_no_n_by_n_operator(capsys, monkeypatch):
+    # the benchmark's grid: H = 1 keeps its sector blocks, D its entries,
+    # [D, H] its lower block, and every cell takes the pair route
+    assert_forms_no_n_by_n_operator(
+        capsys, monkeypatch, ("sweep", "--model", "oscillator:n=400", "--kappa",
+                              "0.5,1.0,2.0", "--rho", "2.0,4.0,8.0,16.0"), 0)
 
 
 def test_lattice_leg_splits_each_operator_sector_once(capsys, monkeypatch):

@@ -2,18 +2,21 @@
 
 Each command runs twice in one process: as the package runs it, and with
 every structure detector patched to its dense answer.  The patches send a
-monomial odd block to the SVD (grading._odd_monomial), a diagonal sector to
-eigvalsh and the pair test to the dense L_S (GradedOperator.sector_diagonal),
-the lattice to no symmetry, so every block is solved whole
-(models._quarter_turn), and a flat H to func_calc for its projection
-(ktheory.FLAT_EIG_TOL).  Every structure a constructor records falls back
-to a bare dense matrix: sector blocks (GradedOperator._even_built), a lower
-block (_odd_built), monomial entries (_monomial_built) and the
-identity-window localizer kept as H and D (_gathered).  Spies record the
-routes each run takes: the structured run must take exactly the routes
-listed for its command, so a renamed or bypassed detector or constructor
-fails here instead of comparing dense with dense, and the dense run must
-take none.
+diagonal sector to eigvalsh and the pair test to the dense L_S
+(GradedOperator.sector_diagonal), the lattice to no symmetry, so every block
+is solved whole (models._quarter_turn), and a flat H to func_calc for its
+projection (ktheory.FLAT_EIG_TOL).  Every structure a constructor records
+falls back to a bare dense matrix: sector blocks (GradedOperator._even_built),
+a lower block (_odd_built), monomial entries (_monomial_built) and the
+identity-window localizer kept as H and D (_gathered).  A monomial route
+comes only from an entries record, so the fallback of _monomial_built sends
+every monomial odd block to the SVD and the GEMMs.  Spies record the routes
+each run takes: the structured run must take exactly the routes listed for
+its command, so a renamed or bypassed detector or constructor fails here
+instead of comparing dense with dense, and the dense run must take none.
+Each reader of a monomial record (grading._odd_monomial) is its own route,
+named after the caller: a spectrum, eigenframe or commutator that stops
+reading the record drops its route.
 
 Exit codes and every word of stdout (verdicts, admissible flags, keys) are
 equal, and so is every integer token (indices, signatures, counts).  Two
@@ -32,6 +35,7 @@ floats a, b agree when |a - b| <= REL_TOL * max(|a|, |b|) + ABS_TOL:
 import contextlib
 import io
 import re
+import sys
 
 import pytest
 
@@ -46,28 +50,31 @@ ABS_TOL = 1e-12
 RECORDS = {"_even_built": "sectors", "_odd_built": "lower",
            "_monomial_built": "entries", "_gathered": "gathered"}
 
+# the readers of a monomial record: the spectrum, the eigenframe and [D, T]
+SPECTRUM = {"monomial:eigenvalues", "monomial:lipschitz_derivative"}
+MONOMIAL = SPECTRUM | {"monomial:_odd_eig"}
+
 # argv, and the routes the structured run takes
 COMMANDS = {
     "oscillator": (("compute", "--model", "oscillator:n=40", "--auto"),
-                   {"monomial", "diagonal", "lower", "sectors"}),
+                   MONOMIAL | {"diagonal", "lower", "sectors", "entries"}),
     "qwz8": (("compute", "--model", "qwz:L=8,m=3.0", "--auto"),
-             {"monomial", "symmetry", "flat", "sectors", "lower", "entries",
-              "gathered"}),
+             SPECTRUM | {"symmetry", "flat", "sectors", "lower", "entries", "gathered"}),
     "qwz9": (("compute", "--model", "qwz:L=9,m=1.0", "--auto"),
-             {"monomial", "symmetry", "flat", "sectors", "lower", "entries",
-              "gathered"}),
+             SPECTRUM | {"symmetry", "flat", "sectors", "lower", "entries", "gathered"}),
     "mk": (("compute", "--model", "mk:k=2,seed=0", "--auto"),
-           {"monomial", "diagonal", "lower", "gathered"}),
+           SPECTRUM | {"diagonal", "lower", "entries", "gathered"}),
     "random": (("compute", "--model", "random:n=40,seed=1", "--auto"),
-               {"monomial", "lower", "gathered"}),
+               MONOMIAL | {"sectors", "lower", "entries", "gathered"}),
     "sweep_ladder": (("sweep", "--model", "oscillator:n=60", "--kappa", "0.5,1.0,2.0",
-                      "--rho", "1.0,2.0,4.0"), {"monomial", "diagonal", "lower"}),
+                      "--rho", "1.0,2.0,4.0"),
+                     MONOMIAL | {"diagonal", "sectors", "lower", "entries"}),
     "sweep_qwz": (("sweep", "--model", "qwz:L=8,m=3.0", "--kappa", "0.5,1.0",
-                   "--rho", "1.0,2.0"), {"monomial", "symmetry", "sectors", "lower",
-                                         "entries"}),
+                   "--rho", "1.0,2.0"), MONOMIAL | {"symmetry", "sectors", "lower",
+                                                    "entries"}),
     "verify": (("verify", "identities", "--seed", "0"),
-               {"monomial", "diagonal", "symmetry", "sectors", "lower", "entries",
-                "gathered"}),
+               MONOMIAL | {"diagonal", "symmetry", "sectors", "lower", "entries",
+                           "gathered"}),
 }
 
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
@@ -77,7 +84,6 @@ def run(monkeypatch, argv, dense):
     """(exit code, stdout, routes taken) of one CLI command, with every
     detector patched to its dense answer when dense is set."""
     if dense:
-        monkeypatch.setattr(grading, "_odd_monomial", lambda op: None)
         monkeypatch.setattr(GradedOperator, "sector_diagonal", lambda self, s: False)
         monkeypatch.setattr(models, "_quarter_turn", lambda L: None)
         monkeypatch.setattr(ktheory, "FLAT_EIG_TOL", -1.0)
@@ -86,7 +92,8 @@ def run(monkeypatch, argv, dense):
 
             def bare(*args, record=record, **kwargs):
                 op = record(*args, **kwargs)
-                return GradedOperator._built(op.matrix, op.space, op.parity, op.hermitian)
+                return GradedOperator._new(op.space, op.parity, op.hermitian,
+                                           matrix=op.matrix)
             monkeypatch.setattr(GradedOperator, name, staticmethod(bare))
     routes, calcs = set(), []
 
@@ -100,7 +107,15 @@ def run(monkeypatch, argv, dense):
             return out
         monkeypatch.setattr(owner, name, wrap(wrapped))
 
-    spy(grading, "_odd_monomial", "monomial", lambda out: out is not None)
+    # one route per reader of a monomial record, named after the caller
+    reader = grading._odd_monomial
+
+    def read(op):
+        out = reader(op)
+        if out is not None:
+            routes.add("monomial:" + sys._getframe(1).f_code.co_name)
+        return out
+    monkeypatch.setattr(grading, "_odd_monomial", read)
     spy(GradedOperator, "sector_diagonal", "diagonal", bool)
     spy(grading, "SymmetryBlocks", "symmetry", lambda out: len(out.blocks) > 1)
     for name, route in RECORDS.items():

@@ -445,7 +445,7 @@ def test_one_block_commutator_norm_equals_two_block_norm():
 
 def diagonal_odd(n, rng):
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return GradedOperator.odd_from_block(GradedSpace(n, n), np.diag(z))
+    return GradedOperator._monomial_built(GradedSpace(n, n), np.arange(n), np.arange(n), z)
 
 
 def test_diagonal_odd_block_spectrum_matches_block_svd():
@@ -519,9 +519,13 @@ def monomial_odd(n_plus, n_minus, seed, zeros=1, tie=False):
     z = rng.uniform(0.5, 3.0, size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
     if tie and m > 1:
         z[1] = z[0] * np.exp(0.7j)
-    b = np.zeros((n_minus, n_plus), dtype=complex)
-    b[rows, cols] = z
-    return GradedOperator.odd_from_block(GradedSpace(n_plus, n_minus), b)
+    return GradedOperator._monomial_built(GradedSpace(n_plus, n_minus), rows, cols, z)
+
+
+def monomial_from_block(space, b):
+    """Odd operator built from the nonzero entries of the monomial block b."""
+    rows, cols = np.nonzero(b)
+    return GradedOperator._monomial_built(space, rows, cols, b[rows, cols])
 
 
 MONOMIAL_SHAPES = [(6, 4), (4, 6), (5, 5), (7, 1), (1, 3), (4, 0)]
@@ -537,8 +541,8 @@ def test_monomial_frame_matches_the_svd_route(n_plus, n_minus, zeros, tie, monke
     dec = d.eig()
     w = d.eigenvalues()
     assert calls == []
+    # the same block, kept dense: only an entries record is monomial
     ref = GradedOperator.odd_from_block(d.space, d.odd_block)
-    monkeypatch.setattr(grading, "_odd_monomial", lambda op: None)
     ref_dec = ref.eig()
     assert calls == [("svd", (n_minus, n_plus))]
 
@@ -565,7 +569,7 @@ def test_monomial_frame_pairs_sorted_by_modulus_with_stable_ties():
     # entries at (row, col) = (0, 2), (1, 0), (2, 3) with |z| = 1, 2, 2
     b = np.zeros((3, 4), dtype=complex)
     b[0, 2], b[1, 0], b[2, 3] = 1j, -2.0, 2j
-    d = GradedOperator.odd_from_block(GradedSpace(4, 3), b)
+    d = monomial_from_block(GradedSpace(4, 3), b)
     v, w_left, sv = d.eig().svd
     assert np.array_equal(sv, [2.0, 2.0, 1.0])
     assert np.array_equal(np.argmax(np.abs(v), axis=0), [0, 3, 2, 1])
@@ -582,7 +586,7 @@ def test_monomial_frame_keeps_row_order_among_equal_moduli():
     mod = rng.choice([1.0, 2.0, 3.0], size=n)
     b = np.zeros((n, n), dtype=complex)
     b[np.arange(n), cols] = mod * rng.choice([1.0, -1.0, 1j, -1j], size=n)
-    v, w_left, sv = GradedOperator.odd_from_block(GradedSpace(n, n), b).eig().svd
+    v, w_left, sv = monomial_from_block(GradedSpace(n, n), b).eig().svd
     rows = np.concatenate([np.flatnonzero(mod == m) for m in (3.0, 2.0, 1.0)])
     assert np.array_equal(sv, mod[rows])
     assert np.array_equal(np.argmax(np.abs(v), axis=0), cols[rows])
@@ -700,25 +704,10 @@ def test_monomial_scan_is_kept_on_the_operator():
     d.eig()
     lipschitz_derivative(d, osc.H)
     assert _odd_monomial(d) is mono
-    dense = random_odd(GradedSpace(4, 3), np.random.default_rng(575))
-    assert _odd_monomial(dense) is None
-    dense.matrix[:] = 0.0  # the kept answer does not look again
-    assert _odd_monomial(dense) is None
-
-
-def test_monomial_check_counts_entries_per_row_and_column():
-    space = GradedSpace(3, 3)
-    b = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    assert _odd_monomial(GradedOperator.odd_from_block(space, b)) is not None
-    col = np.zeros((3, 3), dtype=complex)
-    col[0, 0] = col[1, 0] = 1.0  # two entries in column 0, at most one per row
-    assert _odd_monomial(GradedOperator.odd_from_block(space, col)) is None
-    wide = np.zeros((3, 3), dtype=complex)
-    wide[0, 0] = wide[0, 1] = 1.0  # two entries in row 0, at most one per column
-    assert _odd_monomial(GradedOperator.odd_from_block(space, wide)) is None
-    rng = np.random.default_rng(520)
-    assert _odd_monomial(random_odd(space, rng)) is None
-    assert _odd_monomial(random_even(space, rng)) is None
+    # a monomial block given densely is not recorded as one
+    diagonal = GradedOperator.odd_from_block(GradedSpace(3, 3), np.diag([1.0, 2.0, 3.0]))
+    assert _odd_monomial(diagonal) is None
+    assert _odd_monomial(random_even(GradedSpace(3, 3), np.random.default_rng(575))) is None
 
 
 def test_diagonal_even_sector_reads_its_diagonal(monkeypatch):
@@ -799,7 +788,7 @@ def test_gathers_read_the_kept_structure_bit_for_bit(op):
     # gathered before any block is formed, then compared with the matrix
     got = [op.gather(r, c, row, col) for row, col, r, c in picks] + [op.gather(ri, ri)]
     norm = op._frobenius()
-    dense = GradedOperator._built(op._form(), op.space, op.parity, op.hermitian)
+    dense = GradedOperator._new(op.space, op.parity, op.hermitian, matrix=op._form())
     want = [dense.gather(r, c, row, col) for row, col, r, c in picks] + [dense.gather(ri, ri)]
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     for row in "+-":
@@ -824,9 +813,10 @@ def test_monomial_record_is_the_scan_of_its_block():
     z = np.array([2.0, 0.0, -1j, 3.0])
     rows, cols = np.array([4, 0, 2, 1]), np.array([0, 1, 3, 2])
     kept = GradedOperator._monomial_built(space, rows, cols, z)
-    scanned = GradedOperator.odd_from_block(space, kept.odd_block)
-    for a, b in zip(_odd_monomial(kept), _odd_monomial(scanned)):
-        assert np.array_equal(a, b)
+    b = kept.odd_block
+    nonzero = np.nonzero(b)
+    for got, want in zip(_odd_monomial(kept), (*nonzero, b[nonzero])):
+        assert np.array_equal(got, want)
 
 
 def test_commutator_of_hermitian_operators_keeps_its_lower_block_alone(monkeypatch):

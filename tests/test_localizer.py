@@ -576,12 +576,11 @@ def monomial_pair(n_plus, n_minus, seed):
     rng = np.random.default_rng(seed)
     space = GradedSpace(n_plus, n_minus)
     m = min(n_plus, n_minus) - 1
-    b = np.zeros((n_minus, n_plus), dtype=complex)
-    b[rng.permutation(n_minus)[:m], rng.permutation(n_plus)[:m]] = \
-        rng.uniform(0.5, 6.0, size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    rows, cols = rng.permutation(n_minus)[:m], rng.permutation(n_plus)[:m]
+    z = rng.uniform(0.5, 6.0, size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
     h = rng.choice([-1.0, 1.0], size=space.n) * rng.uniform(0.5, 2.0, size=space.n)
     H = GradedOperator(np.diag(h), space, parity="even", hermitian=True)
-    return H, GradedOperator.odd_from_block(space, b)
+    return H, GradedOperator._monomial_built(space, rows, cols, z)
 
 
 def ladder_pair(n):
@@ -858,8 +857,9 @@ def test_identity_window_blocks_are_those_of_the_formed_localizer(L):
     desc = qwz_chern_model(L, 3.0)
     H, D, kappa = desc.H, desc.D, 0.37
     kept = _identity_window(H, D, kappa)
-    formed = GradedOperator._built(H.space.gamma_diag[:, None] * H.matrix
-                                   + kappa * D.matrix, H.space, "none", True)
+    formed = GradedOperator._new(H.space, "none", True,
+                                 matrix=H.space.gamma_diag[:, None] * H.matrix
+                                 + kappa * D.matrix)
     a, b = grading.symmetry_blocks(kept), grading.symmetry_blocks(formed)
     assert len(a.blocks) == 4 and repr(a.weyl) == repr(b.weyl)
     assert [x.tobytes() for x in a.blocks] == [y.tobytes() for y in b.blocks]

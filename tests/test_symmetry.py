@@ -24,8 +24,11 @@ PHI = default_localizer()
 
 
 def _plain(op: GradedOperator) -> GradedOperator:
-    """op on a space without a symmetry, so every kernel takes the full route."""
+    """op on a space without a symmetry, so every kernel takes the full route;
+    a D built from its entries is built from them again."""
     space = GradedSpace(op.space.n_plus, op.space.n_minus)
+    if op._monomial is not None:
+        return GradedOperator._monomial_built(space, *op._monomial)
     return GradedOperator(op.matrix, space, parity=op.parity, hermitian=op.hermitian)
 
 
