@@ -43,10 +43,11 @@ from .oracles import (
 )
 from .verification import SUITE_CHOICES, parallel_map, run_suite
 
-# Input and configuration problems exit 2; anything else is a real bug and
-# propagates as a traceback.  Bare ValueError stays out: numpy's LinAlgError
-# is one, and a failed eigensolve is not a usage error.
+# Input and configuration problems, and models too large for memory, exit 2;
+# anything else is a real bug and propagates as a traceback.  ValueError
+# stays out: LinAlgError is one, and a failed eigensolve is not a usage error.
 _USAGE_ERRORS = (
+    MemoryError,
     ConfigError,
     AdmissibilityError,
     DomainError,

@@ -5,9 +5,9 @@ involution gamma = diag(+1, ..., +1, -1, ..., -1).  Operators carry an optional
 parity label: even operators commute with gamma (block diagonal), odd operators
 anticommute (block off-diagonal).  Parity is enforced at the level of exact
 block sparsity, not up to rounding.  Even and odd operators are diagonalized
-through their blocks (one eigh per sector, or one SVD of the odd block; an
-exactly diagonal sector, and a monomial odd block, with at most one nonzero
-per row and per column and built from those entries, need neither), and
+through their blocks (one eigh per sector, or one SVD of the odd block; a
+sector built from its diagonal, and a monomial odd block, with at most one
+nonzero per row and per column and built from those entries, need neither), and
 func_calc forms f(T) block by block from that data: the blocks the parity
 of f(T) forbids are never computed, so no result needs snapping to a parity.
 For an odd T = [[0, B^H], [B, 0]] with B = W S V^H, the sector basis
@@ -278,19 +278,19 @@ class SpectralDecomposition:
         """The diagonals of compress(H, s_plus, s_minus), concatenated, when
         both products are diagonal by structure; None otherwise.
 
-        That is the pair test: a monomial frame and exactly diagonal sector
-        blocks of H (sectors_diagonal).  The gathered sites are distinct, so
-        no entry of the site diagonal lands off the diagonal, and a phase
-        keeps a zero zero.  Only h[idx_S, idx_S] is gathered, phased by the
-        operations of compress: conj(val_i) val_i.
+        That is the pair test: a monomial frame and both sector blocks of H
+        built from their diagonals (_even_diagonal).  The gathered sites are
+        distinct, so no entry of the site diagonal lands off the diagonal,
+        and a phase keeps a zero zero.  Only h[idx_S] is gathered from the
+        diagonal h, phased by the operations of compress: conj(val_i) val_i.
         """
-        if self.monomial is None or not H.sectors_diagonal():
+        diagonals = _even_diagonal(H, "+"), _even_diagonal(H, "-")
+        if self.monomial is None or any(h is None for h in diagonals):
             return None
         out = []
-        for s, cols, (idx, val) in zip("+-", (s_plus, s_minus), self.monomial):
+        for h, cols, (idx, val) in zip(diagonals, (s_plus, s_minus), self.monomial):
             idx, val = idx[cols], val[cols]
-            t = H.block(s, s)[idx, idx]
-            out.append(t if np.all(val == 1.0) else _phased(t, val, val))
+            out.append(h[idx] if np.all(val == 1.0) else _phased(h[idx], val, val))
         return np.concatenate(out)
 
     def columns(self, s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
@@ -379,18 +379,18 @@ class GradedOperator:
       equal (_even_built);
     - the lower block of an odd operator, and its upper block unless that is
       +-(lower block)^H by construction (_odd_built, odd_from_block);
-    - the entries (rows, cols, z) of a monomial odd block, whose lower block
-      is formed when first read (_monomial_built);
+    - the entries (rows, cols, z) of a block, at most one per row and per
+      column, formed when first read: a monomial lower block
+      (_monomial_built) or diagonal sector blocks (_diagonal_built);
     - a gather of its entries, for an operator that is a formula in others
       (_gathered).
     ``block`` and ``gather`` read every form without the n x n matrix.  Only
-    the entries record marks an odd block as monomial: a dense block with
-    one nonzero per row and per column takes the routes of any other block.
+    an entries record marks a block as monomial or diagonal: a dense block
+    of that shape takes the routes of any other block.
     """
 
     __slots__ = ("_matrix", "_blocks", "_adjoint", "_take", "space", "parity",
-                 "hermitian", "_eig", "_eigvals_cache", "_diagonal", "_monomial",
-                 "_splits")
+                 "hermitian", "_eig", "_eigvals_cache", "_entries", "_splits")
 
     def __init__(self, matrix, space: GradedSpace, parity: str = "none",
                  hermitian: bool = False):
@@ -408,7 +408,7 @@ class GradedOperator:
         self._init(space, parity, bool(hermitian), matrix=m)
 
     def _init(self, space: GradedSpace, parity: str, hermitian: bool, matrix=None,
-              blocks=None, adjoint: int = 0, monomial=None, take=None):
+              blocks=None, adjoint: int = 0, entries=None, take=None):
         self._matrix = matrix
         self._blocks = blocks
         self._adjoint = adjoint
@@ -418,8 +418,7 @@ class GradedOperator:
         self.hermitian = hermitian
         self._eig = None
         self._eigvals_cache = None
-        self._diagonal = {}
-        self._monomial = monomial
+        self._entries = entries or {}
         self._splits = {}
 
     # -- constructors ------------------------------------------------------
@@ -462,19 +461,35 @@ class GradedOperator:
 
     @classmethod
     def _monomial_built(cls, space: GradedSpace, rows: np.ndarray, cols: np.ndarray,
-                        z: np.ndarray) -> "GradedOperator":
-        """Hermitian odd operator whose lower block B is monomial, kept as the
-        entries B[rows, cols] = z: at most one per row and per column.
+                        z: np.ndarray, adjoint: int = 1) -> "GradedOperator":
+        """Odd operator whose lower block B is monomial, kept as the entries
+        B[rows, cols] = z: at most one per row and per column.  The upper
+        block is adjoint * B^H: adjoint 1 for a hermitian operator, -1 for an
+        anti-hermitian one.
 
         The zero entries are dropped and the rest put in row order, the
         order np.nonzero(B) lists them in.  This record is the only way an
-        operator is known to be monomial (_odd_monomial).
+        operator is known to be monomial (_odd_monomial, _odd_entries).
         """
         z = np.asarray(z, dtype=complex)
         keep = np.flatnonzero(z != 0)
         keep = keep[np.argsort(rows[keep], kind="stable")]
-        return cls._new(space, "odd", True, blocks={}, adjoint=1,
-                        monomial=(rows[keep], cols[keep], z[keep]))
+        return cls._new(space, "odd", adjoint > 0, blocks={}, adjoint=adjoint,
+                        entries={("-", "+"): (rows[keep], cols[keep], z[keep])})
+
+    @classmethod
+    def _diagonal_built(cls, space: GradedSpace, top: np.ndarray,
+                        bottom: np.ndarray) -> "GradedOperator":
+        """Hermitian even operator with sector blocks diag(top) and
+        diag(bottom), top and bottom real, kept as entries: the only way an
+        operator is known to be diagonal (_even_diagonal)."""
+        if len(top) != space.n_plus or len(bottom) != space.n_minus:
+            raise ValueError("sector diagonals do not match the space")
+        entries = {}
+        for s, diag in (("+", top), ("-", bottom)):
+            idx = np.arange(len(diag))
+            entries[s, s] = (idx, idx, np.asarray(diag, dtype=complex))
+        return cls._new(space, "even", True, blocks={}, entries=entries)
 
     @classmethod
     def _gathered(cls, space: GradedSpace, parity: str, hermitian: bool,
@@ -545,7 +560,7 @@ class GradedOperator:
             upper = self.block("-", "+").conj().T
             block = np.ascontiguousarray(upper if self._adjoint > 0 else -upper)
         else:
-            rows, cols, z = self._monomial
+            rows, cols, z = self._entries[cell]
             block = np.zeros((size[row], size[col]), dtype=complex)
             block[rows, cols] = z
         self._blocks[cell] = block
@@ -559,7 +574,7 @@ class GradedOperator:
         positive-sector indices first, as the orbit basis lists them.
 
         A whole gather of block storage places each sector's gather; one of
-        an upper block adjoint * lower^H, or of monomial entries, is formed
+        an upper block adjoint * lower^H, or of a block's entries, is formed
         entry by entry, with the operations that forming the block would take.
         """
         if self._blocks is None:
@@ -583,23 +598,13 @@ class GradedOperator:
             # entry (i, j) of adjoint * lower^H is adjoint * conj(lower[j, i])
             upper = self.gather(ci, ri, "-", "+").T.conj()
             return np.ascontiguousarray(upper if self._adjoint > 0 else -upper)
-        rows, cols, z = self._monomial
-        col_of = np.full(self.space.n_minus, -1)
+        rows, cols, z = self._entries[cell]
+        n_row = self.space.n_plus if row == "+" else self.space.n_minus
+        col_of = np.full(n_row, -1)
         col_of[rows] = cols
-        entry = np.zeros(self.space.n_minus, dtype=complex)
+        entry = np.zeros(n_row, dtype=complex)
         entry[rows] = z
         return np.where(col_of[ri][:, None] == ci[None, :], entry[ri][:, None], 0)
-
-    def sector_blocks(self) -> tuple:
-        """(top, bottom) of an even operator: the same array twice when it
-        keeps one block for both sectors."""
-        return self.block("+", "+"), self.block("-", "-")
-
-    def sectors_equal(self) -> bool:
-        """Whether the two sector blocks are equal; one kept array is, with
-        no scan."""
-        top, bottom = self.sector_blocks()
-        return top is bottom or np.array_equal(top, bottom)
 
     @property
     def odd_block(self) -> np.ndarray:
@@ -607,33 +612,18 @@ class GradedOperator:
         return self.block("-", "+")
 
     def _frobenius(self) -> float:
-        """||M||_F from the structure the operator keeps."""
+        """||M||_F from the structure the operator keeps: a block's entries
+        have its norm, and an upper block adjoint * lower^H the lower's."""
         if self._blocks is None:
             return float(np.linalg.norm(self.matrix))
+
+        def norm(cell):
+            entries = self._entries.get(cell)
+            return np.linalg.norm(self.block(*cell) if entries is None else entries[2])
         if self._adjoint:
-            # the upper block has the lower block's norm, and monomial
-            # entries have their block's
-            lower = self._blocks.get(("-", "+"))
-            norm = np.linalg.norm(self._monomial[2] if lower is None else lower)
-            return float(np.hypot(norm, norm))
-        return float(functools.reduce(np.hypot, (np.linalg.norm(self.block(*cell))
-                                                  for cell in self._cells())))
-
-    def sector_diagonal(self, s: str) -> bool:
-        """Whether the sector block (s, s) is exactly diagonal (is_diagonal).
-
-        The O(n^2) scan of a sector runs on the first call and its answer is
-        kept, like the spectral data: eigenvalues and the pair test of a
-        sweep's cells all ask it of the same H.
-        """
-        if s not in self._diagonal:
-            self._diagonal[s] = is_diagonal(self.block(s, s))
-        return self._diagonal[s]
-
-    def sectors_diagonal(self) -> bool:
-        """Whether both sector blocks are exactly diagonal; stops at the first
-        that is not."""
-        return all(self.sector_diagonal(s) for s in "+-")
+            lower = norm(("-", "+"))
+            return float(np.hypot(lower, lower))
+        return float(functools.reduce(np.hypot, map(norm, self._cells())))
 
     # -- spectral data -----------------------------------------------------
 
@@ -751,8 +741,8 @@ class GradedOperator:
     def eigenvalues(self) -> np.ndarray:
         """Sorted spectrum; cheaper than eig() when vectors are not needed.
 
-        Even operators take one eigvalsh per sector, or read an exactly
-        diagonal sector's spectrum off its real diagonal.  An odd hermitian
+        Even operators take one eigvalsh per sector, or read the spectrum of
+        a sector built from its diagonal (_even_diagonal) off it.  An odd hermitian
         [[0, B^H], [B, 0]] has spectrum +-sigma(B) plus |n_+ - n_-| zeros,
         read off one SVD of its odd block B, or, when B was built from its
         entries as a monomial block (_odd_monomial), off the moduli |z| of
@@ -763,11 +753,9 @@ class GradedOperator:
             if not self.hermitian:
                 raise DomainError("eigenvalues require a hermitian operator")
             if self.parity == "even":
-                # an exactly diagonal sector's spectrum is its real diagonal
-                w = np.concatenate([np.diagonal(self.block(s, s)).real.copy()
-                                    if self.sector_diagonal(s)
-                                    else np.linalg.eigvalsh(self.block(s, s))
-                                    for s in "+-"])
+                diagonals = _even_diagonal(self, "+"), _even_diagonal(self, "-")
+                w = np.concatenate([np.linalg.eigvalsh(self.block(s, s)) if h is None
+                                    else h.real for s, h in zip("+-", diagonals)])
             elif self.parity == "odd":
                 mono = _odd_monomial(self)
                 if mono is None:
@@ -793,11 +781,6 @@ def sector_runs(space: GradedSpace, idx: np.ndarray) -> tuple:
     if np.any(idx[:p] >= k):
         raise ValueError("indices must list the positive sector first")
     return ("+", slice(0, p), idx[:p]), ("-", slice(p, len(idx)), idx[p:] - k)
-
-
-def is_diagonal(m: np.ndarray) -> bool:
-    """Whether every off-diagonal entry of the square m is exactly zero."""
-    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
 @dataclass
@@ -903,7 +886,21 @@ def _odd_monomial(op: GradedOperator):
     for the structure.  The lattice's diag(z), the ladder's shifted
     diagonal and mk's zero D are built from their entries.
     """
-    return op._monomial
+    return op._entries.get(("-", "+")) if op.hermitian else None
+
+
+def _odd_entries(op: GradedOperator):
+    """_odd_monomial for a hermitian or an anti-hermitian operator, such as
+    [D, H] of a monomial D and a diagonal H."""
+    return op._entries.get(("-", "+"))
+
+
+def _even_diagonal(op: GradedOperator, s: str):
+    """The diagonal of the sector block (s, s) of an operator built from its
+    diagonals (_diagonal_built), such as the ladder's H = 1; None for any
+    other operator, whatever its entries."""
+    entries = op._entries.get((s, s))
+    return None if entries is None else entries[2]
 
 
 def _as_run(idx: np.ndarray):
@@ -998,13 +995,13 @@ def operator_norm(op) -> float:
     """Largest singular value, exploiting hermiticity and block sparsity.
 
     A hermitian operator reads it off eigenvalues(), so it inherits that
-    method's structure routes (diagonal sectors, and odd blocks recorded as
-    monomial entries).  An odd operator whose upper block is exactly
-    +-(lower block)^H, such as the commutator of two hermitian operators,
-    has the singular values of its lower block alone; that exact O(n^2)
-    check, or the constructor's record of it, saves the second block SVD.
-    A block with no nonzero entry, such as the odd block of a commutator
-    that vanishes exactly, has top singular value 0 and takes no SVD.
+    method's structure routes (sectors recorded as diagonals, and odd blocks
+    recorded as monomial entries).  Any other odd operator whose lower block
+    was built from its entries (_odd_entries) has the largest |z|, or 0 for
+    no entries, with no SVD.  An odd operator whose upper block is
+    +-(lower block)^H by construction, such as the commutator of two
+    hermitian operators, has the singular values of its lower block alone
+    and takes no second block SVD.
     """
     if not isinstance(op, GradedOperator):
         m = np.asarray(op)
@@ -1014,28 +1011,23 @@ def operator_norm(op) -> float:
     if op.hermitian:
         w = op.eigenvalues()
         return float(np.abs(w).max(initial=0.0))
-    if op.parity == "odd":
-        cells = (("-", "+"),)
-        if not op._adjoint:
-            lower, upper = op.block("-", "+"), op.block("+", "-")
-            adjoint = lower.conj().T
-            if not (np.array_equal(upper, -adjoint) or np.array_equal(upper, adjoint)):
-                cells = (("-", "+"), ("+", "-"))
-    elif op.parity == "even":
-        cells = (("+", "+"), ("-", "-"))
-    else:
-        cells = ((None, None),)
+    entries = _odd_entries(op)
+    if entries is not None:
+        z = entries[2]
+        return float(np.hypot(z.real, z.imag).max(initial=0.0))
+    if op.parity == "none":
+        return _top_singular_value(op, None, None)
+    cells = op._cells()[:1] if op._adjoint else op._cells()
     return max(_top_singular_value(op, row, col) for row, col in cells)
 
 
 def _top_singular_value(op: GradedOperator, row: str | None, col: str | None) -> float:
     """Largest singular value of op.block(row, col), or of op.matrix: one
     SVD per block of symmetry_blocks plus their Weyl bound (one SVD of the
-    whole when the symmetry is missing or fails).  A block with no nonzero
-    entry contributes 0 with no SVD."""
+    whole when the symmetry is missing or fails), 0 for an empty block."""
     split = symmetry_blocks(op, row, col)
     return max((float(np.linalg.svd(b, compute_uv=False)[0]) for b in split.blocks
-                if np.any(b)), default=0.0) + split.weyl
+                if b.size), default=0.0) + split.weyl
 
 
 def _from_spectrum(op: GradedOperator, dec: SpectralDecomposition,
@@ -1131,7 +1123,10 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
     the entries B[rows, cols] = z of a monomial odd block (_odd_monomial:
     the lattice's diag(z), the ladder's shifted diagonal) multiplies
     entrywise, with no GEMM: B X puts z_j X[cols_j, :] in row rows_j and
-    X B puts X[:, rows_j] z_j in column cols_j.
+    X B puts X[:, rows_j] z_j in column cols_j.  With T built from its
+    diagonals h (_even_diagonal), [D, T] keeps its monomial lower block as
+    the entries z_j h_+[cols_j] - h_-[rows_j] z_j, bit for bit those of the
+    entrywise route; the ladder's H = 1 gives none.
     """
     if d_op.space != op.space:
         raise ValueError("operators live on different graded spaces")
@@ -1145,6 +1140,11 @@ def lipschitz_derivative(d_op: GradedOperator, op: GradedOperator) -> GradedOper
     mono = _odd_monomial(d_op)
     d_entries = None
     if mono is not None:
+        h_plus, h_minus = _even_diagonal(op, "+"), _even_diagonal(op, "-")
+        if h_plus is not None and h_minus is not None:
+            rows, cols, z = mono
+            return GradedOperator._monomial_built(
+                op.space, rows, cols, z * h_plus[cols] - h_minus[rows] * z, adjoint=-1)
         # the nonzero entries (i, j, value) of D's block in row sector s; the
         # lattice's and the ladder's i and j are runs, and index as views
         # (gathered, they raised a lattice pass's peak RSS by 10 MB)

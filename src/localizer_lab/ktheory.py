@@ -120,7 +120,7 @@ def positive_projection(H: GradedOperator) -> GradedOperator:
         # H's blocks are exactly hermitian, and so is (1 + b) / 2: entry (j, i)
         # is the conjugate of entry (i, j) computed the same way.  One block
         # kept for both sectors gives one block of P.
-        h_top, h_bottom = H.sector_blocks()
+        h_top, h_bottom = H.block("+", "+"), H.block("-", "-")
         top = (np.eye(len(h_top)) + h_top) / 2.0
         bottom = top if h_bottom is h_top else (np.eye(len(h_bottom)) + h_bottom) / 2.0
         proj = GradedOperator._even_built(H.space, top, bottom)
@@ -149,14 +149,14 @@ def _idempotency_residual(p: GradedOperator):
     so ||P^2 - P|| <= max_mu ||P_mu^2 - P_mu|| + w (1 + 2 ||P|| + w), with
     ||P|| <= max_mu ||P_mu||_F + w; slack is the larger of that term over
     the sectors.  Without a symmetry the one block is the sector itself and
-    slack is 0.  The second sector reuses the first's blocks when the two
-    are equal (the lattice's flat band has equal ones).  The split is kept
+    slack is 0.  The second sector reuses the first's blocks when one kept
+    array holds both (the lattice's flat band).  The split is kept
     on P (symmetry_blocks), where compressed_index reads it again.
     """
     rows = ("+", "-") if p.parity == "even" else (None,)
     residual, slack, first = [], 0.0, None
     for row in rows:
-        if row == "-" and p.sectors_equal():
+        if row == "-" and p.block("-", "-") is p.block("+", "+"):
             residual += first
             continue
         split = symmetry_blocks(p, row, row)

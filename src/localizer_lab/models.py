@@ -87,14 +87,13 @@ def oscillator_dirac(n: int) -> ModelDescriptor:
     nonzero spectrum {1, ..., n-1} twice and a one-dimensional kernel in the
     positive sector.  H = 1 commutes with everything, which makes every
     parameter pair admissible.  D is kept as its n - 1 entries and H as its
-    two identity sector blocks.
+    two sector diagonals of ones.
     """
     if n < 2:
         raise ModelArgumentError("ladder needs n >= 2")
     space = GradedSpace(n, n - 1)
-    # H's blocks first: an n too large for memory fails at its first array
-    H = GradedOperator._even_built(space, np.eye(n, dtype=complex),
-                                   np.eye(n - 1, dtype=complex))
+    # H first: an n too large for memory fails at its first array
+    H = GradedOperator._diagonal_built(space, np.ones(n), np.ones(n - 1))
     ks = np.arange(1, n)
     D = GradedOperator._monomial_built(space, ks - 1, ks, np.sqrt(ks))
 

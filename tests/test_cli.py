@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,11 +158,24 @@ def test_scales_out_of_float_range_exit_two(capsys, argv):
 
 
 def test_model_too_large_for_memory_exits_two(capsys):
-    # its first array asks for 1.42 PiB, a request refused at once
-    code, out, err = run(capsys, "compute", "--model", "oscillator:n=10000000", "--auto")
+    # its first array, H's diagonal, asks for 728 TiB, more than a 64-bit
+    # process can map: a request refused at once
+    code, out, err = run(capsys, "compute", "--model", "oscillator:n=100000000000000",
+                         "--auto")
     assert code == 2
     assert out == ""
-    assert "model 'oscillator:n=10000000' does not fit in memory" in err
+    assert "model 'oscillator:n=100000000000000' does not fit in memory" in err
+
+
+def test_memory_error_after_the_model_is_built_exits_two(capsys, monkeypatch):
+    # compute --auto on oscillator:n=100000 builds the model on O(n) arrays,
+    # then its checks ask for n x n ones
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(cli, "choose_params", too_large)
+    code, out, err = run(capsys, "compute", "--model", "oscillator:n=20", "--auto")
+    assert (code, out, err) == (2, "", "error: Unable to allocate 149. GiB for an array\n")
 
 
 def test_linalg_failure_is_not_a_usage_error(monkeypatch):
@@ -238,22 +252,8 @@ def test_verify_suites_run_on_one_blas_thread(capsys, monkeypatch):
     assert counts == [1, 1]
 
 
-def test_ladder_sweep_scans_each_sector_of_h_once(capsys, monkeypatch):
-    # the benchmark's grid: gap(H) and the pair test of all 12 cells read
-    # one kept flag per sector of H = 1
-    from localizer_lab import grading
-
-    scanned = []
-    scan = grading.is_diagonal
-
-    def counting(m):
-        scanned.append(m.shape)
-        return scan(m)
-    monkeypatch.setattr(grading, "is_diagonal", counting)
-    code, out, err = run(capsys, "sweep", "--model", "oscillator:n=400",
-                         "--kappa", "0.5,1.0,2.0", "--rho", "2.0,4.0,8.0,16.0")
-    assert code == 0 and "admissible_cells=12" in out
-    assert scanned == [(400, 400), (399, 399)]
+# the benchmark's ladder grid
+LADDER_GRID = ("--kappa", "0.5,1.0,2.0", "--rho", "2.0,4.0,8.0,16.0")
 
 
 def assert_forms_no_n_by_n_operator(capsys, monkeypatch, argv, expected):
@@ -285,11 +285,33 @@ def test_lattice_leg_forms_no_n_by_n_operator(capsys, monkeypatch, model, expect
 
 
 def test_ladder_sweep_forms_no_n_by_n_operator(capsys, monkeypatch):
-    # the benchmark's grid: H = 1 keeps its sector blocks, D its entries,
-    # [D, H] its lower block, and every cell takes the pair route
+    # the benchmark's grid: H = 1 keeps its diagonals, D and [D, H] their
+    # entries, and every cell takes the pair route
     assert_forms_no_n_by_n_operator(
-        capsys, monkeypatch, ("sweep", "--model", "oscillator:n=400", "--kappa",
-                              "0.5,1.0,2.0", "--rho", "2.0,4.0,8.0,16.0"), 0)
+        capsys, monkeypatch, ("sweep", "--model", "oscillator:n=400", *LADDER_GRID), 0)
+
+
+def test_ladder_sweep_peaks_below_one_sector_block(capsys):
+    # H = 1 and [D, H] are entries: no array the shape of a sector block,
+    # 400 * 399 complex entries, is ever held
+    argv = ("sweep", "--model", "oscillator:n=400", *LADDER_GRID)
+    report = run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv) == report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report[0] == 0 and "admissible_cells=12" in report[1]
+    assert peak < 400 * 399 * 16
+
+
+def test_ladder_sweep_cost_does_not_grow_with_the_truncation(capsys):
+    # the index sees D's spectrum only inside the window: n = 100000 runs
+    # on O(n) arrays
+    code, out, err = run(capsys, "sweep", "--model", "oscillator:n=100000", *LADDER_GRID)
+    assert code == 0
+    assert "admissible_cells=12" in out and "signatures=[1]" in out
 
 
 def test_lattice_leg_splits_each_operator_sector_once(capsys, monkeypatch):

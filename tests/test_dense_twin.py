@@ -1,22 +1,23 @@
 """Every structured route against its dense fallback, end to end.
 
 Each command runs twice in one process: as the package runs it, and with
-every structure detector patched to its dense answer.  The patches send a
-diagonal sector to eigvalsh and the pair test to the dense L_S
-(GradedOperator.sector_diagonal), the lattice to no symmetry, so every block
-is solved whole (models._quarter_turn), and a flat H to func_calc for its
-projection (ktheory.FLAT_EIG_TOL).  Every structure a constructor records
-falls back to a bare dense matrix: sector blocks (GradedOperator._even_built),
-a lower block (_odd_built), monomial entries (_monomial_built) and the
-identity-window localizer kept as H and D (_gathered).  A monomial route
-comes only from an entries record, so the fallback of _monomial_built sends
-every monomial odd block to the SVD and the GEMMs.  Spies record the routes
-each run takes: the structured run must take exactly the routes listed for
-its command, so a renamed or bypassed detector or constructor fails here
-instead of comparing dense with dense, and the dense run must take none.
-Each reader of a monomial record (grading._odd_monomial) is its own route,
-named after the caller: a spectrum, eigenframe or commutator that stops
-reading the record drops its route.
+every structure detector patched to its dense answer.  The patches send the
+lattice to no symmetry, so every block is solved whole
+(models._quarter_turn), and a flat H to func_calc for its projection
+(ktheory.FLAT_EIG_TOL).  Every structure a constructor records falls back to
+a bare dense matrix: sector blocks (GradedOperator._even_built), a lower
+block (_odd_built), monomial entries (_monomial_built), diagonal entries
+(_diagonal_built) and the identity-window localizer kept as H and D
+(_gathered).  A monomial or diagonal route comes only from an entries
+record, so those fallbacks send every monomial odd block to the SVD and the
+GEMMs, every diagonal sector to eigvalsh and the pair test to the dense L_S.
+Spies record the routes each run takes: the structured run must take
+exactly the routes listed for its command, so a renamed or bypassed
+detector or constructor fails here instead of comparing dense with dense,
+and the dense run must take none.  Each reader of an entries record
+(READERS) is its own route, named after the record and the caller: a
+spectrum, eigenframe, pair test, commutator or norm that stops reading the
+record drops its route.
 
 Exit codes and every word of stdout (verdicts, admissible flags, keys) are
 equal, and so is every integer token (indices, signatures, counts).  Two
@@ -48,33 +49,41 @@ ABS_TOL = 1e-12
 
 # the constructors that record a structure, and the route each records
 RECORDS = {"_even_built": "sectors", "_odd_built": "lower",
-           "_monomial_built": "entries", "_gathered": "gathered"}
+           "_monomial_built": "entries", "_diagonal_built": "diagonal",
+           "_gathered": "gathered"}
 
-# the readers of a monomial record: the spectrum, the eigenframe and [D, T]
+# the readers of an entries record, and the kind of record each reads
+READERS = {"_odd_monomial": "monomial", "_even_diagonal": "diagonal",
+           "_odd_entries": "entries"}
+
+# a monomial D's spectrum, eigenframe and [D, T]
 SPECTRUM = {"monomial:eigenvalues", "monomial:lipschitz_derivative"}
 MONOMIAL = SPECTRUM | {"monomial:_odd_eig"}
+# the ladder's H = 1: its spectrum, the pair test, and [D, H] as entries
+DIAGONAL = {"diagonal", "diagonal:eigenvalues", "diagonal:compress_diagonal",
+            "diagonal:lipschitz_derivative", "entries:operator_norm"}
 
 # argv, and the routes the structured run takes
 COMMANDS = {
     "oscillator": (("compute", "--model", "oscillator:n=40", "--auto"),
-                   MONOMIAL | {"diagonal", "lower", "sectors", "entries"}),
+                   MONOMIAL | DIAGONAL | {"sectors", "entries"}),
     "qwz8": (("compute", "--model", "qwz:L=8,m=3.0", "--auto"),
              SPECTRUM | {"symmetry", "flat", "sectors", "lower", "entries", "gathered"}),
     "qwz9": (("compute", "--model", "qwz:L=9,m=1.0", "--auto"),
              SPECTRUM | {"symmetry", "flat", "sectors", "lower", "entries", "gathered"}),
     "mk": (("compute", "--model", "mk:k=2,seed=0", "--auto"),
-           SPECTRUM | {"diagonal", "lower", "entries", "gathered"}),
+           SPECTRUM | {"lower", "entries", "gathered"}),
     "random": (("compute", "--model", "random:n=40,seed=1", "--auto"),
-               MONOMIAL | {"sectors", "lower", "entries", "gathered"}),
+               MONOMIAL | {"diagonal", "lower", "entries", "gathered"}),
     "sweep_ladder": (("sweep", "--model", "oscillator:n=60", "--kappa", "0.5,1.0,2.0",
                       "--rho", "1.0,2.0,4.0"),
-                     MONOMIAL | {"diagonal", "sectors", "lower", "entries"}),
+                     MONOMIAL | DIAGONAL | {"entries"}),
     "sweep_qwz": (("sweep", "--model", "qwz:L=8,m=3.0", "--kappa", "0.5,1.0",
                    "--rho", "1.0,2.0"), MONOMIAL | {"symmetry", "sectors", "lower",
                                                     "entries"}),
     "verify": (("verify", "identities", "--seed", "0"),
-               MONOMIAL | {"diagonal", "symmetry", "sectors", "lower", "entries",
-                           "gathered"}),
+               MONOMIAL | DIAGONAL | {"symmetry", "sectors", "lower", "entries",
+                                      "gathered"}),
 }
 
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
@@ -84,7 +93,6 @@ def run(monkeypatch, argv, dense):
     """(exit code, stdout, routes taken) of one CLI command, with every
     detector patched to its dense answer when dense is set."""
     if dense:
-        monkeypatch.setattr(GradedOperator, "sector_diagonal", lambda self, s: False)
         monkeypatch.setattr(models, "_quarter_turn", lambda L: None)
         monkeypatch.setattr(ktheory, "FLAT_EIG_TOL", -1.0)
         for name in RECORDS:
@@ -107,16 +115,14 @@ def run(monkeypatch, argv, dense):
             return out
         monkeypatch.setattr(owner, name, wrap(wrapped))
 
-    # one route per reader of a monomial record, named after the caller
-    reader = grading._odd_monomial
-
-    def read(op):
-        out = reader(op)
-        if out is not None:
-            routes.add("monomial:" + sys._getframe(1).f_code.co_name)
-        return out
-    monkeypatch.setattr(grading, "_odd_monomial", read)
-    spy(GradedOperator, "sector_diagonal", "diagonal", bool)
+    # one route per reader of an entries record, named after the caller
+    for name, kind in READERS.items():
+        def read(*args, reader=getattr(grading, name), kind=kind):
+            out = reader(*args)
+            if out is not None:
+                routes.add(f"{kind}:{sys._getframe(1).f_code.co_name}")
+            return out
+        monkeypatch.setattr(grading, name, read)
     spy(grading, "SymmetryBlocks", "symmetry", lambda out: len(out.blocks) > 1)
     for name, route in RECORDS.items():
         # an operator that kept its structure has formed no matrix yet

@@ -661,41 +661,6 @@ def test_monomial_defects_are_the_dense_frobenius_norms_of_any_frame(seed):
         np.linalg.norm(f.conj().T @ f - np.eye(n_cols)), rel=1e-13, abs=1e-15)
 
 
-def test_sectors_diagonal_scans_once(monkeypatch):
-    ladder_h = oscillator_dirac(20).H
-    dense_h = random_even(GradedSpace(4, 3), np.random.default_rng(570))
-    diagonal_top = GradedOperator.even_from_blocks(
-        GradedSpace(2, 2), np.diag([1.0, 2.0]), dense_h.block("+", "+")[:2, :2],
-        hermitian=True)
-    assert ladder_h.sectors_diagonal()
-    assert not dense_h.sectors_diagonal()
-    assert not diagonal_top.sectors_diagonal()
-
-    def no_scan(m):
-        raise AssertionError("the answer is kept")
-    monkeypatch.setattr(grading, "is_diagonal", no_scan)
-    assert ladder_h.sectors_diagonal() and not dense_h.sectors_diagonal()
-    # the spectrum reads the same per-sector flags
-    assert np.array_equal(ladder_h.eigenvalues(), np.sort(np.diagonal(ladder_h.matrix).real))
-    assert not diagonal_top.sectors_diagonal() and diagonal_top.sector_diagonal("+")
-    diagonal_top.eigenvalues()
-
-
-def test_sectors_diagonal_stops_at_the_first_dense_sector(monkeypatch):
-    h = random_even(GradedSpace(4, 3), np.random.default_rng(571))
-    scanned = []
-    scan = grading.is_diagonal
-
-    def spy(m):
-        scanned.append(m.shape)
-        return scan(m)
-    monkeypatch.setattr(grading, "is_diagonal", spy)
-    assert not h.sectors_diagonal()
-    assert scanned == [(4, 4)]
-    h.eigenvalues()
-    assert scanned == [(4, 4), (3, 3)]
-
-
 def test_monomial_scan_is_kept_on_the_operator():
     osc = oscillator_dirac(20)
     d = osc.D
@@ -713,19 +678,26 @@ def test_monomial_scan_is_kept_on_the_operator():
 def test_diagonal_even_sector_reads_its_diagonal(monkeypatch):
     rng = np.random.default_rng(530)
     space = GradedSpace(5, 4)
-    top = np.diag(rng.normal(size=5)).astype(complex)
-    bottom = random_even(GradedSpace(4, 4), rng).block("+", "+")
-    h = GradedOperator.even_from_blocks(space, top, bottom, hermitian=True)
+    top, bottom = rng.normal(size=5), rng.normal(size=4)
+    recorded = GradedOperator._diagonal_built(space, top, bottom)
     calls = count_linalg(monkeypatch)
-    w = h.eigenvalues()
-    assert calls == [("eigvalsh", (4, 4))]
-    assert np.array_equal(w, np.sort(np.concatenate(
-        [np.diagonal(top).real, np.linalg.eigvalsh(bottom)])))
+    w = recorded.eigenvalues()
+    assert calls == []
+    assert np.array_equal(w, np.sort(np.concatenate([top, bottom])))
+    assert np.array_equal(recorded.matrix, np.diag(np.concatenate([top, bottom])))
+    # a diagonal block given densely is not recorded as one
+    dense = GradedOperator.even_from_blocks(space, np.diag(top), np.diag(bottom),
+                                            hermitian=True)
+    assert grading._even_diagonal(dense, "+") is None
+    assert np.array_equal(dense.eigenvalues(), np.sort(np.concatenate(
+        [np.linalg.eigvalsh(np.diag(top)), np.linalg.eigvalsh(np.diag(bottom))])))
+    assert calls[:2] == [("eigvalsh", (5, 5)), ("eigvalsh", (4, 4))]
 
 
 def test_exactly_vanishing_commutator_takes_no_svd(monkeypatch):
     osc = oscillator_dirac(30)
     der = lipschitz_derivative(osc.D, osc.H)
+    assert grading._odd_entries(der)[2].size == 0
     assert not np.any(der.matrix)
     calls = count_linalg(monkeypatch)
     assert operator_norm(der) == 0.0
@@ -768,13 +740,34 @@ def _kept_operators():
     mono = GradedOperator._monomial_built(space, np.array([3, 0, 1, 2]),
                                           np.array([4, 1, 0, 2]), z)
     t = GradedOperator(rng.normal(size=(9, 9)), space, hermitian=True)
+    diagonal = GradedOperator._diagonal_built(space, np.array([2.0, 0.0, -1.0, 0.5, 3.0]),
+                                              rng.normal(size=4))
     kept = {"shared-sectors": h, "sectors": random_even(space, rng, hermitian=False),
-            "lower": d, "monomial": mono,
+            "lower": d, "monomial": mono, "diagonal": diagonal,
             "commutator": lipschitz_derivative(mono, random_even(space, rng)),
+            "entries-commutator": lipschitz_derivative(mono, diagonal),
             "non-hermitian-commutator": lipschitz_derivative(
                 d, random_even(space, rng, hermitian=False)),
             "dense": t}
     return [pytest.param(op, id=name) for name, op in kept.items()]
+
+
+@pytest.mark.parametrize("shape", MONOMIAL_SHAPES)
+def test_commutator_of_a_diagonal_h_is_its_entries(shape, monkeypatch):
+    # the entries are the products and the difference that the entrywise
+    # route takes on H's dense blocks, and the norm is the largest |entry|
+    d = monomial_odd(*shape, seed=584, zeros=0)
+    rng = np.random.default_rng(585)
+    top, bottom = rng.normal(size=shape[0]), rng.normal(size=shape[1])
+    der = lipschitz_derivative(d, GradedOperator._diagonal_built(d.space, top, bottom))
+    dense = lipschitz_derivative(d, GradedOperator.even_from_blocks(
+        d.space, np.diag(top), np.diag(bottom), hermitian=True))
+    assert grading._odd_entries(der) is not None and grading._odd_entries(dense) is None
+    calls = count_linalg(monkeypatch)
+    norm = operator_norm(der)
+    assert calls == []
+    assert np.array_equal(der.matrix, dense.matrix)
+    assert norm == pytest.approx(operator_norm(dense), rel=1e-14)
 
 
 @pytest.mark.parametrize("op", _kept_operators())
@@ -802,9 +795,10 @@ def test_shared_sector_block_stays_shared():
     from localizer_lab.models import qwz_chern_model
 
     h = qwz_chern_model(8, 3.0).H
-    top, bottom = h.sector_blocks()
-    assert top is bottom and h.sectors_equal()
-    p_top, p_bottom = positive_projection(h).sector_blocks()
+    top, bottom = h.block("+", "+"), h.block("-", "-")
+    assert top is bottom
+    p = positive_projection(h)
+    p_top, p_bottom = p.block("+", "+"), p.block("-", "-")
     assert p_top is p_bottom
 
 

@@ -15,6 +15,7 @@ from localizer_lab import (
 )
 from localizer_lab.grading import (
     PhasedPermutation,
+    _odd_monomial,
     lipschitz_derivative,
     symmetry_blocks,
 )
@@ -27,8 +28,8 @@ def _plain(op: GradedOperator) -> GradedOperator:
     """op on a space without a symmetry, so every kernel takes the full route;
     a D built from its entries is built from them again."""
     space = GradedSpace(op.space.n_plus, op.space.n_minus)
-    if op._monomial is not None:
-        return GradedOperator._monomial_built(space, *op._monomial)
+    if _odd_monomial(op) is not None:
+        return GradedOperator._monomial_built(space, *_odd_monomial(op))
     return GradedOperator(op.matrix, space, parity=op.parity, hermitian=op.hermitian)
 
 
