@@ -526,6 +526,11 @@ class GradedOperator:
             self._blocks = None  # the matrix holds every block now
         return self._matrix
 
+    def formed(self) -> np.ndarray:
+        """The n x n matrix for one read: ``matrix`` when that is held, else
+        formed afresh from the kept structure and not kept."""
+        return self._form() if self._matrix is None else self._matrix
+
     def _form(self) -> np.ndarray:
         if self._take is not None:
             return self._take(None, None)

@@ -425,43 +425,75 @@ def square_residuals(bundle: LocalizerBundle, H: GradedOperator,
 
     RHS = 1 - Phi_2^4 + (kappa^2 rho^2 / 4 - C)(Phi_2^4 - Phi_r^4)
           + (gap^2 - C) Phi_r^4; nonnegativity (up to rounding) is the lemma.
+
+    L^2 is one GEMM of L's whole matrix: that is the side being checked.
+    The other side is formed per parity block of the site basis (the
+    sectors of gamma), so no frame of D enters.  H, the windows and RHS are
+    even and D and [D, H] odd, so every term is a product of the sector
+    blocks H_s and Phi_s, of D's lower block B (positive to negative
+    sector) and of B^H; the matrices of H, D and the windows are never
+    read.  The odd term's upper block is the adjoint of its lower one.
+    square is the root sum of the four block residuals' squared Frobenius
+    norms over max(1, ||L^2||_F).  RHS is then subtracted from L^2's
+    diagonal blocks in place, so only L, L^2 and eigvalsh's copy of
+    L^2 - RHS are n x n.
     """
+    if H.parity != "even" or D.parity != "odd":
+        raise ParityError("the square identity needs an even H and an odd D")
+    # the windows are even functions of the odd D, so even operators
+    windows = () if bundle.phi_identity else (bundle.Phi_rho, bundle.Phi_2rho)
     p = bundle.params
-    n, gdiag = bundle.space.n, bundle.space.gamma_diag
-    lm = bundle.L.matrix
+    k, n = bundle.space.n_plus, bundle.space.n
+    span = {"+": slice(0, k), "-": slice(k, n)}
+    lm = bundle.L.formed()
     lsq = lm @ lm
+    del lm
+    scale = max(1.0, np.linalg.norm(lsq))
+    b = D.block("-", "+")
+    # kappa Phi_r [D, H] gamma Phi_r from the positive to the negative
+    # sector, where gamma is 1
+    odd = b @ H.block("+", "+") - H.block("-", "-") @ b
+    if windows:
+        odd = windows[0].block("-", "-") @ (odd @ windows[0].block("+", "+"))
+    odd *= p.kappa
+    norms = [np.linalg.norm(lsq[span["-"], span["+"]] - odd),
+             np.linalg.norm(lsq[span["+"], span["-"]] - odd.conj().T)]
+    del odd
 
-    hm, dm = H.matrix, D.matrix
-    dh = dm @ hm - hm @ dm
-
-    if bundle.phi_identity:
-        expansion = p.kappa**2 * (dm @ dm) + hm @ hm + p.kappa * (dh * gdiag[None, :])
-        bound = (p.gap**2 - p.C_kr) * np.eye(n, dtype=complex)
-    else:
-        pr = bundle.Phi_rho.matrix
-        p2 = bundle.Phi_2rho.matrix
+    def even(s: str) -> float:
+        """The residual of L^2's diagonal block s, which is then turned into
+        that of L^2 - RHS; its temporaries go on return."""
+        h, block = H.block(s, s), lsq[span[s], span[s]]
+        d2 = b.conj().T @ b if s == "+" else b @ b.conj().T
+        if not windows:
+            residual = np.linalg.norm(block - (p.kappa**2 * d2 + h @ h))
+            block[np.diag_indices_from(block)] -= p.gap**2 - p.C_kr
+            return residual
+        pr, p2 = windows[0].block(s, s), windows[1].block(s, s)
         p2sq = p2 @ p2
         p2q = p2sq @ p2sq
         prsq = pr @ pr
         prq = prsq @ prsq
-        prh = pr @ hm
-        comm = prh - hm @ pr
+        prh = pr @ h
+        comm = prh - h @ pr
         double = prh @ comm - comm @ prh
-        outside = np.eye(n, dtype=complex) - p2q
+        outside = -p2q
+        outside[np.diag_indices_from(outside)] += 1.0
         expansion = (outside
-                     + p.kappa**2 * (dm @ dm @ p2q)
-                     + prsq @ (hm @ hm) @ prsq
-                     + p.kappa * (pr @ ((dh * gdiag[None, :]) @ pr))
+                     + p.kappa**2 * (d2 @ p2q)
+                     + prsq @ (h @ h) @ prsq
                      + pr @ double @ pr)
+        residual = np.linalg.norm(block - expansion)
         quarter = p.kappa**2 * p.rho**2 / 4.0
-        bound = (outside
-                 + (quarter - p.C_kr) * (p2q - prq)
-                 + (p.gap**2 - p.C_kr) * prq)
-    square = np.linalg.norm(lsq - expansion) / max(1.0, np.linalg.norm(lsq))
-    # released before eigvalsh allocates its workspace, and 1 is never held:
-    # peak memory stays that of the bound check alone (n = 400 on qwz)
-    del expansion, dh
-    lower = np.linalg.eigvalsh(lsq - bound)[0]
+        block -= (outside
+                  + (quarter - p.C_kr) * (p2q - prq)
+                  + (p.gap**2 - p.C_kr) * prq)
+        return residual
+
+    norms += [even("+"), even("-")]
+    square = math.hypot(*norms) / scale
+    # every block temporary is released by now, before eigvalsh copies lsq
+    lower = np.linalg.eigvalsh(lsq)[0]
     return float(square), float(lower)
 
 

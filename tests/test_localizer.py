@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -204,22 +205,71 @@ def _sharp_bundle():
     return osc.H, osc.D, sharp_localizer(osc.H, osc.D, 2.5, 0.5, PHI)
 
 
-@pytest.mark.parametrize("make, identity", [
+RESIDUAL_CASES = pytest.mark.parametrize("make, identity", [
     (_identity_window_bundle, True),
     (_windowed_bundle, False),
     (_dense_windowed_bundle, False),
     (_sharp_bundle, False),
 ], ids=["identity_window", "windowed", "dense_windowed", "sharp"])
-def test_square_residuals_match_the_written_out_formulas(make, identity):
-    H, D, bundle = make()
-    assert bundle.phi_identity == identity
+
+
+def _block_formulas(bundle, H, D):
+    """The expansion and RHS written out per parity block, from slices of
+    the dense matrices: (square, lower) in the order of square_residuals."""
+    p, identity = bundle.params, bundle.phi_identity
+    k, n = bundle.space.n_plus, bundle.space.n
+    span = {"+": slice(0, k), "-": slice(k, n)}
+
+    def cell(m, r, c):
+        return m[span[r], span[c]]
+
+    lsq = bundle.L.matrix @ bundle.L.matrix
+    hm, dm = H.matrix, D.matrix
+    b = cell(dm, "-", "+")
+    # [D, H] gamma from the positive to the negative sector, where gamma is 1
+    odd = b @ cell(hm, "+", "+") - cell(hm, "-", "-") @ b
+    if not identity:
+        pr, p2 = bundle.Phi_rho.matrix, bundle.Phi_2rho.matrix
+        odd = cell(pr, "-", "-") @ (odd @ cell(pr, "+", "+"))
+    odd = p.kappa * odd
+    # the expansion is hermitian: its upper odd block is the lower one's adjoint
+    norms = [np.linalg.norm(cell(lsq, "-", "+") - odd),
+             np.linalg.norm(cell(lsq, "+", "-") - odd.conj().T)]
+    shifted = lsq.copy()
+    for s in "+-":
+        h = cell(hm, s, s)
+        eye = np.eye(h.shape[0], dtype=complex)
+        d2 = b.conj().T @ b if s == "+" else b @ b.conj().T
+        if identity:
+            expansion = p.kappa**2 * d2 + h @ h
+            bound = (p.gap**2 - p.C_kr) * eye
+        else:
+            prs, p2s = cell(pr, s, s), cell(p2, s, s)
+            p2q = (p2s @ p2s) @ (p2s @ p2s)
+            prsq = prs @ prs
+            prq = prsq @ prsq
+            comm = prs @ h - h @ prs
+            double = (prs @ h) @ comm - comm @ (prs @ h)
+            expansion = (eye - p2q + p.kappa**2 * (d2 @ p2q)
+                         + prsq @ (h @ h) @ prsq + prs @ double @ prs)
+            bound = (eye - p2q
+                     + (p.kappa**2 * p.rho**2 / 4.0 - p.C_kr) * (p2q - prq)
+                     + (p.gap**2 - p.C_kr) * prq)
+        norms.append(np.linalg.norm(cell(lsq, s, s) - expansion))
+        cell(shifted, s, s)[...] -= bound
+    square = math.hypot(*norms) / max(1.0, np.linalg.norm(lsq))
+    return float(square), float(np.linalg.eigvalsh(shifted)[0])
+
+
+def _dense_formulas(bundle, H, D):
+    """The expansion and RHS as whole n x n matrices: (square, lower)."""
     p = bundle.params
     g = bundle.space.gamma_diag[None, :]
     hm, dm = H.matrix, D.matrix
     eye = np.eye(bundle.space.n, dtype=complex)
     lsq = bundle.L.matrix @ bundle.L.matrix
     dh = dm @ hm - hm @ dm
-    if identity:
+    if bundle.phi_identity:
         # Phi_rho = Phi_2rho = 1: L^2 = kappa^2 D^2 + H^2 + kappa [D,H] gamma
         expansion = p.kappa**2 * (dm @ dm) + hm @ hm + p.kappa * (dh * g)
         bound = (p.gap**2 - p.C_kr) * eye
@@ -239,7 +289,68 @@ def test_square_residuals_match_the_written_out_formulas(make, identity):
                  + (p.gap**2 - p.C_kr) * prq)
     square = np.linalg.norm(lsq - expansion) / max(1.0, np.linalg.norm(lsq))
     lower = np.linalg.eigvalsh(lsq - bound)[0]
-    assert square_residuals(bundle, H, D) == (float(square), float(lower))
+    return float(square), float(lower), float(np.linalg.norm(lsq))
+
+
+@RESIDUAL_CASES
+def test_square_residuals_match_the_written_out_formulas(make, identity):
+    H, D, bundle = make()
+    assert bundle.phi_identity == identity
+    assert square_residuals(bundle, H, D) == _block_formulas(bundle, H, D)
+
+
+@RESIDUAL_CASES
+def test_square_residuals_agree_with_the_dense_formulas(make, identity):
+    # the whole n x n expansion differs from the per-block one by roundoff
+    # alone; lower is an eigenvalue of L^2 - RHS, so its tolerance scales
+    # with ||L^2||
+    H, D, bundle = make()
+    square, lower = square_residuals(bundle, H, D)
+    dense_square, dense_lower, lsq_norm = _dense_formulas(bundle, H, D)
+    assert abs(square - dense_square) <= 1e-14
+    assert abs(lower - dense_lower) <= 1e-13 * max(1.0, lsq_norm)
+
+
+def _zoo_qwz_bundle():
+    qwz = parse_model("qwz:L=10,m=3.0")
+    H, D = qwz.H, qwz.D
+    return H, D, assemble_localizer(H, D, PHI, choose_params(H, D, PHI))
+
+
+@pytest.mark.parametrize("make", [_zoo_qwz_bundle, _windowed_bundle],
+                         ids=["qwz_zoo", "oscillator_windowed"])
+def test_square_residuals_form_no_matrix_of_h_d_or_the_windows(make):
+    # the expansion is formed from sector blocks, so the operators that a
+    # suite keeps for its whole run hold no n x n matrix afterwards
+    H, D, bundle = make()
+    square_residuals(bundle, H, D)
+    windows = [] if bundle.phi_identity else [bundle.Phi_rho, bundle.Phi_2rho]
+    assert all(op._matrix is None for op in [H, D, *windows])
+
+
+def test_square_residuals_refuse_an_h_without_parity():
+    # the expansion is formed per parity block, which an unlabelled H
+    # would not fill
+    H, D, bundle = _dense_windowed_bundle()
+    unlabelled = GradedOperator(H.matrix, H.space, parity="none", hermitian=True)
+    with pytest.raises(ParityError):
+        square_residuals(bundle, unlabelled, D)
+
+
+def test_square_residuals_peak_stays_within_four_square_arrays():
+    # L, L^2 and eigvalsh's copy of L^2 - RHS are the n x n arrays; the
+    # sector-block temporaries are each a quarter of one
+    H, D, bundle = _zoo_qwz_bundle()
+    assert bundle.phi_identity
+    n = bundle.space.n
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        square_residuals(bundle, H, D)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 16
 
 
 def test_certificate_holds_when_admissible():
