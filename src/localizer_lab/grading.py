@@ -200,6 +200,14 @@ class GradedSpace:
         return g
 
 
+def _ix(m: np.ndarray, ri: np.ndarray, ci: np.ndarray) -> np.ndarray:
+    """m[np.ix_(ri, ci)], by one take of flat indices when m is C-contiguous
+    (half the time of the two-index gather)."""
+    if not m.flags.c_contiguous:
+        return m[np.ix_(ri, ci)]
+    return m.reshape(-1)[ri[:, None] * m.shape[1] + ci]
+
+
 def _hermitize(m: np.ndarray) -> np.ndarray:
     # (m + m^H)/2 entrywise: the result satisfies a[i,j] == conj(a[j,i])
     # bit-exactly because IEEE addition is commutative.
@@ -380,13 +388,14 @@ class GradedOperator:
     - the lower block of an odd operator, and its upper block unless that is
       +-(lower block)^H by construction (_odd_built, odd_from_block);
     - the entries (rows, cols, z) of a block, at most one per row and per
-      column, formed when first read: a monomial lower block
-      (_monomial_built) or diagonal sector blocks (_diagonal_built);
-    - a gather of its entries, for an operator that is a formula in others
-      (_gathered).
-    ``block`` and ``gather`` read every form without the n x n matrix.  Only
-    an entries record marks a block as monomial or diagonal: a dense block
-    of that shape takes the routes of any other block.
+      column: a monomial lower block (_monomial_built) or diagonal sector
+      blocks (_diagonal_built);
+    - for an operator that is a formula in others, a gather of each sector
+      block, and the entries of the blocks that are monomial (_gathered).
+    ``block`` and ``gather`` read every form without the n x n matrix.  A
+    block formed from entries or a gather is formed for each read and not
+    kept.  Only an entries record marks a block as monomial or diagonal: a
+    dense block of that shape takes the routes of any other block.
     """
 
     __slots__ = ("_matrix", "_blocks", "_adjoint", "_take", "space", "parity",
@@ -410,7 +419,7 @@ class GradedOperator:
     def _init(self, space: GradedSpace, parity: str, hermitian: bool, matrix=None,
               blocks=None, adjoint: int = 0, entries=None, take=None):
         self._matrix = matrix
-        self._blocks = blocks
+        self._blocks = {} if take is not None else blocks
         self._adjoint = adjoint
         self._take = take
         self.space = space
@@ -493,10 +502,12 @@ class GradedOperator:
 
     @classmethod
     def _gathered(cls, space: GradedSpace, parity: str, hermitian: bool,
-                  take: Callable) -> "GradedOperator":
-        """Operator kept as take(ri, ci), its entries at np.ix_(ri, ci) as a
-        fresh complex array; ``matrix`` is take(None, None), every entry."""
-        return cls._new(space, parity, hermitian, take=take)
+                  take: Callable, entries: dict | None = None) -> "GradedOperator":
+        """Operator kept as the entries (rows, cols, z) of the sector blocks
+        listed in entries, monomial ones, and take(row, col, ri, ci) for the
+        others: the block (row, col) at np.ix_(ri, ci) as a fresh complex
+        array, the whole block when ri is None."""
+        return cls._new(space, parity, hermitian, take=take, entries=entries)
 
     @classmethod
     def even_from_blocks(cls, space: GradedSpace, top, bottom, hermitian=False):
@@ -532,8 +543,6 @@ class GradedOperator:
         return self._form() if self._matrix is None else self._matrix
 
     def _form(self) -> np.ndarray:
-        if self._take is not None:
-            return self._take(None, None)
         k, n = self.space.n_plus, self.space.n
         span = {"+": slice(0, k), "-": slice(k, n)}
         m = np.zeros((n, n), dtype=complex)
@@ -561,48 +570,40 @@ class GradedOperator:
         size = {"+": k, "-": self.space.n_minus}
         if cell not in self._cells():
             return np.zeros((size[row], size[col]), dtype=complex)
-        if cell == ("+", "-"):
+        if cell == ("+", "-") and self._adjoint:
             upper = self.block("-", "+").conj().T
             block = np.ascontiguousarray(upper if self._adjoint > 0 else -upper)
-        else:
+            if ("-", "+") in self._blocks:
+                self._blocks[cell] = block  # kept beside the kept lower block
+            return block
+        if cell in self._entries:
             rows, cols, z = self._entries[cell]
             block = np.zeros((size[row], size[col]), dtype=complex)
             block[rows, cols] = z
-        self._blocks[cell] = block
-        return block
+            return block
+        return self._take(row, col, None, None)
 
-    def gather(self, ri: np.ndarray, ci: np.ndarray, row: str | None = None,
-               col: str | None = None) -> np.ndarray:
+    def gather(self, ri: np.ndarray, ci: np.ndarray, row: str, col: str) -> np.ndarray:
         """M[np.ix_(ri, ci)] as a fresh C-contiguous array, for M the block
-        (row, col), or the whole operator when row is None, read from the
-        structure the operator keeps.  Whole gathers take sector_runs:
-        positive-sector indices first, as the orbit basis lists them.
+        (row, col), read from the structure the operator keeps.
 
-        A whole gather of block storage places each sector's gather; one of
-        an upper block adjoint * lower^H, or of a block's entries, is formed
-        entry by entry, with the operations that forming the block would take.
+        A gather of an upper block adjoint * lower^H, or of a block's
+        entries, is formed entry by entry, with the operations that forming
+        the block would take.
         """
         if self._blocks is None:
-            if self._take is not None and row is None:
-                return self._take(ri, ci)
-            m = self.matrix if row is None else self.block(row, col)
-            return m[np.ix_(ri, ci)]
-        if row is None:
-            x = np.zeros((len(ri), len(ci)), dtype=complex)
-            for r, rs, r_local in sector_runs(self.space, ri):
-                for c, cs, c_local in sector_runs(self.space, ci):
-                    if (r, c) in self._cells():
-                        x[rs, cs] = self.gather(r_local, c_local, r, c)
-            return x
+            return _ix(self.block(row, col), ri, ci)
         cell = (row, col)
         if cell in self._blocks:
-            return self._blocks[cell][np.ix_(ri, ci)]
+            return _ix(self._blocks[cell], ri, ci)
         if cell not in self._cells():
             return np.zeros((len(ri), len(ci)), dtype=complex)
-        if cell == ("+", "-"):
+        if cell == ("+", "-") and self._adjoint:
             # entry (i, j) of adjoint * lower^H is adjoint * conj(lower[j, i])
             upper = self.gather(ci, ri, "-", "+").T.conj()
             return np.ascontiguousarray(upper if self._adjoint > 0 else -upper)
+        if cell not in self._entries:
+            return self._take(row, col, ri, ci)
         rows, cols, z = self._entries[cell]
         n_row = self.space.n_plus if row == "+" else self.space.n_minus
         col_of = np.full(n_row, -1)
@@ -777,17 +778,6 @@ class GradedOperator:
         return self._eigvals_cache
 
 
-def sector_runs(space: GradedSpace, idx: np.ndarray) -> tuple:
-    """((s, run, local), ...) for s = "+" and "-": idx[run] are the indices
-    of idx in sector s, and local those indices within the sector.  Every
-    positive-sector index must come before every negative one."""
-    k = space.n_plus
-    p = int(np.count_nonzero(idx < k))
-    if np.any(idx[:p] >= k):
-        raise ValueError("indices must list the positive sector first")
-    return ("+", slice(0, p), idx[:p]), ("-", slice(p, len(idx)), idx[p:] - k)
-
-
 @dataclass
 class SymmetryBlocks:
     """Compressions V_mu^H M V_mu of M to the eigenspaces of a symmetry S,
@@ -821,15 +811,11 @@ def _split(op: GradedOperator, row: str | None, col: str | None) -> SymmetryBloc
     SYM_TOL times ||M||_F / sqrt(min(shape)), a lower bound of ||M||_2, the
     one block is M itself and weyl is 0.
 
-    Everything comes from N^2 phased gathers of M (op.gather), one per pair
-    of orbit steps (k, l), each with one entry per pair of orbits, so the
-    work is O(n^2) and neither M nor a full-size copy of it is formed.
-    Along d = k - l the gathers
-    X_l = sqrt(m_p m_q) conj(Phi_(l+d)) Phi_l M[I_(l+d), I_l] / N
-    (orbit sizes m, Phi extended by Phi_(k+N) = power Phi_k) close a cycle.
-    S M S^-1 - M is, entry by entry and up to phases and the repeats of
-    short orbits, X_(l+1) - X_l, so delta^2 = sum ||X_(l+1) - X_l||_F^2;
-    and the block of mu is sum_d mu^d A_d / N with A_d = sum_l X_l.
+    S maps each sector to itself, so no orbit mixes sectors: a sector block
+    is split alone (_split_cell), and the whole op is split one sector block
+    at a time, its delta^2 and ||M||_F^2 summed over the four and the block
+    of each mu stitched from theirs.  The masks of empty eigenspaces apply
+    per sector block.
     """
     def whole():
         return SymmetryBlocks([op.matrix if row is None else op.block(row, col)], 0.0)
@@ -837,48 +823,209 @@ def _split(op: GradedOperator, row: str | None, col: str | None) -> SymmetryBloc
     sym = op.space.symmetry
     if sym is None:
         return whole()
-    k, n = op.space.n_plus, op.space.n
-    span = {None: (0, n), "+": (0, k), "-": (k, n)}
-    rows, cols = span[row], span[col]
     orbits = sym.orbits
-    r_idx, r_phi, r_size, r_ok = orbits.part(*rows)
-    c_idx, c_phi, c_size, c_ok = orbits.part(*cols)
+    cells = [(row, col)] if row is not None else [(r, c) for r in "+-" for c in "+-"]
+    if row is None:
+        # allocated before the sector blocks' temporaries, so that these lie
+        # above the kept blocks in the heap and go back to the system when
+        # freed (stitched after them, a lattice leg kept 30 MB resident)
+        count = orbits.part(0, op.space.n)[3].sum(axis=0)
+        stitched = [np.empty((c, c), dtype=complex) for c in count]
+    parts = [_split_cell(op, orbits, r, c) for r, c in cells]
+    delta2 = sum(part[0] for part in parts)
+    norm2 = sum(part[1] for part in parts)
+    size = {None: op.space.n, "+": op.space.n_plus, "-": op.space.n_minus}
+    weyl = (orbits.order - 1) / 2.0 * float(np.sqrt(delta2))
+    if weyl > SYM_TOL * np.sqrt(norm2 / max(1, min(size[row], size[col]))):
+        return whole()
+    if row is not None:
+        return SymmetryBlocks([parts[0][2](i) for i in range(orbits.order)], weyl)
+    for i, out in enumerate(stitched):
+        # one mu at a time, so no more than its four sector blocks are held
+        pp, pm, mp, mm = (block(i) for _, _, block in parts)
+        a, b = pp.shape
+        out[:a, :b], out[:a, b:], out[a:, :b], out[a:, b:] = pp, pm, mp, mm
+    return SymmetryBlocks(stitched, weyl)
+
+
+def _split_cell(op: GradedOperator, orbits: "_Orbits", row: str, col: str):
+    """(delta^2, ||M||_F^2, block) for the sector block M = op.block(row,
+    col) in the orbit basis; block(i) is the block of mu_i, less the orbits
+    that have no vector in its eigenspace.
+
+    Everything comes from N^2 phased gathers of M, one per pair of orbit
+    steps (k, l), each with one entry per pair of orbits, so the work is
+    O(n^2) and neither M nor a full-size copy of it is formed.  Along
+    d = k - l the gathers
+    X_l = sqrt(m_p m_q) conj(Phi_(l+d)) Phi_l M[I_(l+d), I_l] / N
+    (orbit sizes m, Phi extended by Phi_(k+N) = power Phi_k) close a cycle.
+    S M S^-1 - M is, entry by entry and up to phases and the repeats of
+    short orbits, X_(l+1) - X_l, so delta^2 = sum ||X_(l+1) - X_l||_F^2;
+    and the block of mu is sum_d mu^d A_d / N with A_d = sum_l X_l.
+    A block known by its entries (_cell_entries) reads them (_EntrySteps),
+    any other block its dense gathers (_GatherSteps).
+    """
+    k, n = op.space.n_plus, op.space.n
+    span = {"+": (0, k), "-": (k, n)}
+    r_idx, r_phi, r_size, r_ok = orbits.part(*span[row])
+    c_idx, c_phi, c_size, c_ok = orbits.part(*span[col])
     order = orbits.order
     r_phi = r_phi * np.sqrt(r_size)[:, None] / order
     c_phi = c_phi * np.sqrt(c_size)[:, None]
+    entries = _cell_entries(op, row, col)
+    if entries is None:
+        steps = _GatherSteps(op, row, col, r_idx, c_idx)
+    else:
+        steps = _EntrySteps(entries, r_idx, c_idx, span[row][1] - span[row][0],
+                            span[col][1] - span[col][0])
     acc, delta2, norm2 = [], 0.0, 0.0
     for d in range(order):
         total = first = prev = None
         for l in range(order):
             j = (l + d) % order
             lead = r_phi[:, j] if l + d < order else orbits.power * r_phi[:, j]
-            x = op.gather(r_idx[:, j], c_idx[:, l], row, col)
-            x *= np.outer(lead.conj(), c_phi[:, l])
-            norm2 += _sum_sq(x)
+            x = steps.step(j, l, lead.conj(), c_phi[:, l])
+            norm2 += steps.sum_sq(x)
             if prev is None:
-                total = first = x
+                first = x
             else:
-                delta2 += _sum_sq(x - prev)
-                total = total + x
+                delta2 += steps.sum_sq(x, prev)
+            total = steps.add(total, x)
             prev = x
-        delta2 += _sum_sq(first - prev)
+        delta2 += steps.sum_sq(first, prev)
         acc.append(total)
-    weyl = (order - 1) / 2.0 * float(np.sqrt(delta2))
-    if weyl > SYM_TOL * np.sqrt(norm2 / max(1, min(rows[1] - rows[0], cols[1] - cols[0]))):
-        return whole()
-    blocks = []
-    for i, mu in enumerate(orbits.mu):
-        b = sum(mu**d * a for d, a in enumerate(acc)) / order
+
+    def block(i: int) -> np.ndarray:
+        b = steps.combine(acc, orbits.mu[i], order)
         if not (r_ok[:, i].all() and c_ok[:, i].all()):
             b = b[np.ix_(r_ok[:, i], c_ok[:, i])]
-        blocks.append(b)
-    return SymmetryBlocks(blocks, weyl)
+        return b
+    return delta2, norm2, block
+
+
+class _GatherSteps:
+    """The X_l of a sector block as dense phased gathers (op.gather).
+
+    The phases and a difference are formed in buffers and A_d in place, so
+    a step allocates no more than its gather and, once per d, A_d."""
+
+    def __init__(self, op: GradedOperator, row: str, col: str, r_idx: np.ndarray,
+                 c_idx: np.ndarray):
+        self.op, self.row, self.col = op, row, col
+        self.r_idx, self.c_idx = r_idx, c_idx
+        self.phase = np.empty((len(r_idx), len(c_idx)), dtype=complex)
+        self.diff = np.empty_like(self.phase)
+
+    def step(self, j: int, l: int, lead: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        x = self.op.gather(self.r_idx[:, j], self.c_idx[:, l], self.row, self.col)
+        x *= np.outer(lead, phi, out=self.phase)
+        return x
+
+    def sum_sq(self, x: np.ndarray, minus: np.ndarray | None = None) -> float:
+        return _sum_sq(x if minus is None else np.subtract(x, minus, out=self.diff))
+
+    @staticmethod
+    def add(total: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+        return x.copy() if total is None else np.add(total, x, out=total)
+
+    @staticmethod
+    def combine(acc: list, mu: complex, order: int) -> np.ndarray:
+        return sum(mu**d * a for d, a in enumerate(acc)) / order
+
+
+class _EntrySteps:
+    """The X_l of a sector block known by its entries (rows, cols, z), at
+    most one per row, so X_l has at most one nonzero per row: X_l is held
+    as (p, q, v, s), its nonzeros v at rows p and columns q, and s their
+    slots among the entries that some X_l fills.
+
+    v is z times the phase conj(lead_p) Phi_q, the operations of the dense
+    gather on its nonzeros, and A_d, kept at those slots, adds them in the
+    same order l; a zero of the dense route is one here too, up to its
+    sign, which no result keeps (the sum over d starts from +0).  Squared
+    norms are taken of X_l, or of X_l - X_m, placed in a zero buffer of the
+    gather's shape: the dot that sums them is the dense route's, over the
+    same array.  The block of mu is formed at the slots and is +0
+    elsewhere, as the dense sum is there.
+    """
+
+    def __init__(self, entries: tuple, r_idx: np.ndarray, c_idx: np.ndarray,
+                 n_row: int, n_col: int):
+        rows, cols, z = entries
+        self.r_idx = r_idx
+        col_of = np.full(n_row, -1)
+        col_of[rows] = cols
+        self.val_of = np.zeros(n_row, dtype=complex)
+        self.val_of[rows] = z
+        self.buffer = np.zeros((len(r_idx), len(c_idx)), dtype=complex)
+        width = self.buffer.shape[1]
+        steps = range(c_idx.shape[1])
+        # the orbit of each column index at step l; -1 (the extra last slot,
+        # which col_of's -1 reads) for an index off step l
+        at = np.full((len(steps), n_col + 1), -1)
+        for l in steps:
+            at[l, c_idx[:, l]] = np.arange(len(c_idx))
+        self.hits = {}
+        for j in steps:
+            for l in steps:
+                q = at[l, col_of[r_idx[:, j]]]
+                p = np.flatnonzero(q >= 0)
+                self.hits[j, l] = p, q[p]
+        # sorted by a mask, not np.unique, whose first call imports numpy.ma
+        # in the middle of a leg and so holds heap that the leg frees
+        mask = np.zeros(self.buffer.size, dtype=bool)
+        for p, q in self.hits.values():
+            mask[p * width + q] = True
+        self.filled = np.flatnonzero(mask)
+        self.slots = {key: np.searchsorted(self.filled, p * width + q)
+                      for key, (p, q) in self.hits.items()}
+
+    def step(self, j: int, l: int, lead: np.ndarray, phi: np.ndarray) -> tuple:
+        p, q = self.hits[j, l]
+        return p, q, self.val_of[self.r_idx[p, j]] * (lead[p] * phi[q]), self.slots[j, l]
+
+    def sum_sq(self, x: tuple, minus: tuple | None = None) -> float:
+        buffer = self.buffer
+        buffer[x[:2]] = x[2]
+        if minus is not None:
+            buffer[minus[:2]] -= minus[2]
+        out = _sum_sq(buffer)
+        buffer[x[:2]] = 0
+        if minus is not None:
+            buffer[minus[:2]] = 0
+        return out
+
+    def add(self, total: np.ndarray | None, x: tuple) -> np.ndarray:
+        if total is None:
+            total = np.zeros(len(self.filled), dtype=complex)
+        total[x[3]] += x[2]
+        return total
+
+    def combine(self, acc: list, mu: complex, order: int) -> np.ndarray:
+        out = np.zeros_like(self.buffer)
+        out.reshape(-1)[self.filled] = sum(mu**d * a for d, a in enumerate(acc)) / order
+        return out
 
 
 def _sum_sq(x: np.ndarray) -> float:
     """Squared Frobenius norm of a C-contiguous complex array, by one dot."""
     v = x.reshape(-1).view(np.float64)
     return float(v @ v)
+
+
+def _cell_entries(op: GradedOperator, row: str, col: str):
+    """(rows, cols, z) of the sector block (row, col) of an operator that
+    records it by its entries, at most one per row and per column: its own
+    record, or, for an upper block adjoint * lower^H, the lower block's with
+    rows and columns swapped and z conjugated (negated for adjoint -1), as
+    a gather of that block forms them.  None for any other block."""
+    entries = op._entries.get((row, col))
+    if entries is None and (row, col) == ("+", "-") and op._adjoint:
+        lower = op._entries.get(("-", "+"))
+        if lower is not None:
+            rows, cols, z = lower
+            entries = (cols, rows, z.conj() if op._adjoint > 0 else -z.conj())
+    return entries
 
 
 def _odd_monomial(op: GradedOperator):
@@ -891,13 +1038,13 @@ def _odd_monomial(op: GradedOperator):
     for the structure.  The lattice's diag(z), the ladder's shifted
     diagonal and mk's zero D are built from their entries.
     """
-    return op._entries.get(("-", "+")) if op.hermitian else None
+    return op._entries.get(("-", "+")) if op.parity == "odd" and op.hermitian else None
 
 
 def _odd_entries(op: GradedOperator):
     """_odd_monomial for a hermitian or an anti-hermitian operator, such as
     [D, H] of a monomial D and a diagonal H."""
-    return op._entries.get(("-", "+"))
+    return op._entries.get(("-", "+")) if op.parity == "odd" else None
 
 
 def _even_diagonal(op: GradedOperator, s: str):

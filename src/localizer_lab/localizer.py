@@ -30,6 +30,7 @@ from .errors import (
     PreconditionError,
     SpectralCutError,
 )
+from . import grading
 from .grading import (
     EPS_INV,
     GradedOperator,
@@ -39,7 +40,6 @@ from .grading import (
     gap,
     lipschitz_derivative,
     operator_norm,
-    sector_runs,
     symmetry_blocks,
 )
 from .localizing import LocalizingFunction
@@ -286,40 +286,42 @@ def _assemble(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
 
 
 def _identity_window(H: GradedOperator, D: GradedOperator, kappa: float) -> GradedOperator:
-    """L = gamma H + kappa D, kept as H and D: each gather of L is the gather
-    of H with its negative rows negated plus kappa times the gather of D,
-    read from their sector blocks and entries, so a symmetry block of L
-    needs no n x n array; ``matrix``, when read, takes the same sum over
-    whole sector blocks.  Entry by entry these are the operations of the
-    whole sum, kappa applied to D's entries before any phase, so the
-    gathers and the matrix are those of the formed L bit for bit.  L is
+    """L = gamma H + kappa D, kept as H and D, one record per sector block.
+
+    gamma H fills the diagonal blocks and kappa D the others, so each block
+    reads one operator and adds the other term as the zero it is: a
+    diagonal block is gamma times the gather of H's block plus kappa * 0,
+    an off-diagonal one kappa times the gather of D's plus gamma * 0, and a
+    block that D records by its entries (_cell_entries) is kept as the
+    entries kappa z + gamma * 0.  Entry by entry these are the operations
+    of the whole sum, kappa applied to D's entries before any phase, so a
+    symmetry block of L needs no n x n array, and the gathers, the blocks
+    and ``matrix``, when read, are those of the formed L bit for bit.  L is
     hermitian bit-exactly: gamma H is the even hermitian H with its negative
     sector negated and kappa D only fills the blocks H leaves zero.
     """
-    space = H.space
-    k, n = space.n_plus, space.n
-    # ri = ci = None reads every entry: sector blocks, not gathers
-    every = (("+", slice(0, k), None), ("-", slice(k, n), None))
+    zero = np.zeros(1, dtype=complex)
+    gamma = {"+": 1.0, "-": -1.0}
 
-    def take(ri, ci):
+    def take(row, col, ri, ci):
+        op, scale, other = (H, gamma[row], kappa) if row == col else (D, kappa, gamma[row])
         if ri is None:
-            x = np.empty((n, n), dtype=complex)
-            row_runs = col_runs = every
+            x = np.multiply(scale, op.block(row, col))
         else:
-            x = np.empty((len(ri), len(ci)), dtype=complex)
-            row_runs, col_runs = sector_runs(space, ri), sector_runs(space, ci)
-        for r, rs, r_local in row_runs:
-            for c, cs, c_local in col_runs:
-                part = x[rs, cs]
-                gamma = 1.0 if r == "+" else -1.0
-                if r_local is None:
-                    h, d = H.block(r, c), D.block(r, c)
-                else:
-                    h, d = H.gather(r_local, c_local, r, c), D.gather(r_local, c_local, r, c)
-                np.multiply(gamma, h, out=part)
-                part += kappa * d
+            x = op.gather(ri, ci, row, col)
+            np.multiply(scale, x, out=x)
+        x += np.multiply(other, zero)
         return x
-    return GradedOperator._gathered(space, "none", True, take)
+
+    entries = {}
+    for row, col in (("-", "+"), ("+", "-")):
+        cell = grading._cell_entries(D, row, col)
+        if cell is not None:
+            rows, cols, z = cell
+            value = kappa * z
+            value += np.multiply(gamma[row], zero)
+            entries[row, col] = (rows, cols, value)
+    return GradedOperator._gathered(H.space, "none", True, take, entries)
 
 
 def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,

@@ -44,7 +44,7 @@ class ModelDescriptor:
     rho_max: float
     truncation_fraction: float
     gap_bound: float
-    bloch: object = None
+    bloch: object = None  # (k1, k2) -> Bloch matrices (..., n, n), broadcast over k
     bloch_lipschitz: float | None = None  # sup over k of each ||dh/dk_i||
     n_occupied: int | None = None
     expected_class: int | None = None
@@ -117,7 +117,9 @@ def oscillator_dirac(n: int) -> ModelDescriptor:
 # ----------------------------------------------------------------------------
 
 
-def qwz_bloch(k1: float, k2: float, m: float) -> np.ndarray:
+def qwz_bloch(k1, k2, m: float) -> np.ndarray:
+    """The 2 x 2 Bloch matrix h(k) at mass m, broadcast over k: k1 and k2
+    with two trailing unit axes give the grid of matrices (..., 2, 2)."""
     return (np.sin(k1) * PAULI_1 + np.sin(k2) * PAULI_2
             + (m - np.cos(k1) - np.cos(k2)) * PAULI_3)
 

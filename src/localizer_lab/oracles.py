@@ -152,6 +152,9 @@ def chern_number_bz(bloch, n_occupied: int, lipschitz: float,
                     grid: int = CHERN_GRID) -> IndexResult:
     """Chern number of the occupied bands of a Bloch family on a 2-torus.
 
+    bloch(k1, k2) gives the n x n Bloch matrices and broadcasts over k: it
+    is called once, with k1 and k2 of shapes (grid, 1, 1, 1) and
+    (1, grid, 1, 1), and returns the whole grid, (grid, grid, n, n).
     Plaquette construction: overlaps of occupied frames around each grid
     plaquette multiply to a phase; the angles sum to 2 pi times an integer.
     The band gap must be certified open first.  With lipschitz the sup of
@@ -161,7 +164,10 @@ def chern_number_bz(bloch, n_occupied: int, lipschitz: float,
     the grid minimum less 2 eps must stay open, or the result fails loudly.
     """
     ks = 2.0 * np.pi * np.arange(grid) / grid
-    h = np.array([[np.asarray(bloch(ka, kb), dtype=complex) for kb in ks] for ka in ks])
+    h = np.asarray(bloch(ks[:, None, None, None], ks[None, :, None, None]), dtype=complex)
+    if h.ndim != 4 or h.shape[:2] != (grid, grid) or h.shape[2] != h.shape[3]:
+        raise ValueError(f"bloch must broadcast over k and give ({grid}, {grid}, n, n) "
+                         f"on the grid, got shape {h.shape}")
     w, v = np.linalg.eigh(h)
     scale = float(np.abs(w).max(initial=0.0))
     gap_here = w[..., n_occupied] - w[..., n_occupied - 1]

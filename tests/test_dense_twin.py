@@ -54,10 +54,15 @@ RECORDS = {"_even_built": "sectors", "_odd_built": "lower",
 
 # the readers of an entries record, and the kind of record each reads
 READERS = {"_odd_monomial": "monomial", "_even_diagonal": "diagonal",
-           "_odd_entries": "entries"}
+           "_odd_entries": "entries", "_cell_entries": "cell"}
 
 # a monomial D's spectrum, eigenframe and [D, T]
 SPECTRUM = {"monomial:eigenvalues", "monomial:lipschitz_derivative"}
+# the identity-window L, its kappa D blocks kept as a monomial D's entries
+WINDOW = {"gathered", "cell:_identity_window"}
+# the lattice's symmetry blocks: L and D each split their kappa D blocks
+# from the entries
+LATTICE = SPECTRUM | WINDOW | {"symmetry", "cell:_split_cell"}
 MONOMIAL = SPECTRUM | {"monomial:_odd_eig"}
 # the ladder's H = 1: its spectrum, the pair test, and [D, H] as entries
 DIAGONAL = {"diagonal", "diagonal:eigenvalues", "diagonal:compress_diagonal",
@@ -68,13 +73,13 @@ COMMANDS = {
     "oscillator": (("compute", "--model", "oscillator:n=40", "--auto"),
                    MONOMIAL | DIAGONAL | {"sectors", "entries"}),
     "qwz8": (("compute", "--model", "qwz:L=8,m=3.0", "--auto"),
-             SPECTRUM | {"symmetry", "flat", "sectors", "lower", "entries", "gathered"}),
+             LATTICE | {"flat", "sectors", "lower", "entries"}),
     "qwz9": (("compute", "--model", "qwz:L=9,m=1.0", "--auto"),
-             SPECTRUM | {"symmetry", "flat", "sectors", "lower", "entries", "gathered"}),
+             LATTICE | {"flat", "sectors", "lower", "entries"}),
     "mk": (("compute", "--model", "mk:k=2,seed=0", "--auto"),
-           SPECTRUM | {"lower", "entries", "gathered"}),
+           SPECTRUM | WINDOW | {"lower", "entries"}),
     "random": (("compute", "--model", "random:n=40,seed=1", "--auto"),
-               MONOMIAL | {"diagonal", "lower", "entries", "gathered"}),
+               MONOMIAL | WINDOW | {"diagonal", "lower", "entries"}),
     "sweep_ladder": (("sweep", "--model", "oscillator:n=60", "--kappa", "0.5,1.0,2.0",
                       "--rho", "1.0,2.0,4.0"),
                      MONOMIAL | DIAGONAL | {"entries"}),
@@ -82,8 +87,7 @@ COMMANDS = {
                    "--rho", "1.0,2.0"), MONOMIAL | {"symmetry", "sectors", "lower",
                                                     "entries"}),
     "verify": (("verify", "identities", "--seed", "0"),
-               MONOMIAL | DIAGONAL | {"symmetry", "sectors", "lower", "entries",
-                                      "gathered"}),
+               MONOMIAL | DIAGONAL | LATTICE | {"sectors", "lower", "entries"}),
 }
 
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")

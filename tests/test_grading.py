@@ -773,16 +773,14 @@ def test_commutator_of_a_diagonal_h_is_its_entries(shape, monkeypatch):
 @pytest.mark.parametrize("op", _kept_operators())
 def test_gathers_read_the_kept_structure_bit_for_bit(op):
     rng = np.random.default_rng(581)
-    k, n = op.space.n_plus, op.space.n
-    size = {"+": k, "-": op.space.n_minus}
+    size = {"+": op.space.n_plus, "-": op.space.n_minus}
     picks = [(row, col, rng.integers(0, size[row], size=6),
               rng.integers(0, size[col], size=5)) for row in "+-" for col in "+-"]
-    ri = np.concatenate([rng.permutation(k)[:3], k + rng.permutation(n - k)[:2]])
     # gathered before any block is formed, then compared with the matrix
-    got = [op.gather(r, c, row, col) for row, col, r, c in picks] + [op.gather(ri, ri)]
+    got = [op.gather(r, c, row, col) for row, col, r, c in picks]
     norm = op._frobenius()
     dense = GradedOperator._new(op.space, op.parity, op.hermitian, matrix=op._form())
-    want = [dense.gather(r, c, row, col) for row, col, r, c in picks] + [dense.gather(ri, ri)]
+    want = [dense.gather(r, c, row, col) for row, col, r, c in picks]
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     for row in "+-":
         for col in "+-":

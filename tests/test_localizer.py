@@ -28,7 +28,12 @@ from localizer_lab.localizer import (
     support_residual,
 )
 from localizer_lab.errors import AdmissibilityError, ParityError, SpectralCutError
-from localizer_lab.verification import random_even_invertible, random_odd, random_space
+from localizer_lab.verification import (
+    random_even_invertible,
+    random_odd,
+    random_space,
+    zoo_instances,
+)
 
 PHI = default_localizer()
 
@@ -981,6 +986,21 @@ def test_identity_window_blocks_are_those_of_the_formed_localizer(L):
     assert kept.matrix.tobytes() == formed.matrix.tobytes()
 
 
+def test_square_identity_leaves_no_dense_block_on_a_monomial_d():
+    # L's matrix reads D's blocks from its entries record, like its gathers,
+    # and a block formed from entries is not kept: after the square identity
+    # D holds no dense block, and L's matrix is the formed sum bit for bit
+    (_, H, D), = zoo_instances(("qwz:L=10,m=3.0",))
+    params = choose_params(H, D, PHI)
+    bundle = assemble_localizer(H, D, PHI, params)
+    assert bundle.phi_identity
+    square_residuals(bundle, H, D)
+    assert D._matrix is None and D._blocks == {}
+    formed = H.space.gamma_diag[:, None] * H.matrix + params.kappa * D.formed()
+    assert bundle.L.matrix.tobytes() == formed.tobytes()
+    assert D._matrix is None and D._blocks == {}
+
+
 @pytest.mark.parametrize("seed", [45, 46])
 def test_identity_window_matrix_is_the_formed_sum_of_dense_operators(seed):
     # read from whole sector blocks, not gathers, the matrix of L is the
@@ -992,5 +1012,10 @@ def test_identity_window_matrix_is_the_formed_sum_of_dense_operators(seed):
     kept = _identity_window(H, D, kappa)
     formed = H.space.gamma_diag[:, None] * H.matrix + kappa * D.matrix
     assert kept.matrix.tobytes() == formed.tobytes()
-    idx = np.arange(H.space.n)[::2]
-    assert kept.gather(idx, idx).tobytes() == formed[np.ix_(idx, idx)].tobytes()
+    k, n = H.space.n_plus, H.space.n
+    span = {"+": np.arange(k), "-": np.arange(k, n)}
+    for row in "+-":
+        for col in "+-":
+            ri, ci = span[row][::2], span[col][1::2]
+            assert kept.gather(ri - span[row][0], ci - span[col][0], row, col).tobytes() \
+                == formed[np.ix_(ri, ci)].tobytes()

@@ -94,17 +94,35 @@ def test_chern_grid_independence():
 @pytest.mark.parametrize("masses, expected", [((1.0, 1.0), 2), ((1.0, 3.0), 1),
                                                ((1.0, -1.0), 0)])
 def test_chern_adds_over_direct_sums(masses, expected):
-    # two occupied bands: each link is the determinant of a 2 x 2 overlap
+    # two occupied bands: each link is the determinant of a 2 x 2 overlap;
+    # like every Bloch family, the direct sum broadcasts over k
     def bloch(k1, k2):
-        h = np.zeros((4, 4), dtype=complex)
-        h[:2, :2] = qwz_bloch(k1, k2, masses[0])
-        h[2:, 2:] = qwz_bloch(k1, k2, masses[1])
+        top, bottom = qwz_bloch(k1, k2, masses[0]), qwz_bloch(k1, k2, masses[1])
+        h = np.zeros(top.shape[:-2] + (4, 4), dtype=complex)
+        h[..., :2, :2] = top
+        h[..., 2:, 2:] = bottom
         return h
 
     # each block has ||dh/dk_i|| <= 1, and so has their direct sum
     res = chern_number_bz(bloch, 2, 1.0, grid=24)
     assert res.value == expected
     assert res.diagnostics["integer_deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("m", [1.0, 3.0, -1.0])
+def test_bloch_grid_is_the_pointwise_family_bit_for_bit(m):
+    # the oracle evaluates the grid in one broadcast call of the family
+    bloch = qwz_chern_model(8, m).bloch
+    ks = 2.0 * np.pi * np.arange(CHERN_GRID) / CHERN_GRID
+    grid = bloch(ks[:, None, None, None], ks[None, :, None, None])
+    pointwise = np.array([[bloch(a, b) for b in ks] for a in ks])
+    assert grid.shape == (CHERN_GRID, CHERN_GRID, 2, 2)
+    assert grid.tobytes() == pointwise.tobytes()
+
+
+def test_chern_oracle_refuses_a_family_that_does_not_broadcast():
+    with pytest.raises(ValueError, match="broadcast"):
+        chern_number_bz(lambda k1, k2: qwz_bloch(0.0, 0.0, 3.0), 1, 1.0)
 
 
 def test_chern_oracle_refuses_a_closed_gap():

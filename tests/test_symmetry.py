@@ -15,11 +15,13 @@ from localizer_lab import (
 )
 from localizer_lab.grading import (
     PhasedPermutation,
+    _cell_entries,
     _odd_monomial,
     lipschitz_derivative,
     symmetry_blocks,
 )
 from localizer_lab.ktheory import signature
+from localizer_lab.localizer import _identity_window
 
 PHI = default_localizer()
 
@@ -197,3 +199,64 @@ def test_compressed_index_takes_whole_blocks_when_only_d_breaks_the_symmetry():
     want = compressed_index(_plain(Q), _plain(D))
     assert (got.value, got.rank_tolerance, got.diagnostics) == \
         (want.value, want.rank_tolerance, want.diagnostics)
+
+
+def _whole_gather_split(m: np.ndarray, sym: PhasedPermutation) -> tuple[list, float]:
+    """(blocks, weyl) of the n x n matrix m by one pass of whole gathers,
+    each spanning both sectors: the reference the sector-block route is
+    pinned to."""
+    orbits = sym.orbits
+    idx, phi, size, ok = orbits.part(0, len(m))
+    order = orbits.order
+    r_phi = phi * np.sqrt(size)[:, None] / order
+    c_phi = phi * np.sqrt(size)[:, None]
+    acc, delta2 = [], 0.0
+    for d in range(order):
+        xs = []
+        for l in range(order):
+            j = (l + d) % order
+            lead = r_phi[:, j] if l + d < order else orbits.power * r_phi[:, j]
+            x = m[np.ix_(idx[:, j], idx[:, l])]
+            x *= np.outer(lead.conj(), c_phi[:, l])
+            xs.append(x)
+        delta2 += sum(np.linalg.norm(x - y) ** 2 for x, y in zip(xs[1:] + xs[:1], xs))
+        acc.append(sum(xs[1:], xs[0]))
+    blocks = [(sum(mu**d * a for d, a in enumerate(acc)) / order)[np.ix_(ok[:, i], ok[:, i])]
+              for i, mu in enumerate(orbits.mu)]
+    return blocks, (order - 1) / 2.0 * float(np.sqrt(delta2))
+
+
+@pytest.mark.parametrize("L, m", [(8, 3.0), (9, 1.0), (11, -1.0)])
+def test_sector_block_route_is_the_whole_gather_split_bit_for_bit(L, m):
+    # L is split one sector block at a time, its kappa D blocks from their
+    # entries; odd L masks the empty orbits of each eigenspace per block
+    desc = parse_model(f"qwz:L={L},m={m}")
+    params = choose_params(desc.H, desc.D, PHI)
+    kept = _identity_window(desc.H, desc.D, params.kappa)
+    assert all(_cell_entries(kept, row, col) is not None
+               for row, col in (("-", "+"), ("+", "-")))
+    split = symmetry_blocks(kept)
+    want, weyl = _whole_gather_split(kept.formed(), desc.space.symmetry)
+    assert len(split.blocks) == 4
+    assert [b.tobytes() for b in split.blocks] == [b.tobytes() for b in want]
+    # the same squares, summed in another order
+    assert split.weyl == pytest.approx(weyl, rel=1e-10)
+
+
+@pytest.mark.parametrize("L", [8, 9])
+def test_entries_route_is_the_dense_gather_route_bit_for_bit(L):
+    # a monomial odd block, hermitian or not, splits from its entries as
+    # its dense twin splits from gathers, and so does its adjoint block
+    desc = parse_model(f"qwz:L={L},m=1.0")
+    space, D = desc.space, desc.D
+    rows, cols, z = _odd_monomial(D)
+    anti = GradedOperator._monomial_built(space, rows, cols, 1j * z, adjoint=-1)
+    for op in (D, anti):
+        dense = GradedOperator._odd_built(space, op.block("-", "+"), adjoint=op._adjoint,
+                                          hermitian=op.hermitian)
+        for row, col in (("-", "+"), ("+", "-")):
+            assert _cell_entries(op, row, col) is not None
+            assert _cell_entries(dense, row, col) is None
+            got, want = symmetry_blocks(op, row, col), symmetry_blocks(dense, row, col)
+            assert len(got.blocks) == 4 and repr(got.weyl) == repr(want.weyl)
+            assert [x.tobytes() for x in got.blocks] == [y.tobytes() for y in want.blocks]
