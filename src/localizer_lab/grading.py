@@ -235,9 +235,10 @@ class SpectralDecomposition:
     v_val[j] e_(v_idx[j]); ``svd`` reads (V, W, sigma), building a monomial
     V and W on first read.  Either way ``order`` sorts the unsorted
     eigenvalues, and the n x n U is only assembled when ``vectors`` is read.
-    ``compress``, ``compress_diagonal`` and ``columns`` give an even H and
-    the basis itself on a window S of the sector basis diag(V, W), so no
-    caller unpacks either form of the frame.
+    ``compress``, ``compress_diagonal``, ``window_spectrum`` and ``columns``
+    give an even H, a block built on it and the basis itself on a window S
+    of the sector basis diag(V, W), so no caller unpacks either form of the
+    frame.
     """
 
     eigenvalues: np.ndarray
@@ -301,6 +302,55 @@ class SpectralDecomposition:
             out.append(h[idx] if np.all(val == 1.0) else _phased(h[idx], val, val))
         return np.concatenate(out)
 
+    def sector_values(self) -> np.ndarray:
+        """x_j = sigma_j on the j-th columns of V and W, and 0 on the kernel
+        columns of the larger sector past them, as long as that sector."""
+        sv = self.singular_values
+        return np.concatenate([sv, np.zeros(len(self.eigenvalues) - 2 * len(sv))])
+
+    def window_spectrum(self, H: "GradedOperator", inside: np.ndarray, f: np.ndarray,
+                        shift: np.ndarray, couple: np.ndarray) -> tuple:
+        """(eigenvalues, (s_plus, s_minus, block), pairs) of the block
+        L_S = F gamma_S compress(H) F - gamma_S diag(shift), plus couple_i
+        between v_i and w_i, on the columns S where inside holds; inside,
+        f, shift and couple are given on sector_values().  When the pair
+        test passes (compress_diagonal), L_S is a direct sum of 2 x 2 pair
+        blocks and unpaired 1 x 1 blocks: its spectrum is one stacked
+        eigvalsh, block is None and pairs keeps (diag, couple) of L_S, all
+        O(|S|).  Otherwise L_S is formed whole, solved, and kept as block
+        = L_S + gamma_S, with pairs None.
+        """
+        s_plus = np.flatnonzero(inside[:H.space.n_plus])
+        s_minus = np.flatnonzero(inside[:H.space.n_minus])
+        a, b = len(s_plus), len(s_minus)
+        support = np.concatenate([s_plus, s_minus])
+        g = np.concatenate([np.ones(a), -np.ones(b)])  # gamma on S
+        f = f[support]
+        # the pairs i < r in S lead both S_+ and S_-: they hold the same sigma_i
+        pairs = s_plus[s_plus < len(self.singular_values)]
+        p = len(pairs)
+        couple = couple[pairs]
+
+        h_diag = self.compress_diagonal(H, s_plus, s_minus)
+        if h_diag is None:
+            block = np.zeros((a + b, a + b), dtype=complex)
+            block[:a, :a], block[a:, a:] = self.compress(H, s_plus, s_minus)
+            block *= (g * f)[:, None]
+            block *= f
+            block[np.diag_indices(a + b)] -= g * shift[support]
+            eigs = np.linalg.eigvalsh(_coupled(block, a, couple))
+            block[np.diag_indices(a + b)] += g  # L_S + gamma_S, all that L needs
+            return eigs, (s_plus, s_minus, block), None
+        diag = h_diag * (g * f)
+        diag *= f
+        diag -= g * shift[support]
+        two = np.empty((p, 2, 2), dtype=complex)
+        two[:, 0, 0], two[:, 0, 1] = diag[:p], couple
+        two[:, 1, 0], two[:, 1, 1] = couple, diag[a:a + p]
+        real = diag.real
+        eigs = np.concatenate([np.linalg.eigvalsh(two).ravel(), real[p:a], real[a + p:]])
+        return eigs, (s_plus, s_minus, None), (diag, couple)
+
     def columns(self, s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
         """U_S, the columns S = (s_plus, s_minus) of diag(V, W), as an n x |S|
         array; a monomial frame places their entries with no n x n V or W."""
@@ -354,6 +404,13 @@ def _phased(t: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     x, y, u, w = left.real, left.imag, right.real, right.imag
     p_re, p_im = x * u + y * w, x * w - y * u
     return (t.real * p_re - t.imag * p_im) + 1j * (t.real * p_im + t.imag * p_re)
+
+
+def _coupled(block: np.ndarray, a: int, couple: np.ndarray) -> np.ndarray:
+    """block, with the pair couplings set in place at (a + i, i) and (i, a + i)."""
+    i = np.arange(len(couple))
+    block[a + i, i] = block[i, a + i] = couple
+    return block
 
 
 def _frame_defects(m: np.ndarray, w: np.ndarray, u: np.ndarray):

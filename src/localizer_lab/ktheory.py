@@ -32,7 +32,6 @@ from .localizer import (
     choose_params,
     measure_constants,
     select_scale,
-    support_residual,
 )
 from .localizing import LocalizingFunction
 
@@ -225,17 +224,18 @@ def localizer_index(H: GradedOperator, D: GradedOperator, phi: LocalizingFunctio
         params = choose_params(H, D, phi)
     params.require_admissible()
     bundle = assemble_localizer(H, D, phi, params)
-    return index_from_bundle(bundle, D)
+    return index_from_bundle(bundle)
 
 
-def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
-                      check_support: bool = True) -> LocalizerIndexReport:
+def index_from_bundle(bundle: LocalizerBundle) -> LocalizerIndexReport:
     """Index extraction for an already assembled (smooth or sharp) localizer.
 
     The class is half_signature_class of the pair (-gamma, L), with the
     exact spectrum -gamma_diag as the reference.  An eigenvalue counts as
     zero when |eigenvalue| less the bundle's eig_error is within the zero
     band, so a Weyl bound never lets an eigenvalue of L change sign unseen.
+    L must equal -gamma off the range of Phi_2rho: the bundle's
+    support_bound, read from its window block and D's frame, gates that.
     """
     params = bundle.params
     params.require_admissible()
@@ -249,13 +249,12 @@ def index_from_bundle(bundle: LocalizerBundle, D: GradedOperator,
             "admissibility certificate; numerical contradiction"
         )
     value = half_signature_class(-space.gamma_diag, eigs)
-    if check_support:
-        defect = support_residual(bundle, D)
-        if defect > 1e-9:
-            raise InternalConsistencyError(
-                f"localizer differs from -gamma off the truncation range by "
-                f"{defect:.3e} (limit 1e-9)"
-            )
+    defect = bundle.support_bound()
+    if defect > 1e-9:
+        raise InternalConsistencyError(
+            f"localizer differs from -gamma off the truncation range by up to "
+            f"{defect:.3e} (limit 1e-9)"
+        )
     sig_ref = space.n_minus - space.n_plus  # signature of -gamma, exact
     return LocalizerIndexReport(
         value=value,
@@ -335,7 +334,7 @@ def _path_report(pairs: list[tuple[GradedOperator, GradedOperator]],
         pt = LocalizerParams(params.kappa, params.rho, g_t, dh_t, phi.c_phi, n_t)
         pt.require_admissible(f"common scale is not admissible at {where}")
         bundle = assemble_localizer(h_t, d_t, phi, pt)
-        reports.append(index_from_bundle(bundle, d_t, check_support=False))
+        reports.append(index_from_bundle(bundle))
         bundles.append(bundle)
     steps = []
     values = [r.value for r in reports]

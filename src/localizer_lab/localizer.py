@@ -177,10 +177,10 @@ class LocalizerBundle:
     diagonal and pair couplings.  ``outer`` is the scalar window
     x -> Phi_2rho(x).  For scales where both windows are the identity on
     the spectrum of D, L is given at assembly, kept as H and D
-    (_identity_window), the Phi factors are None and phi_identity is set.  ``eig_error`` bounds how far each listed
-    eigenvalue may lie from one of L's (the Weyl bound of a symmetry block
-    route, else 0), and ``min_abs_eigenvalue`` is the smallest |eigenvalue|
-    less eig_error.
+    (_identity_window), the Phi factors are None and phi_identity is set.
+    ``eig_error`` bounds how far each listed eigenvalue may lie from one of
+    L's (the Weyl bound of a symmetry block route, else 0), and
+    ``min_abs_eigenvalue`` is the smallest |eigenvalue| less eig_error.
     """
 
     def __init__(self, params: LocalizerParams, D: GradedOperator,
@@ -217,7 +217,7 @@ class LocalizerBundle:
             if block is None:
                 diag, couple = self._pairs
                 gamma_s = np.concatenate([np.ones(a), -np.ones(len(s_minus))])
-                block = _coupled(np.diag(diag + gamma_s), a, couple)
+                block = grading._coupled(np.diag(diag + gamma_s), a, couple)
             u = self._D.eig().columns(s_plus, s_minus)
             lm = (u @ block) @ u.conj().T
             lm[np.diag_indices_from(lm)] -= self.space.gamma_diag
@@ -231,6 +231,17 @@ class LocalizerBundle:
     @property
     def Phi_2rho(self) -> GradedOperator | None:
         return self._window_of(self.outer)
+
+    def support_bound(self) -> float:
+        """Bound on ||(L + gamma)(1 - R)||, R the range of Phi_2rho: that is
+        U_S B (U_S^H U_c) U_c^H, B = L_S + gamma_S and U_c the sector basis
+        off S, so 0 for identity windows and a monomial frame (disjoint
+        supports), else (1 + e) ||B||_F e, e = orth_defect >= ||U_S^H U_c||_F.
+        """
+        if self.phi_identity or self._D.eig().monomial is not None:
+            return 0.0
+        e = self._D.eig().orth_defect
+        return (1.0 + e) * float(np.linalg.norm(self._window[2])) * e
 
     def _window_of(self, f: Callable) -> GradedOperator | None:
         if self.phi_identity:
@@ -344,68 +355,19 @@ def _windowed(H: GradedOperator, D: GradedOperator, params: LocalizerParams,
     Let S_+ and S_- be the columns where a window is nonzero.  Off them
     U^H L U = -gamma, uncoupled from the rest, so it adds n_+ - |S_+|
     eigenvalues -1 and n_- - |S_-| eigenvalues +1, and only the block L_S
-    on S is solved.  D's decomposition compresses H to S: when its pair
-    test passes (compress_diagonal: a monomial frame and exactly diagonal
-    sector blocks of H), H[S_+, S_+] and H[S_-, S_-] in the sector basis
-    are diagonal and L_S is exactly a direct sum of the 2 x 2 blocks of the
-    pairs (v_i, w_i) and the 1 x 1 blocks of the unpaired columns.  That
-    pair route forms only O(|S|) arrays: L_S's diagonal, entry by entry the
-    operations of the dense block, and the pair couplings, kept for ``L``;
-    its spectrum is one stacked eigvalsh of the (|pairs|, 2, 2) blocks plus
-    the unpaired diagonal entries.  Every other L_S is formed whole from
-    compress, goes to eigvalsh and is kept as L_S + gamma_S.
+    on S is solved, by D's decomposition (window_spectrum: the pair route
+    when H's sectors are diagonal and the frame monomial, else L_S whole).
     """
     dec = D.eig()
-    sv = dec.singular_values
-    n_plus, n_minus = D.space.n_plus, D.space.n_minus
-    r = len(sv)
-    x = np.concatenate([sv, np.zeros(max(n_plus, n_minus) - r)])
+    x = dec.sector_values()
     f_in = np.asarray(inner(x), dtype=float)
     f_out = np.asarray(outer(x), dtype=float)
     tail = np.sqrt(np.clip(1.0 - f_out**4, 0.0, None))
-    inside = (f_in != 0.0) | (f_out != 0.0)
-    s_plus = np.flatnonzero(inside[:n_plus])
-    s_minus = np.flatnonzero(inside[:n_minus])
-    a, b = len(s_plus), len(s_minus)
-    support = np.concatenate([s_plus, s_minus])
-    g = np.concatenate([np.ones(a), -np.ones(b)])  # gamma on S
-    f = f_in[support]
-    # the pairs i < r in S lead both S_+ and S_-: they hold the same sigma_i
-    pairs = s_plus[s_plus < r]
-    p = len(pairs)
-    couple = params.kappa * f_out[pairs] ** 2 * sv[pairs]
-
-    h_diag = dec.compress_diagonal(H, s_plus, s_minus)
-    if h_diag is None:
-        block = np.zeros((a + b, a + b), dtype=complex)
-        block[:a, :a], block[a:, a:] = dec.compress(H, s_plus, s_minus)
-        block *= (g * f)[:, None]
-        block *= f
-        block[np.diag_indices(a + b)] -= g * tail[support]
-        inner_eigs = np.linalg.eigvalsh(_coupled(block, a, couple))
-        block[np.diag_indices(a + b)] += g  # L_S + gamma_S, all that L needs
-        window, kept = (s_plus, s_minus, block), None
-    else:
-        diag = h_diag * (g * f)
-        diag *= f
-        diag -= g * tail[support]
-        two = np.empty((p, 2, 2), dtype=complex)
-        two[:, 0, 0], two[:, 0, 1] = diag[:p], couple
-        two[:, 1, 0], two[:, 1, 1] = couple, diag[a:a + p]
-        real = diag.real
-        inner_eigs = np.concatenate([np.linalg.eigvalsh(two).ravel(),
-                                     real[p:a], real[a + p:]])
-        window, kept = (s_plus, s_minus, None), (diag, couple)
-    eigs = np.sort(np.concatenate([inner_eigs, -np.ones(n_plus - a),
-                                   np.ones(n_minus - b)]))
+    inner_eigs, window, kept = dec.window_spectrum(
+        H, (f_in != 0.0) | (f_out != 0.0), f_in, tail, params.kappa * f_out**2 * x)
+    eigs = np.sort(np.concatenate([inner_eigs, -np.ones(D.space.n_plus - len(window[0])),
+                                   np.ones(D.space.n_minus - len(window[1]))]))
     return LocalizerBundle(params, D, inner, outer, eigs, window=window, pairs=kept)
-
-
-def _coupled(block: np.ndarray, a: int, couple: np.ndarray) -> np.ndarray:
-    """block, with the pair couplings set in place at (a + i, i) and (i, a + i)."""
-    i = np.arange(len(couple))
-    block[a + i, i] = block[i, a + i] = couple
-    return block
 
 
 # ----------------------------------------------------------------------------

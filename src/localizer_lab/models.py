@@ -287,13 +287,14 @@ def qwz_chern_model(L: int, m: float) -> ModelDescriptor:
     odd operator built from the complex position x1 + i x2 with coordinates
     centered at the lattice middle, kept as the entries of its diagonal
     lower block.  The periodic seam makes [D, H] grow linearly with L,
-    which the descriptor reports rather than hides.  The space carries the quarter turn S = diag(R, i R)
-    (_quarter_turn), which commutes with H and D: a rotation about the
-    lattice middle maps the torus, its seam included, to itself and sends
-    x1 + i x2 to i (x1 + i x2).  The lattice kernels split into its four
-    eigenspaces (grading.symmetry_blocks), each operator only after its
-    own measured commutator with S passes.  The Bloch family's derivatives
-    have norm at most 1 in each k_i, which bounds the Chern oracle's gap.
+    which the descriptor reports rather than hides.  The space carries the
+    quarter turn S = diag(R, i R) (_quarter_turn), which commutes with H
+    and D: a rotation about the lattice middle maps the torus, its seam
+    included, to itself and sends x1 + i x2 to i (x1 + i x2).  The lattice
+    kernels split into its four eigenspaces (grading.symmetry_blocks), each
+    operator only after its own measured commutator with S passes.  The
+    Bloch family's derivatives have norm at most 1 in each k_i, which
+    bounds the Chern oracle's gap.
     """
     if L < 8:
         raise ModelArgumentError("lattice extent must be at least 8")
@@ -468,8 +469,8 @@ def parse_model(spec_str: str) -> ModelDescriptor:
     if arg_str.strip():
         for chunk in arg_str.split(","):
             key, _, val = chunk.partition("=")
-            if not _:
-                raise ModelArgumentError(f"malformed model argument {chunk!r}")
+            if not _ or key.strip() in args:
+                raise ModelArgumentError(f"malformed or repeated model argument {chunk!r}")
             args[key.strip()] = val.strip()
 
     def get(key, kind, default):

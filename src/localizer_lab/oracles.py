@@ -225,28 +225,23 @@ def window_signature_index(H: GradedOperator, D: GradedOperator, rho: float,
 
     Evaluates (1/2) sign(P (kappa D + gamma H) P) + (1/2) sign(gamma P) with
     both signatures taken on the range of P.  Independent of the smooth
-    localizer assembly; serves as its cross-check.
+    localizer assembly; serves as its cross-check.  P = 1_(|D| < rho) is
+    even, so in D's sector basis the first operator is the block L_S of
+    window_spectrum on the hard cut S = {x < rho}, with f = 1, no shift
+    and the pairs coupled by kappa sigma_i, and sign(gamma P) is exactly
+    |S_+| - |S_-|.
     """
     dec = D.eig()
-    w = dec.eigenvalues
-    edge = eigenvalue_at_cut(w, rho)
+    edge = eigenvalue_at_cut(dec.eigenvalues, rho)
     if edge is not None:
         raise SpectralCutError(
             f"eigenvalue of D within {edge[1]:.3e} of the window edge rho = {rho}"
         )
-    sel = np.abs(w) < rho
-    if not np.any(sel):
-        return 0
-    v = dec.vectors[:, sel]
-    gdiag = H.space.gamma_diag
-    core = np.diag(kappa * w[sel]).astype(complex) + \
-        v.conj().T @ (gdiag[:, None] * H.matrix) @ v
-    core = (core + core.conj().T) / 2.0
-    sig_core = signature(np.linalg.eigvalsh(core)).signature
-    # the window is gamma-invariant, so gamma P has eigenvalues +-1 on it
-    g_win = v.conj().T @ (gdiag[:, None] * v)
-    sig_g = signature(np.linalg.eigvalsh((g_win + g_win.conj().T) / 2.0)).signature
-
+    x = dec.sector_values()
+    eigs, (s_plus, s_minus, _), _ = dec.window_spectrum(
+        H, x < rho, np.ones(len(x)), np.zeros(len(x)), kappa * x)
+    sig_core = signature(eigs).signature
+    sig_g = len(s_plus) - len(s_minus)
     if (sig_core + sig_g) % 2 != 0:
         raise ClassInconsistencyError(
             f"window signatures {sig_core} + {sig_g} do not sum to an even integer"

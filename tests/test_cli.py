@@ -70,7 +70,7 @@ def test_compute_unknown_model(capsys):
 
 
 @pytest.mark.parametrize("model", ["oscillator:n=1", "oscillator:n=ten",
-                                   "qwz:L=12"])
+                                   "qwz:L=12", "oscillator:n=40,n=30"])
 def test_compute_bad_model_arguments_exit_two(capsys, model):
     code, out, err = run(capsys, "compute", "--model", model, "--auto")
     assert code == 2
@@ -312,6 +312,35 @@ def test_ladder_sweep_cost_does_not_grow_with_the_truncation(capsys):
     code, out, err = run(capsys, "sweep", "--model", "oscillator:n=100000", *LADDER_GRID)
     assert code == 0
     assert "admissible_cells=12" in out and "signatures=[1]" in out
+
+
+def test_ladder_compute_forms_no_n_by_n_operator(capsys, monkeypatch):
+    # the window oracle solves the 2 x 2 pair blocks of D's sector basis,
+    # and the support gate reads the monomial frame
+    assert_forms_no_n_by_n_operator(
+        capsys, monkeypatch, ("compute", "--model", "oscillator:n=400", "--auto"), 0)
+
+
+def test_ladder_compute_peaks_below_one_sector_block(capsys):
+    # nor does it read the n x n eigenframe of D, which is not an operator
+    argv = ("compute", "--model", "oscillator:n=400", "--auto")
+    report = run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv) == report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report[0] == 0
+    assert peak < 400 * 399 * 16
+
+
+def test_ladder_compute_cost_does_not_grow_with_the_truncation(capsys):
+    code, out, err = run(capsys, "compute", "--model", "oscillator:n=100000", "--auto")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["indices"] == {"localizer": 1, "graded_kernel": 1, "window_formula": 1}
+    assert payload["agreement"] is True
 
 
 def test_lattice_leg_splits_each_operator_sector_once(capsys, monkeypatch):

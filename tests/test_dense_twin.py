@@ -71,7 +71,7 @@ DIAGONAL = {"diagonal", "diagonal:eigenvalues", "diagonal:compress_diagonal",
 # argv, and the routes the structured run takes
 COMMANDS = {
     "oscillator": (("compute", "--model", "oscillator:n=40", "--auto"),
-                   MONOMIAL | DIAGONAL | {"sectors", "entries"}),
+                   MONOMIAL | DIAGONAL | {"entries"}),
     "qwz8": (("compute", "--model", "qwz:L=8,m=3.0", "--auto"),
              LATTICE | {"flat", "sectors", "lower", "entries"}),
     "qwz9": (("compute", "--model", "qwz:L=9,m=1.0", "--auto"),

@@ -22,6 +22,7 @@ from localizer_lab import (
     signature,
 )
 from localizer_lab.ktheory import _idempotency_residual, check_defect, index_from_bundle
+from localizer_lab.localizer import support_residual
 from localizer_lab.models import _qwz_kernel, _spread
 from localizer_lab.errors import (
     ClassInconsistencyError,
@@ -192,7 +193,7 @@ def test_localizer_index_oscillator():
 def test_index_from_bundle_class_and_zero_band_error():
     osc = oscillator_dirac(20)
     bundle = assemble_localizer(osc.H, osc.D, PHI, choose_params(osc.H, osc.D, PHI))
-    report = index_from_bundle(bundle, osc.D)
+    report = index_from_bundle(bundle)
     assert report.signature_ref == osc.space.n_minus - osc.space.n_plus
     assert report.signature_var == signature(bundle.eigenvalues).signature
     assert report.value == half_signature_class(-osc.space.gamma_diag,
@@ -201,7 +202,30 @@ def test_index_from_bundle_class_and_zero_band_error():
     bundle.eigenvalues[0] = 0.0
     with pytest.raises(NotInvertibleError,
                        match="^localizer has 1 eigenvalues in the zero band"):
-        index_from_bundle(bundle, osc.D)
+        index_from_bundle(bundle)
+
+
+def test_support_gate_refuses_a_frame_with_a_large_gram_defect():
+    # H = 1 commutes with a random D, whose SVD frame puts L_S on the dense
+    # route; at rho = 0.3 sigma_max the windows leave the top pair out
+    rng = np.random.default_rng(12)
+    space = GradedSpace(6, 6)
+    H = GradedOperator.even_from_blocks(space, np.eye(6), np.eye(6), hermitian=True)
+    D = random_odd(rng, space)
+    dec = D.eig()
+    params = constant_C(1.0, 0.3 * dec.singular_values[0], H, D, PHI)
+    assert index_from_bundle(assemble_localizer(H, D, PHI, params)).value == 0
+    # tilt v_0, off the window, towards v_5, in it: U_S^H U_c is no longer 0
+    v, w = dec.odd_frames
+    v = v.copy()
+    v[:, 0] += 0.1 * v[:, 5]
+    dec.odd_frames = (v, w)
+    dec.orth_defect = float(np.hypot(np.linalg.norm(v.conj().T @ v - np.eye(6)),
+                                     np.linalg.norm(w.conj().T @ w - np.eye(6))))
+    bundle = assemble_localizer(H, D, PHI, params)
+    assert bundle.support_bound() >= support_residual(bundle, D) > 1e-9
+    with pytest.raises(InternalConsistencyError, match="truncation range"):
+        index_from_bundle(bundle)
 
 
 def space_sum(a: GradedSpace, b: GradedSpace) -> GradedSpace:

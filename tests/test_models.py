@@ -13,7 +13,7 @@ from localizer_lab import (
     mk_block_example,
     random_lipschitz,
 )
-from localizer_lab.errors import InternalConsistencyError
+from localizer_lab.errors import InternalConsistencyError, ModelArgumentError
 from localizer_lab.grading import _hermitize
 from localizer_lab.models import (
     FLAT_TOL,
@@ -135,6 +135,9 @@ def test_parse_model_rejects_malformed():
         parse_model("oscillator:n=10,bogus=1")
     with pytest.raises(ValueError):
         parse_model("qwz:L=8")
+    # an address names exactly one instance: a later n does not override
+    with pytest.raises(ModelArgumentError, match="repeated model argument 'n=30'"):
+        parse_model("oscillator:n=40,n=30")
 
 
 def test_ladder_frame_is_the_analytic_one():

@@ -17,10 +17,11 @@ from localizer_lab import (
     qwz_chern_model,
     window_signature_index,
 )
-from localizer_lab.errors import GaplessError
-from localizer_lab.models import qwz_bloch
+from localizer_lab.errors import GaplessError, SpectralCutError
+from localizer_lab.ktheory import signature
+from localizer_lab.models import parse_model, qwz_bloch
 from localizer_lab.oracles import CHERN_GRID
-from localizer_lab.verification import random_odd
+from localizer_lab.verification import random_even_invertible, random_odd
 
 ORACLES = json.loads((Path(__file__).resolve().parent.parent / "oracles.json").read_text())
 PHI = default_localizer()
@@ -178,6 +179,73 @@ def test_window_signature_tracks_graded_kernel_across_sizes():
         p = choose_params(osc.H, osc.D, PHI)
         w = window_signature_index(osc.H, osc.D, p.rho, p.kappa)
         assert w == graded_kernel_index(osc.D).value
+
+
+def dense_window_index(H, D, rho, kappa):
+    """The window formula in the site basis, the reference for the oracle's
+    sector basis route: P (kappa D + gamma H) P and gamma P compressed by
+    D's sorted eigenframe on |eig D| < rho, each solved by a dense eigvalsh."""
+    dec = D.eig()
+    w = dec.eigenvalues
+    sel = np.abs(w) < rho
+    if not np.any(sel):
+        return 0
+    v = dec.vectors[:, sel]
+    gdiag = H.space.gamma_diag
+    core = np.diag(kappa * w[sel]).astype(complex) + \
+        v.conj().T @ (gdiag[:, None] * H.matrix) @ v
+    core = (core + core.conj().T) / 2.0
+    sig_core = signature(np.linalg.eigvalsh(core)).signature
+    g_win = v.conj().T @ (gdiag[:, None] * v)
+    sig_g = signature(np.linalg.eigvalsh((g_win + g_win.conj().T) / 2.0)).signature
+    assert (sig_core + sig_g) % 2 == 0
+    return (sig_core + sig_g) // 2
+
+
+@pytest.mark.parametrize("n", [30, 40, 50])
+def test_window_oracle_equals_the_site_basis_formula_on_the_ladder(n):
+    # the pair route: H = 1 is diagonal and the ladder's frame monomial
+    osc = oscillator_dirac(n)
+    auto = choose_params(osc.H, osc.D, PHI)
+    for rho, kappa in ((auto.rho, auto.kappa), (0.5, 1.0), (1.7, 0.3), (3.3, 2.0),
+                       (100.0, 1.0)):
+        assert (window_signature_index(osc.H, osc.D, rho, kappa)
+                == dense_window_index(osc.H, osc.D, rho, kappa))
+
+
+def test_window_oracle_equals_the_site_basis_formula_on_a_dense_h():
+    # a monomial frame with H not diagonal: L_S gathered whole
+    desc = parse_model("random:n=40,seed=1")
+    for rho in (0.5, 1.7, 3.3, 100.0):
+        for kappa in (0.1, 1.0, 3.0):
+            assert (window_signature_index(desc.H, desc.D, rho, kappa)
+                    == dense_window_index(desc.H, desc.D, rho, kappa))
+
+
+@pytest.mark.parametrize("sectors", [(6, 6), (7, 4), (3, 8)])
+def test_window_oracle_equals_the_site_basis_formula_on_an_svd_frame(sectors):
+    # a random D takes the SVD frame; every cut between its singular
+    # values, below the smallest and above the largest
+    rng = np.random.default_rng(3)
+    space = GradedSpace(*sectors)
+    H, D = random_even_invertible(rng, space), random_odd(rng, space)
+    sv = D.eig().singular_values
+    values = set()
+    for rho in (sv.min() / 2, *((sv[1:] + sv[:-1]) / 2), 2 * sv.max()):
+        for kappa in (0.2, 1.0, 5.0):
+            value = window_signature_index(H, D, rho, kappa)
+            assert value == dense_window_index(H, D, rho, kappa)
+            values.add(value)
+    assert len(values) > 1
+    if space.n_plus == space.n_minus:
+        # D has no kernel: below the smallest singular value the window is empty
+        assert window_signature_index(H, D, sv.min() / 2, 1.0) == 0
+
+
+def test_window_oracle_refuses_an_eigenvalue_at_the_cut():
+    osc = oscillator_dirac(40)
+    with pytest.raises(SpectralCutError, match="window edge"):
+        window_signature_index(osc.H, osc.D, 2.0, 1.0)  # sqrt(4)
 
 
 @pytest.mark.parametrize("equal_sectors", [True, False])
